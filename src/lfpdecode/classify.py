@@ -184,6 +184,15 @@ def pca_fit(features, n_components: int) -> PCAProjection:
     ``n_components`` must not exceed min(n_samples - 1, dim).  Component
     signs are fixed so each one's largest-magnitude loading is positive,
     making the fit deterministic.
+
+    The components are eigenvectors of whichever of the two symmetric
+    matrices of the centered data Xc is smaller, chosen from the shape:
+    the dim x dim scatter Xc'Xc when dim <= n_samples, otherwise the
+    n_samples x n_samples Gram Xc Xc' (the dual form of kernel PCA,
+    Schölkopf, Smola & Müller 1998).  In the Gram case the top
+    eigenvectors are mapped back through Xc', orthonormalized by QR and
+    rotated onto the principal axes by a Rayleigh-Ritz step, so the rows
+    stay orthonormal when ``n_components`` exceeds the numerical rank.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -195,13 +204,24 @@ def pca_fit(features, n_components: int) -> PCAProjection:
             f"n_components must lie in [1, min(n_samples-1, dim)] = [1, {cap}]"
         )
     mean = X.mean(axis=0)
-    _, svals, vt = np.linalg.svd(X - mean, full_matrices=False)
-    comps = vt[:n_components].copy()
+    centered = X - mean
+    # eigh sorts ascending; [::-1] puts the largest first
+    if dim <= n:
+        evals, evecs = np.linalg.eigh(centered.T @ centered)
+        axes = evecs[:, ::-1][:, :n_components]
+    else:
+        _, gram_vecs = np.linalg.eigh(centered @ centered.T)
+        top = gram_vecs[:, ::-1][:, :n_components]
+        basis, _ = np.linalg.qr(centered.T @ top)
+        reduced = centered @ basis
+        evals, evecs = np.linalg.eigh(reduced.T @ reduced)
+        axes = basis @ evecs[:, ::-1]
+    comps = axes.T.copy()
     for row in comps:
         peak = np.argmax(np.abs(row))
         if row[peak] < 0.0:
             row *= -1.0
-    variance = svals[:n_components] ** 2 / (n - 1)
+    variance = np.clip(evals[::-1][:n_components], 0.0, None) / (n - 1)
     return PCAProjection(mean=mean, components=comps, explained_variance=variance)
 
 

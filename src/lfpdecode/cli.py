@@ -280,6 +280,9 @@ BENCHMARK_OPTS = [
 
 _PIPELINE_DEFAULT_COMPONENTS = {"pinsker": 165, "bjs": 190}
 
+# grid options that tune a search but do not by themselves request one
+_GRID_TUNING = ("grid.components", "grid.mu_values", "grid.low_pass_only")
+
 
 def _full_band_profile(truncation: int) -> ShrinkageProfile:
     count = 2 * truncation + 1
@@ -318,7 +321,6 @@ def _write_confusion(path: str, confusion: np.ndarray) -> None:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = _resolve(args, BENCHMARK_OPTS)
-    dataset = fileio.read_dataset(args.dataset)
     pipeline = cfg["benchmark.pipeline"]
     scheme = cfg["benchmark.scheme"]
     components = cfg["pipeline.components"]
@@ -326,12 +328,23 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         components = _PIPELINE_DEFAULT_COMPONENTS[pipeline]
     ridge = cfg["pipeline.ridge"]
     grid_requested = cfg["grid.enabled"] or cfg["grid.truncations"] is not None
-    if pipeline == "bjs":
-        if grid_requested or cfg["grid.mu_values"]:
+    if not grid_requested:
+        unused = [
+            opt.flag_name
+            for opt in BENCHMARK_OPTS
+            if opt.key in _GRID_TUNING and cfg[opt.key] != opt.default
+        ]
+        if unused:
             raise ValueError(
-                "grid search applies only to the pinsker pipeline; "
-                "the bjs pipeline has no shrinkage profile to tune"
+                f"{', '.join(unused)} only apply to a grid search; add --grid"
             )
+    if pipeline == "bjs" and grid_requested:
+        raise ValueError(
+            "grid search applies only to the pinsker pipeline; "
+            "the bjs pipeline has no shrinkage profile to tune"
+        )
+    dataset = fileio.read_dataset(args.dataset)
+    if pipeline == "bjs":
         config = PipelineConfig.bjs(
             dataset.n_samples,
             pass_limit=cfg["pipeline.block_limit"],
@@ -608,8 +621,27 @@ _EXPERIMENTS = {
 }
 
 
+def _experiment_opts() -> list[Opt]:
+    """Every experiment's options, one per destination, for the shared parser."""
+    merged: dict[str, Opt] = {}
+    for opts, _ in _EXPERIMENTS.values():
+        for opt in opts:
+            merged.setdefault(opt.dest, opt)
+    return list(merged.values())
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     opts, runner = _EXPERIMENTS[args.name]
+    owned = {opt.dest for opt in opts}
+    foreign = [
+        opt.flag_name
+        for opt in _experiment_opts()
+        if opt.dest not in owned and getattr(args, opt.dest) is not None
+    ]
+    if foreign:
+        raise ValueError(
+            f"experiment {args.name} does not take {', '.join(foreign)}"
+        )
     cfg = _resolve(args, opts)
     os.makedirs(args.out, exist_ok=True)
     return runner(cfg, args.out)
@@ -653,11 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--config", help="flat key=value config file")
     p_exp.add_argument("--out", required=True, help="output directory")
-    all_opts: dict[str, Opt] = {}
-    for opts, _ in _EXPERIMENTS.values():
-        for opt in opts:
-            all_opts.setdefault(opt.dest, opt)
-    _add_opts(p_exp, list(all_opts.values()))
+    _add_opts(p_exp, _experiment_opts())
     p_exp.set_defaults(func=cmd_experiment)
 
     return parser

@@ -7,8 +7,9 @@ exactly, and every write lands atomically (temp file + rename).
 
 from __future__ import annotations
 
+import contextlib
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -45,19 +46,32 @@ def _cell(x) -> str:
     return str(x)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to ``path`` via a temp file and rename, never in place."""
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text handle on a temp file that is renamed onto ``path`` once closed.
+
+    The temp file is created with mode 0666 less the process umask, as a
+    plain ``open`` would; on any error it is removed and ``path`` is left
+    untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to ``path`` via a temp file and rename, never in place."""
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def meta_path(path: str) -> str:
@@ -71,16 +85,18 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
     Columns are trial_id (0-based), session, label, channel (1-based) and
     sample_index (0-based) with the sample value last.
     """
-    lines = [DATASET_HEADER]
-    for tid, trial in enumerate(dataset.trials):
-        head = f"{tid},{trial.session},{trial.label}"
-        for ch in range(trial.n_channels):
-            row = trial.channels[ch]
-            prefix = f"{head},{ch + 1},"
-            lines.extend(
-                prefix + f"{s},{fmt_float(v)}" for s, v in enumerate(row)
-            )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with _replacing(path) as handle:
+        handle.write(DATASET_HEADER + "\n")
+        # one trial at a time keeps memory flat in the number of trials
+        for tid, trial in enumerate(dataset.trials):
+            head = f"{tid},{trial.session},{trial.label}"
+            lines = []
+            for ch, row in enumerate(trial.channels, start=1):
+                prefix = f"{head},{ch},"
+                lines.extend(
+                    prefix + f"{s},{fmt_float(v)}" for s, v in enumerate(row)
+                )
+            handle.write("\n".join(lines) + "\n")
 
     meta = {
         "n_trials": dataset.n_trials,
@@ -132,11 +148,12 @@ def read_dataset(path: str) -> LabeledDataset:
             key, _, value = line.partition("=")
             meta[key.strip()] = _parse_scalar(value.strip())
 
-    tids = data[:, 0].astype(int)
-    sessions = data[:, 1].astype(int)
-    labels = data[:, 2].astype(int)
-    channels = data[:, 3].astype(int)
-    samples = data[:, 4].astype(int)
+    keys = data[:, :5].astype(int)
+    if np.any(keys != data[:, :5]):
+        raise ValueError(
+            "trial_id, session, label, channel and sample_index must be integers"
+        )
+    tids, sessions, labels, channels, samples = keys.T
     values = data[:, 5]
     unique_tids = np.unique(tids)
     n_trials = unique_tids.size

@@ -119,6 +119,54 @@ def test_pca_component_cap():
         pca_fit(x, 0)
 
 
+def _svd_reference(x, n_components):
+    centered = x - x.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    return svals[:n_components] ** 2 / (len(x) - 1), vt[:n_components]
+
+
+def test_pca_wide_matches_svd():
+    # more features than samples: the fit goes through the n x n Gram matrix
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(25, 60)) * np.linspace(4.0, 0.2, 60)
+    proj = pca_fit(x, 10)
+    variance, axes = _svd_reference(x, 10)
+    assert_allclose(proj.explained_variance, variance, rtol=1e-8)
+    dots = np.abs(np.sum(proj.components * axes, axis=1))
+    assert_allclose(dots, 1.0, atol=1e-8)
+    for row in proj.components:
+        assert row[np.argmax(np.abs(row))] > 0.0
+
+
+def test_pca_wide_rank_deficient_stays_orthonormal():
+    # three copies of 6 rows: centered rank 5, yet 12 components requested
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=(6, 40))
+    x = np.vstack([base, base, base])
+    proj = pca_fit(x, 12)
+    assert_allclose(proj.components @ proj.components.T, np.eye(12), atol=1e-10)
+    variance, _ = _svd_reference(x, 5)
+    assert_allclose(proj.explained_variance[:5], variance, rtol=1e-8)
+    assert_allclose(proj.explained_variance[5:], 0.0, atol=1e-10 * variance[0])
+    assert_allclose(pca_apply(proj, x)[:, 5:], 0.0, atol=1e-10)
+
+
+def test_pca_tall_with_zero_columns_stays_orthonormal():
+    # a masked feature profile: 8 of 12 columns are exactly zero, so the
+    # d x d scatter has rank 4 and 8 components exceed it
+    rng = np.random.default_rng(8)
+    x = np.zeros((50, 12))
+    x[:, :4] = rng.normal(size=(50, 4)) * [3.0, 2.0, 1.0, 0.5]
+    proj = pca_fit(x, 8)
+    assert_allclose(proj.components @ proj.components.T, np.eye(8), atol=1e-10)
+    variance, axes = _svd_reference(x, 4)
+    assert_allclose(proj.explained_variance[:4], variance, rtol=1e-8)
+    assert_allclose(proj.explained_variance[4:], 0.0, atol=1e-12)
+    assert_allclose(np.abs(np.sum(proj.components[:4] * axes, axis=1)), 1.0,
+                    atol=1e-8)
+    assert_allclose(pca_apply(proj, x)[:, 4:], 0.0, atol=1e-12)
+
+
 def test_lda_matches_gaussian_bayes_oracle():
     rng = np.random.default_rng(5)
     means = np.array([[0.0, 0.0], [3.0, 1.0], [-1.0, 4.0]])

@@ -181,6 +181,23 @@ def test_benchmark_grid_with_bjs_exits_2(tmp_path, capsys):
     assert "pinsker" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pipeline", ["pinsker", "bjs"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--grid-components", "5"], ["--low-pass-only"], ["--mu-values", "1.0"]],
+    ids=["grid-components", "low-pass-only", "mu-values"],
+)
+def test_benchmark_grid_options_without_grid_exit_2(tmp_path, capsys, pipeline,
+                                                     flags):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    out = str(tmp_path / "x")
+    assert run("benchmark", "--dataset", ds, "--out", out,
+               "--pipeline", pipeline, *flags) == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not os.path.exists(out + "_report.csv")
+
+
 def test_benchmark_missing_dataset_exits_2(tmp_path):
     assert run("benchmark", "--dataset", str(tmp_path / "nope.csv"),
                "--out", str(tmp_path / "x")) == 2
@@ -191,6 +208,26 @@ def test_unknown_experiment_name_exits_2(tmp_path, capsys):
                "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "rates" in err and "phase" in err
+
+
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["--name", "adaptivity", "--seed", "3", "--trials", "50"],
+         ["--trials", "--seed"]),
+        (["--name", "rates", "--sample-grid", "1,2", "--classes", "99",
+          "--scheme", "bogus"],
+         ["--sample-grid", "--classes", "--scheme"]),
+    ],
+    ids=["adaptivity", "rates"],
+)
+def test_experiment_rejects_flags_it_does_not_own(tmp_path, capsys, argv,
+                                                  foreign):
+    out = str(tmp_path / "exp")
+    assert run("experiment", *argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in foreign)
+    assert not os.path.exists(out)
 
 
 def test_experiment_rates_outputs(tmp_path):

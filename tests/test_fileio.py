@@ -1,5 +1,6 @@
 """File format round-trip tests."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -8,7 +9,13 @@ from numpy.testing import assert_allclose
 
 from lfpdecode import fileio
 from lfpdecode.shrinkage import EllipsoidSpec
-from lfpdecode.synth import NoiseModel, generate_dataset, make_class_model
+from lfpdecode.synth import (
+    LabeledDataset,
+    NoiseModel,
+    Trial,
+    generate_dataset,
+    make_class_model,
+)
 
 
 def test_float_formatting_roundtrips_exactly():
@@ -48,6 +55,69 @@ def test_dataset_roundtrip(tmp_path):
         assert tb.label == ta.label and tb.session == ta.session
     assert back.params["sigma"] == 0.3
     assert back.params["alpha"] == 2.0
+
+
+def _pinned_dataset():
+    # small integer cubes are exact and IEEE 754 division is correctly
+    # rounded, so these values (and the pinned digests) match on every platform
+    grid = np.arange(3 * 2 * 8, dtype=float).reshape(3, 2, 8)
+    values = (grid - 20.0) ** 3 / 7.0 + 1.0 / (grid + 3.0)
+    trials = [
+        Trial(channels=values[i], label=i % 2 + 1, session=i + 1) for i in range(3)
+    ]
+    return LabeledDataset(
+        trials=trials, n_classes=2, seed=4,
+        params={"sigma": 0.3, "geometry": "random"},
+    )
+
+
+def _sha256(path):
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def test_dataset_bytes_are_pinned(tmp_path):
+    # pinned digests: writing the CSV trial by trial must not move a byte
+    path = str(tmp_path / "ds.csv")
+    fileio.write_dataset(_pinned_dataset(), path)
+    assert _sha256(path) == (
+        "a634e75ef1475a2bb54e6564782ea7336b5b83686df9371a15dd2ec152294833"
+    )
+    assert _sha256(fileio.meta_path(path)) == (
+        "6a3a4c2f893d278e3714a592a3ba43eb9d27523f4431460501150d257494cf5f"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta"]
+
+
+def test_dataset_rejects_fractional_integer_columns(tmp_path):
+    path = tmp_path / "ds.csv"
+    fileio.write_dataset(_pinned_dataset(), str(path))
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("0,1,1,1,0,")
+    for column in range(5):
+        cells = lines[1].split(",")
+        cells[column] = str(int(cells[column]) + 0.7)
+        path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        with pytest.raises(ValueError, match="must be integers"):
+            fileio.read_dataset(str(path))
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        fileio.write_dataset(_pinned_dataset(), str(tmp_path / "ds.csv"))
+        fileio.write_table(str(tmp_path / "t.csv"), ["a"], [(1,)])
+        os.umask(0o077)
+        fileio.write_signal(np.zeros(4), str(tmp_path / "private.csv"))
+    finally:
+        os.umask(old)
+    modes = {
+        name: os.stat(tmp_path / name).st_mode & 0o777
+        for name in os.listdir(tmp_path)
+    }
+    assert modes == {
+        "ds.csv": 0o644, "ds.meta": 0o644, "t.csv": 0o644, "private.csv": 0o600,
+    }
 
 
 def test_dataset_requires_sidecar(tmp_path):
