@@ -20,8 +20,9 @@ from .basis import (
 from .shrinkage import (
     BlockPartition,
     EllipsoidSpec,
+    bjs_coefficient_count,
     bjs_estimate,
-    dyadic_blocks,
+    bjs_sampled_rows,
     ellipsoid_weights,
     james_stein,
     pinsker_mu,
@@ -46,8 +47,6 @@ from .classify import (
     PCAProjection,
     PipelineConfig,
     ShrinkageProfile,
-    bjs_coefficient_count,
-    bjs_pipeline_features,
     cross_validate,
     cross_validate_features,
     dataset_feature_matrix,
@@ -58,12 +57,10 @@ from .classify import (
     min_distance_decode,
     pca_apply,
     pca_fit,
-    pinsker_pipeline_features,
     shrinkage_patterns,
 )
 from .experiments import (
     AdaptivityRow,
-    BenchmarkReport,
     ConsistencyRow,
     PhaseAblationResult,
     RiskCurve,

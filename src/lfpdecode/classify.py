@@ -18,11 +18,10 @@ from .basis import CoefficientVector, transform_rows
 from .shrinkage import (
     BlockPartition,
     EllipsoidSpec,
-    _bjs_rows,
-    dyadic_blocks,
+    bjs_sampled_rows,
     pinsker_weights,
 )
-from .synth import ClassModel, LabeledDataset, Trial
+from .synth import ClassModel, LabeledDataset
 
 __all__ = [
     "ShrinkageProfile",
@@ -32,15 +31,12 @@ __all__ = [
     "CrossValReport",
     "GridRow",
     "GridSearchResult",
-    "bjs_coefficient_count",
     "min_distance_decode",
     "pca_fit",
     "pca_apply",
     "lda_train",
     "lda_predict",
     "magnitude_features",
-    "pinsker_pipeline_features",
-    "bjs_pipeline_features",
     "dataset_feature_matrix",
     "cross_validate",
     "cross_validate_features",
@@ -117,17 +113,6 @@ class LDAModel:
     ridge: float
     coef: np.ndarray
     intercept: np.ndarray
-
-
-def bjs_coefficient_count(n_samples: int) -> int:
-    """Widest odd coefficient count that stays below the grid's safe band.
-
-    Equals min(N, 2*floor((N/2 - 1)/2) + 1), the largest 2T+1 satisfying
-    the forward transform's 2T+1 < N/2 requirement.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    return min(n_samples, 2 * ((n_samples // 2 - 1) // 2) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +299,9 @@ class PipelineConfig:
     ``shrinkage`` selects the pipeline: a :class:`ShrinkageProfile` runs
     the linear-minimax (profile) pipeline on 2T+1 coefficients, a
     :class:`BlockPartition` runs the blockwise James-Stein pipeline on the
-    widest safe band.  ``components`` = 0 skips PCA.  ``ridge`` = None
-    uses the LDA default.
+    widest safe band, its zero cutoff at floor(log2 N) as
+    :func:`~lfpdecode.shrinkage.bjs_sampled_rows` sets it.  ``components``
+    = 0 skips PCA.  ``ridge`` = None uses the LDA default.
     """
 
     n_samples: int
@@ -323,7 +309,6 @@ class PipelineConfig:
     components: int = 0
     ridge: float | None = None
     magnitude_only: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -335,25 +320,8 @@ class PipelineConfig:
                 raise ValueError("2T+1 must stay below n_samples/2")
         elif not isinstance(self.shrinkage, BlockPartition):
             raise TypeError("shrinkage must be a ShrinkageProfile or BlockPartition")
-
-    @classmethod
-    def pinsker(
-        cls,
-        n_samples: int,
-        profile: ShrinkageProfile,
-        components: int = 0,
-        ridge: float | None = None,
-        magnitude_only: bool = False,
-        seed: int = 0,
-    ) -> "PipelineConfig":
-        return cls(
-            n_samples=n_samples,
-            shrinkage=profile,
-            components=components,
-            ridge=ridge,
-            magnitude_only=magnitude_only,
-            seed=seed,
-        )
+        elif self.shrinkage.zero_limit != int(np.floor(np.log2(self.n_samples))):
+            raise ValueError("the blockwise zero cutoff must be floor(log2 n_samples)")
 
     @classmethod
     def bjs(
@@ -363,18 +331,15 @@ class PipelineConfig:
         components: int = 0,
         ridge: float | None = None,
         magnitude_only: bool = False,
-        seed: int = 0,
     ) -> "PipelineConfig":
         """Blockwise James-Stein pipeline with zero cutoff at floor(log2 N)."""
-        zero_limit = int(np.floor(np.log2(n_samples)))
-        partition = dyadic_blocks(pass_limit, zero_limit)
+        partition = BlockPartition(pass_limit, int(np.floor(np.log2(n_samples))))
         return cls(
             n_samples=n_samples,
             shrinkage=partition,
             components=components,
             ridge=ridge,
             magnitude_only=magnitude_only,
-            seed=seed,
         )
 
     @property
@@ -433,51 +398,7 @@ def _channel_feature_rows(rows: np.ndarray, config: PipelineConfig) -> np.ndarra
         profile = config.shrinkage
         coeffs = transform_rows(rows, profile.truncation)
         return coeffs[:, : profile.factors.size] * profile.factors
-    partition = config.shrinkage
-    count = bjs_coefficient_count(config.n_samples)
-    coeffs = transform_rows(rows, (count - 1) // 2)
-    padded = np.zeros((rows.shape[0], partition.width))
-    padded[:, :count] = coeffs
-    return _bjs_rows(padded, partition, 1.0 / np.sqrt(config.n_samples))
-
-
-def _trial_features(
-    trial: Trial, config: PipelineConfig, projection: PCAProjection | None
-) -> np.ndarray:
-    per_channel = _channel_feature_rows(trial.channels, config)
-    flat = per_channel.reshape(-1)
-    if config.magnitude_only:
-        flat = magnitude_features(flat, config.channel_width)
-    if projection is not None:
-        flat = pca_apply(projection, flat)
-    return flat
-
-
-def pinsker_pipeline_features(
-    trial: Trial, config: PipelineConfig, projection: PCAProjection | None = None
-) -> np.ndarray:
-    """Concatenated profile-shrunk coefficients of all channels.
-
-    Applies the configured factor profile per channel, concatenates, and
-    optionally applies a fitted PCA projection.
-    """
-    if not isinstance(config.shrinkage, ShrinkageProfile):
-        raise ValueError("config does not describe the profile pipeline")
-    return _trial_features(trial, config, projection)
-
-
-def bjs_pipeline_features(
-    trial: Trial, config: PipelineConfig, projection: PCAProjection | None = None
-) -> np.ndarray:
-    """Concatenated blockwise-James-Stein coefficients of all channels.
-
-    Each channel is expanded to the widest safe band (see
-    :func:`bjs_coefficient_count`), shrunk blockwise with noise level
-    1/sqrt(N), zero-padded to the partition width, and concatenated.
-    """
-    if not isinstance(config.shrinkage, BlockPartition):
-        raise ValueError("config does not describe the blockwise pipeline")
-    return _trial_features(trial, config, projection)
+    return bjs_sampled_rows(rows, config.shrinkage.pass_limit)[1]
 
 
 def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> np.ndarray:
@@ -687,9 +608,9 @@ def grid_search(
             candidates = [p for p in patterns if p.truncation == truncation]
         for profile in candidates:
             for n_comp in components:
-                config = PipelineConfig.pinsker(
+                config = PipelineConfig(
                     n_samples=dataset.n_samples,
-                    profile=profile,
+                    shrinkage=profile,
                     components=int(n_comp),
                     ridge=ridge,
                 )

@@ -19,27 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .basis import SampledSignal, forward_transform, reconstruct
-from .classify import (
-    PipelineConfig,
-    ShrinkageProfile,
-    bjs_coefficient_count,
-    cross_validate,
-    grid_search,
-)
+from .basis import CoefficientVector, SampledSignal, forward_transform, reconstruct
+from .classify import PipelineConfig, ShrinkageProfile, cross_validate, grid_search
 from .experiments import (
     adaptivity_ratio_bjs,
     consistency_experiment,
     phase_ablation,
     risk_curve_pinsker,
 )
-from .shrinkage import (
-    EllipsoidSpec,
-    bjs_estimate,
-    dyadic_blocks,
-    pinsker_mu,
-    pinsker_shrink,
-)
+from .shrinkage import EllipsoidSpec, bjs_sampled_rows, pinsker_mu, pinsker_shrink
 from .synth import (
     ClassConstructionError,
     NoiseModel,
@@ -54,7 +42,11 @@ __all__ = ["main", "build_parser"]
 
 @dataclass(frozen=True)
 class Opt:
-    """One resolvable option: config-file key, flag, type and default."""
+    """One resolvable option: config-file key, flag, type and default.
+
+    ``only`` names the pipeline, method or mode the option applies to;
+    setting it for another one is an error (see :func:`_reject_inapplicable`).
+    """
 
     key: str
     kind: str  # int | float | str | bool | float_or_auto | int_list | float_list
@@ -62,6 +54,7 @@ class Opt:
     help: str = ""
     choices: tuple = ()
     flag: str = ""
+    only: str = ""
 
     @property
     def dest(self) -> str:
@@ -113,8 +106,12 @@ def _add_opts(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
         parser.add_argument(opt.flag_name, **kwargs)
 
 
-def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
-    """Merge defaults, config file and flags; reject unknown config keys."""
+def _resolve(args: argparse.Namespace, opts: list[Opt]) -> tuple[dict, set[str]]:
+    """Merge defaults, config file and flags; reject unknown config keys.
+
+    Returns the merged values and the keys that a flag or the config file
+    set explicitly.
+    """
     file_cfg: dict[str, str] = {}
     if getattr(args, "config", None):
         file_cfg = fileio.read_config(args.config)
@@ -126,8 +123,11 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
             f"valid keys: {', '.join(sorted(known))}"
         )
     out: dict = {}
+    explicit: set[str] = set()
     for opt in opts:
         value = getattr(args, opt.dest, None)
+        if value is not None or opt.key in file_cfg:
+            explicit.add(opt.key)
         if value is None:
             if opt.key in file_cfg:
                 value = _parse_value(opt, file_cfg[opt.key])
@@ -142,7 +142,18 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
                 f"{opt.key} must be one of {', '.join(map(str, opt.choices))}"
             )
         out[opt.key] = value
-    return out
+    return out, explicit
+
+
+def _reject_inapplicable(opts: list[Opt], explicit: set[str], active) -> None:
+    """Raise if an option was set explicitly for something not in ``active``."""
+    unused = [
+        f"{opt.flag_name} ({opt.key}) applies only to {opt.only}"
+        for opt in opts
+        if opt.only and opt.only not in active and opt.key in explicit
+    ]
+    if unused:
+        raise ValueError("; ".join(unused))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +213,7 @@ def _build_dataset(cfg: dict):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, SYNTH_OPTS)
+    cfg, _ = _resolve(args, SYNTH_OPTS)
     dataset = _build_dataset(cfg)
     fileio.write_dataset(dataset, args.out)
     print(
@@ -218,39 +229,38 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 ESTIMATE_OPTS = [
     Opt("estimate.method", "str", "pinsker", "estimator", ("pinsker", "bjs")),
-    Opt("estimate.truncation", "int", 5, "harmonic truncation T (pinsker)"),
-    Opt("estimate.block_limit", "int", 2, "blocks passed through unshrunk (bjs)"),
-    Opt("ellipsoid.alpha", "float", 2.0, "smoothness exponent (pinsker)"),
-    Opt("ellipsoid.radius", "float", 10.0, "ellipsoid radius (pinsker)"),
+    Opt("estimate.truncation", "int", 5, "harmonic truncation T (pinsker)",
+        only="pinsker"),
+    Opt("estimate.block_limit", "int", 2, "blocks passed through unshrunk (bjs)",
+        only="bjs"),
+    Opt("ellipsoid.alpha", "float", 2.0, "smoothness exponent (pinsker)",
+        only="pinsker"),
+    Opt("ellipsoid.radius", "float", 10.0, "ellipsoid radius (pinsker)",
+        only="pinsker"),
 ]
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ESTIMATE_OPTS)
-    samples = fileio.read_signal(args.input)
-    signal = SampledSignal(samples)
+    cfg, explicit = _resolve(args, ESTIMATE_OPTS)
+    _reject_inapplicable(ESTIMATE_OPTS, explicit, {cfg["estimate.method"]})
+    signal = SampledSignal(fileio.read_signal(args.input))
     n = signal.n_samples
     if cfg["estimate.method"] == "pinsker":
-        observed = forward_transform(signal, cfg["estimate.truncation"])
+        vector = forward_transform(signal, cfg["estimate.truncation"])
         spec = EllipsoidSpec(cfg["ellipsoid.alpha"], cfg["ellipsoid.radius"])
-        mu = pinsker_mu(spec, observed.epsilon)
-        shrunk = pinsker_shrink(observed, spec, mu)
+        mu = pinsker_mu(spec, vector.epsilon)
+        observed = vector.coeffs
+        shrunk = pinsker_shrink(vector, spec, mu).coeffs
     else:
-        count = bjs_coefficient_count(n)
-        observed = forward_transform(signal, (count - 1) // 2)
-        partition = dyadic_blocks(
-            cfg["estimate.block_limit"], int(np.floor(np.log2(n)))
+        observed, shrunk = bjs_sampled_rows(
+            signal.samples[None, :], cfg["estimate.block_limit"]
         )
-        shrunk = bjs_estimate(observed, partition)
-    padded = np.zeros(len(shrunk))
-    padded[: len(observed)] = observed.coeffs
-    rows = [
-        (k + 1, padded[k], shrunk.coeffs[k]) for k in range(len(shrunk))
-    ]
+        observed, shrunk = observed[0], shrunk[0]
+    rows = [(k + 1, observed[k], shrunk[k]) for k in range(shrunk.size)]
     fileio.write_table(
         f"{args.out}_coefficients.csv", ["k", "observed", "shrunk"], rows
     )
-    recon = reconstruct(shrunk, n)
+    recon = reconstruct(CoefficientVector(shrunk), n)
     fileio.write_signal(recon.samples, f"{args.out}_reconstruction.csv")
     print(f"wrote {args.out}_coefficients.csv and {args.out}_reconstruction.csv")
     return 0
@@ -259,29 +269,32 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # benchmark
 
+_GRID = "a grid search (--grid)"
+
 BENCHMARK_OPTS = [
     Opt("benchmark.pipeline", "str", "pinsker", "feature pipeline",
         ("pinsker", "bjs"), flag="--pipeline"),
     Opt("benchmark.scheme", "str", "loso", "loso or kfold:<k>", flag="--scheme"),
-    Opt("pipeline.truncation", "int", 5, "harmonic truncation T (pinsker)"),
+    Opt("pipeline.truncation", "int", 5, "harmonic truncation T (pinsker)",
+        only="pinsker"),
     Opt("pipeline.components", "int", -1,
         "PCA components; 0 skips PCA, -1 picks the pipeline default"),
     Opt("pipeline.ridge", "float_or_auto", None, "LDA ridge or 'auto'"),
-    Opt("pipeline.block_limit", "int", 2, "blocks passed through unshrunk (bjs)"),
+    Opt("pipeline.block_limit", "int", 2, "blocks passed through unshrunk (bjs)",
+        only="bjs"),
     Opt("grid.enabled", "bool", False, "grid-search shrinkage profiles",
         flag="--grid"),
     Opt("grid.truncations", "int_list", None, "grid of T values"),
+    # these tune a search but do not by themselves request one
     Opt("grid.components", "int_list", None, "grid of PCA sizes",
-        flag="--grid-components"),
-    Opt("grid.mu_values", "float_list", [], "water-filling levels to try"),
-    Opt("grid.low_pass_only", "bool", False, "restrict masks to low-pass"),
-    Opt("seed", "int", 0, "recorded in the report"),
+        flag="--grid-components", only=_GRID),
+    Opt("grid.mu_values", "float_list", [], "water-filling levels to try",
+        only=_GRID),
+    Opt("grid.low_pass_only", "bool", False, "restrict masks to low-pass",
+        only=_GRID),
 ]
 
 _PIPELINE_DEFAULT_COMPONENTS = {"pinsker": 165, "bjs": 190}
-
-# grid options that tune a search but do not by themselves request one
-_GRID_TUNING = ("grid.components", "grid.mu_values", "grid.low_pass_only")
 
 
 def _full_band_profile(truncation: int) -> ShrinkageProfile:
@@ -320,7 +333,7 @@ def _write_confusion(path: str, confusion: np.ndarray) -> None:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, BENCHMARK_OPTS)
+    cfg, explicit = _resolve(args, BENCHMARK_OPTS)
     pipeline = cfg["benchmark.pipeline"]
     scheme = cfg["benchmark.scheme"]
     components = cfg["pipeline.components"]
@@ -328,16 +341,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         components = _PIPELINE_DEFAULT_COMPONENTS[pipeline]
     ridge = cfg["pipeline.ridge"]
     grid_requested = cfg["grid.enabled"] or cfg["grid.truncations"] is not None
-    if not grid_requested:
-        unused = [
-            opt.flag_name
-            for opt in BENCHMARK_OPTS
-            if opt.key in _GRID_TUNING and cfg[opt.key] != opt.default
-        ]
-        if unused:
-            raise ValueError(
-                f"{', '.join(unused)} only apply to a grid search; add --grid"
-            )
+    _reject_inapplicable(
+        BENCHMARK_OPTS, explicit, {pipeline, _GRID} if grid_requested else {pipeline}
+    )
     if pipeline == "bjs" and grid_requested:
         raise ValueError(
             "grid search applies only to the pinsker pipeline; "
@@ -384,7 +390,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         best_label = result.best_config.label
     else:
         profile = _full_band_profile(cfg["pipeline.truncation"])
-        config = PipelineConfig.pinsker(
+        config = PipelineConfig(
             dataset.n_samples, profile, components=components, ridge=ridge
         )
         report = cross_validate(dataset, config, scheme=scheme)
@@ -581,15 +587,13 @@ def _experiment_phase(cfg: dict, out_dir: str) -> int:
     synth_cfg = dict(cfg)
     dataset = _build_dataset(synth_cfg)
     profile = _full_band_profile(cfg["pipeline.truncation"])
-    config = PipelineConfig.pinsker(
+    config = PipelineConfig(
         dataset.n_samples,
         profile,
         components=cfg["pipeline.components"],
         ridge=cfg["pipeline.ridge"],
     )
-    result = phase_ablation(
-        dataset, config, scheme=cfg["benchmark.scheme"], seed=cfg["seed"]
-    )
+    result = phase_ablation(dataset, config, scheme=cfg["benchmark.scheme"])
     table = [
         ("full", result.full.overall_accuracy, result.full.worst_class_error),
         ("magnitude", result.magnitude.overall_accuracy,
@@ -642,7 +646,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ValueError(
             f"experiment {args.name} does not take {', '.join(foreign)}"
         )
-    cfg = _resolve(args, opts)
+    cfg, _ = _resolve(args, opts)
     os.makedirs(args.out, exist_ok=True)
     return runner(cfg, args.out)
 

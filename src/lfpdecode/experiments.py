@@ -14,24 +14,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import CoefficientVector, basis_matrix, coeff_l2_distance, transform_rows
-from .classify import (
-    CrossValReport,
-    PipelineConfig,
-    _decode_rows,
-    bjs_coefficient_count,
-    cross_validate,
-)
+from .basis import CoefficientVector, basis_matrix, coeff_l2_distance
+from .classify import CrossValReport, PipelineConfig, _decode_rows, cross_validate
 from .shrinkage import (
+    BlockPartition,
     EllipsoidSpec,
-    _bjs_rows,
-    dyadic_blocks,
+    bjs_sampled_rows,
     ellipsoid_weights,
     pinsker_mu,
     pinsker_weights,
     stein_threshold,
 )
-from .synth import ClassModel, NoiseModel, _rng, perturb_within_class
+from .synth import ClassModel, NoiseModel, perturb_within_class, stream_rng
 
 __all__ = [
     "RiskPoint",
@@ -39,7 +33,6 @@ __all__ = [
     "SupRisk",
     "AdaptivityRow",
     "ConsistencyRow",
-    "BenchmarkReport",
     "PhaseAblationResult",
     "mse_function",
     "risk_curve_pinsker",
@@ -157,7 +150,7 @@ def risk_curve_pinsker(
         pairs = int(np.floor(mu ** (1.0 / spec.alpha) / 2.0)) + 1
         dim = 2 * pairs + 9
         weights = pinsker_weights(spec, mu, dim)
-        rng = _rng(seed, key=(i,))
+        rng = stream_rng(seed, key=(i,))
         thetas = _boundary_thetas(spec, dim, n_thetas, rng)
         errors = []
         for theta in thetas:
@@ -259,7 +252,7 @@ def bjs_sup_risk(spec: EllipsoidSpec, epsilon: float) -> SupRisk:
     spent greedily, is a point of the ellipsoid; the best one gives
     ``theta`` and ``lower``.
     """
-    partition = dyadic_blocks(0, _dyadic_zero_limit(epsilon))
+    partition = BlockPartition(0, _dyadic_zero_limit(epsilon))
     budget = spec.radius**2
     a = ellipsoid_weights(spec, partition.width + 1)
     fractions = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, 1999)))
@@ -420,14 +413,12 @@ def consistency_experiment(
     model_count = 2 * model.truncation + 1
     rows = []
     for ni, n in enumerate(ns):
-        count = bjs_coefficient_count(n)
-        partition = dyadic_blocks(2, int(np.floor(np.log2(n))))
         phi = basis_matrix(model_count, np.arange(n) / n)
         class_errors = np.empty(model.n_classes)
         class_mses = np.empty(model.n_classes)
         class_mse_ses = np.empty(model.n_classes)
         for label in range(1, model.n_classes + 1):
-            rng = _rng(seed, key=(ni, label))
+            rng = stream_rng(seed, key=(ni, label))
             thetas = np.vstack(
                 [
                     perturb_within_class(model, label, rng)
@@ -437,13 +428,10 @@ def consistency_experiment(
             signals = thetas @ phi + noise.sigma * rng.standard_normal(
                 (trials_per_class, n)
             )
-            coeffs = transform_rows(signals, (count - 1) // 2)
-            padded = np.zeros((trials_per_class, partition.width))
-            padded[:, :count] = coeffs
-            estimates = _bjs_rows(padded, partition, noise.sigma / np.sqrt(n))
+            _, estimates = bjs_sampled_rows(signals, 2, noise.sigma)
             picks = _decode_rows(estimates, model)
             class_errors[label - 1] = float(np.mean(picks != label))
-            truth = np.zeros((trials_per_class, partition.width))
+            truth = np.zeros_like(estimates)
             truth[:, :model_count] = thetas
             sq = ((estimates - truth) ** 2).sum(axis=1)
             class_mses[label - 1] = float(sq.mean())
@@ -464,54 +452,19 @@ def consistency_experiment(
     return rows
 
 
-@dataclass
-class BenchmarkReport:
-    """Cross-validation outcome of one pipeline configuration."""
-
-    config: PipelineConfig
-    scheme: str
-    overall_accuracy: float
-    per_class_accuracy: np.ndarray
-    confusion: np.ndarray
-    seed: int
-    notes: list[str]
-
-    @property
-    def worst_class_error(self) -> float:
-        seen = self.confusion.sum(axis=1) > 0
-        return float((1.0 - self.per_class_accuracy[seen]).max())
-
-
-def _as_report(
-    config: PipelineConfig, cv: CrossValReport, seed: int
-) -> BenchmarkReport:
-    return BenchmarkReport(
-        config=config,
-        scheme=cv.scheme,
-        overall_accuracy=cv.overall_accuracy,
-        per_class_accuracy=cv.per_class_accuracy,
-        confusion=cv.confusion,
-        seed=seed,
-        notes=cv.notes,
-    )
-
-
 def benchmark_classifiers(
-    dataset, configs, scheme: str = "loso", seed: int = 0
-) -> list[BenchmarkReport]:
+    dataset, configs, scheme: str = "loso"
+) -> list[CrossValReport]:
     """Cross-validate each configuration on the same dataset and folds."""
-    return [
-        _as_report(config, cross_validate(dataset, config, scheme=scheme), seed)
-        for config in configs
-    ]
+    return [cross_validate(dataset, config, scheme=scheme) for config in configs]
 
 
 @dataclass
 class PhaseAblationResult:
     """Paired accuracies with and without phase information."""
 
-    full: BenchmarkReport
-    magnitude: BenchmarkReport
+    full: CrossValReport
+    magnitude: CrossValReport
 
     @property
     def accuracy_drop(self) -> float:
@@ -519,7 +472,7 @@ class PhaseAblationResult:
 
 
 def phase_ablation(
-    dataset, config: PipelineConfig, scheme: str = "loso", seed: int = 0
+    dataset, config: PipelineConfig, scheme: str = "loso"
 ) -> PhaseAblationResult:
     """Rerun one pipeline with harmonic pairs collapsed to magnitudes.
 
@@ -528,10 +481,9 @@ def phase_ablation(
     """
     if config.magnitude_only:
         raise ValueError("pass the full-feature config; the ablation derives the other")
-    full = cross_validate(dataset, config, scheme=scheme)
-    mag_config = replace(config, magnitude_only=True)
-    magnitude = cross_validate(dataset, mag_config, scheme=scheme)
     return PhaseAblationResult(
-        full=_as_report(config, full, seed),
-        magnitude=_as_report(mag_config, magnitude, seed),
+        full=cross_validate(dataset, config, scheme=scheme),
+        magnitude=cross_validate(
+            dataset, replace(config, magnitude_only=True), scheme=scheme
+        ),
     )

@@ -23,6 +23,7 @@ __all__ = [
     "perturb_within_class",
     "generate_trial",
     "generate_dataset",
+    "stream_rng",
 ]
 
 _U64 = 2**64
@@ -48,7 +49,7 @@ class NoiseModel:
             raise ValueError("sigma must be positive")
 
 
-def _rng(*entropy: int, key: tuple[int, ...] = ()) -> np.random.Generator:
+def stream_rng(*entropy: int, key: tuple[int, ...] = ()) -> np.random.Generator:
     """Deterministic generator from an entropy tuple and a spawn key.
 
     Distinct (entropy, key) pairs give statistically independent streams,
@@ -447,7 +448,7 @@ def generate_trial(
     phi = basis_matrix(count, np.arange(n_samples) / n_samples)
     channels = np.empty((n_channels, n_samples))
     for c in range(n_channels):
-        rng = _rng(seed, noise.seed, key=(c,))
+        rng = stream_rng(seed, noise.seed, key=(c,))
         theta = perturb_within_class(model, label, rng)
         channels[c] = theta @ phi + noise.sigma * rng.standard_normal(n_samples)
     return Trial(channels=channels, label=label, session=session)

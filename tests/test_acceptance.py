@@ -241,7 +241,7 @@ def test_criterion_08_both_pipelines_decode_multichannel():
     # one channel over three sessions stays well below ceiling at this
     # noise level, so the multichannel accuracies below are earned
     probe = generate_dataset(model, 30, 1, 500, 3, NoiseModel(sigma=24.0, seed=5), seed=6)
-    single = cross_validate(probe, PipelineConfig.pinsker(500, _full_band(5)))
+    single = cross_validate(probe, PipelineConfig(500, _full_band(5)))
     dataset = generate_dataset(model, 90, 32, 500, 9, NoiseModel(sigma=24.0, seed=0), seed=1)
     search = grid_search(
         dataset, scheme="loso", truncations=(5,), components=(165,), low_pass_only=True
@@ -273,7 +273,7 @@ def test_criterion_08_both_pipelines_decode_multichannel():
 def test_criterion_09_phase_information_drives_accuracy():
     t0 = time.monotonic()
     spec = EllipsoidSpec(2.0, 10.0)
-    config = PipelineConfig.pinsker(256, _full_band(4))
+    config = PipelineConfig(256, _full_band(4))
     phase_model = make_phase_class_model(8, spec, 4, 0.6, 0.02, seed=0)
     phase_data = generate_dataset(
         phase_model, 30, 8, 256, 8, NoiseModel(sigma=1.0, seed=0), seed=3

@@ -13,8 +13,6 @@ from lfpdecode.basis import CoefficientVector, basis_matrix, transform_rows
 from lfpdecode.classify import (
     PipelineConfig,
     ShrinkageProfile,
-    bjs_coefficient_count,
-    bjs_pipeline_features,
     cross_validate,
     cross_validate_features,
     dataset_feature_matrix,
@@ -25,10 +23,9 @@ from lfpdecode.classify import (
     min_distance_decode,
     pca_apply,
     pca_fit,
-    pinsker_pipeline_features,
     shrinkage_patterns,
 )
-from lfpdecode.shrinkage import EllipsoidSpec
+from lfpdecode.shrinkage import BlockPartition, EllipsoidSpec, bjs_coefficient_count
 from lfpdecode.synth import ClassModel, NoiseModel, generate_dataset, make_class_model
 
 SPEC = EllipsoidSpec(2.0, 10.0)
@@ -257,32 +254,39 @@ def test_bjs_coefficient_count_values():
     assert bjs_coefficient_count(64) == 31
     # never more coefficients than samples
     assert bjs_coefficient_count(3) <= 3
+    # N = 2 mod 4 used to get a band one harmonic too wide (33 at N = 66)
+    assert bjs_coefficient_count(66) == 31
+    for n in range(4, 600):
+        count = bjs_coefficient_count(n)
+        assert count % 2 == 1 and 2 * count < n <= 2 * (count + 2)
 
 
 def test_pinsker_features_match_manual_transform():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=0)
-    trial = generate_dataset(model, 1, 2, 64, 1, NoiseModel(0.3), seed=1).trials[0]
+    ds = generate_dataset(model, 1, 2, 64, 1, NoiseModel(0.3), seed=1)
     factors = np.array([1.0, 1.0, 0.5, 0.25, 0.0])
     profile = ShrinkageProfile(factors, 2, label="test")
-    config = PipelineConfig.pinsker(64, profile, components=0)
-    feats = pinsker_pipeline_features(trial, config)
-    manual = transform_rows(trial.channels, 2)[:, :5] * factors
-    assert_allclose(feats, manual.reshape(-1), rtol=1e-12)
+    config = PipelineConfig(64, profile, components=0)
+    feats = dataset_feature_matrix(ds, config)
+    manual = transform_rows(ds.trials[0].channels, 2)[:, :5] * factors
+    assert_allclose(feats[0], manual.reshape(-1), rtol=1e-12)
 
 
 def test_bjs_features_have_partition_width():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=0)
-    trial = generate_dataset(model, 1, 2, 64, 1, NoiseModel(0.3), seed=1).trials[0]
+    ds = generate_dataset(model, 1, 2, 64, 1, NoiseModel(0.3), seed=1)
     config = PipelineConfig.bjs(64, pass_limit=2, components=0)
-    feats = bjs_pipeline_features(trial, config)
-    assert feats.shape == (2 * config.channel_width,)
+    feats = dataset_feature_matrix(ds, config)
+    assert feats.shape == (3, 2 * config.channel_width)
     assert config.channel_width == 63
 
 
 def test_pipeline_config_validation():
     profile = ShrinkageProfile(np.ones(11), 5, label="full")
     with pytest.raises(ValueError):
-        PipelineConfig.pinsker(20, profile)  # 2*(2T+1) = 22 > 20
+        PipelineConfig(20, profile)  # 2*(2T+1) = 22 > 20
+    with pytest.raises(ValueError, match="floor"):
+        PipelineConfig(64, BlockPartition(2, 5))  # cutoff is log2(64) = 6
     with pytest.raises(ValueError):
         ShrinkageProfile(np.array([0.5, 1.5]), 1)
 
@@ -291,11 +295,11 @@ def test_dataset_feature_matrix_stacks_trials():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=2)
     ds = generate_dataset(model, 2, 2, 64, 1, NoiseModel(0.3), seed=3)
     profile = ShrinkageProfile(np.ones(7), 3, label="full")
-    config = PipelineConfig.pinsker(64, profile, components=0)
+    config = PipelineConfig(64, profile, components=0)
     feats = dataset_feature_matrix(ds, config)
     assert feats.shape == (6, 14)
     for i, trial in enumerate(ds.trials):
-        assert_allclose(feats[i], pinsker_pipeline_features(trial, config),
+        assert_allclose(feats[i], transform_rows(trial.channels, 3).reshape(-1),
                         rtol=1e-12)
 
 

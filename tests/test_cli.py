@@ -4,6 +4,7 @@ Each test drives ``main`` in-process and checks exit codes and output
 files.  Determinism is asserted byte for byte.
 """
 
+import hashlib
 import math
 import os
 
@@ -127,6 +128,61 @@ def test_estimate_bjs_passes_low_harmonics_through(tmp_path):
     assert_allclose(recon, f, atol=1e-9)
 
 
+def test_estimate_bjs_bytes_are_pinned(tmp_path):
+    # a 9-cycle component puts live (shrunk, not zeroed) energy in block
+    # 16..31; the SHA-256 values are those of the outputs before the
+    # blockwise path was shared.  At N = 303, 1/sqrt(N) and N**-0.5 differ
+    # in the last bit and so do the outputs, so even that drift in the
+    # noise level shows, as does any in band, cutoff or padding
+    n = 303
+    x = np.arange(n) / n
+    noise = 0.2 * np.random.default_rng(1).normal(size=n)
+    f = (1.0 + 0.8 * np.cos(18.0 * math.pi * x)
+         + 0.3 * np.sin(40.0 * math.pi * x) + noise)
+    sig = str(tmp_path / "sig.csv")
+    fileio.write_signal(f, sig)
+    out = str(tmp_path / "b")
+    assert run("estimate", "--input", sig, "--out", out, "--method", "bjs") == 0
+    table = np.loadtxt(out + "_coefficients.csv", delimiter=",", skiprows=1)
+    ratio = table[15:31, 2] / table[15:31, 1]
+    assert np.all((ratio > 0.0) & (ratio < 1.0))
+    digests = {
+        name: hashlib.sha256(read_bytes(f"{out}_{name}.csv")).hexdigest()
+        for name in ("coefficients", "reconstruction")
+    }
+    assert digests == {
+        "coefficients":
+            "2c6a2b38736d8ef2d73db11820211a692332f181932af0bb4677d1291ab05214",
+        "reconstruction":
+            "0917aa9660d65974dd96cd07bddeaf452304d44583d4f564bfdd92ae44d7482a",
+    }
+
+
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        (["--method", "bjs", "--truncation", "9", "--alpha", "3"],
+         "estimate.method = bjs\nestimate.truncation = 9\nellipsoid.alpha = 3\n"),
+        (["--block-limit", "4"], "estimate.block_limit = 4\n"),
+        (["--method", "pinsker", "--block-limit", "4"],
+         "estimate.method = pinsker\nestimate.block_limit = 4\n"),
+    ],
+    ids=["bjs-with-pinsker-options", "default-pinsker-with-block-limit",
+         "pinsker-with-block-limit"],
+)
+def test_estimate_options_of_the_other_method_exit_2(tmp_path, capsys, flags,
+                                                      keys):
+    sig = str(tmp_path / "sig.csv")
+    fileio.write_signal(np.random.default_rng(3).normal(size=128), sig)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    out = str(tmp_path / "e")
+    for source in (flags, ["--config", str(cfg)]):
+        assert run("estimate", "--input", sig, "--out", out, *source) == 2
+        assert "applies only to" in capsys.readouterr().err
+        assert not os.path.exists(out + "_coefficients.csv")
+
+
 def test_estimate_rerun_is_byte_identical(tmp_path):
     sig = str(tmp_path / "sig.csv")
     rng = np.random.default_rng(3)
@@ -195,6 +251,44 @@ def test_benchmark_grid_options_without_grid_exit_2(tmp_path, capsys, pipeline,
     assert run("benchmark", "--dataset", ds, "--out", out,
                "--pipeline", pipeline, *flags) == 2
     assert flags[0] in capsys.readouterr().err
+    assert not os.path.exists(out + "_report.csv")
+
+
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        (["--pipeline", "bjs", "--truncation", "7"],
+         "benchmark.pipeline = bjs\npipeline.truncation = 7\n"),
+        (["--pipeline", "pinsker", "--block-limit", "5"],
+         "benchmark.pipeline = pinsker\npipeline.block_limit = 5\n"),
+    ],
+    ids=["bjs-with-truncation", "pinsker-with-block-limit"],
+)
+def test_benchmark_options_of_the_other_pipeline_exit_2(tmp_path, capsys,
+                                                        flags, keys):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    out = str(tmp_path / "x")
+    for source in (flags, ["--config", str(cfg)]):
+        assert run("benchmark", "--dataset", ds, "--out", out, *source) == 2
+        assert "applies only to" in capsys.readouterr().err
+        assert not os.path.exists(out + "_report.csv")
+
+
+def test_benchmark_has_no_seed(tmp_path, capsys):
+    # nothing in a benchmark run is random, so a seed would do nothing
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    out = str(tmp_path / "x")
+    assert run("benchmark", "--dataset", ds, "--out", out, "--seed", "99") == 2
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 99\n")
+    assert run("benchmark", "--dataset", ds, "--out", out,
+               "--config", str(cfg)) == 2
+    assert "unknown config keys: seed" in capsys.readouterr().err
     assert not os.path.exists(out + "_report.csv")
 
 

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lfpdecode.basis import CoefficientVector, basis_matrix
-from lfpdecode.classify import PipelineConfig, ShrinkageProfile
+from lfpdecode.classify import PipelineConfig, ShrinkageProfile, cross_validate
 from lfpdecode.experiments import (
     adaptivity_ratio_bjs,
     benchmark_classifiers,
@@ -18,9 +18,9 @@ from lfpdecode.experiments import (
     risk_curve_pinsker,
 )
 from lfpdecode.shrinkage import (
+    BlockPartition,
     EllipsoidSpec,
     _bjs_rows,
-    dyadic_blocks,
     ellipsoid_weights,
 )
 from lfpdecode.synth import NoiseModel, generate_dataset, make_class_model
@@ -97,7 +97,7 @@ def test_block_risk_matches_monte_carlo():
     # one shrunk block of size n = 2^j, its mean on the first coordinate
     eps, trials = 0.5, 20_000
     for j, norm_sq in [(2, 0.0), (2, 1.5), (3, 0.4), (5, 2.0), (5, 30.0)]:
-        partition = dyadic_blocks(0, j + 1)
+        partition = BlockPartition(0, j + 1)
         theta = np.zeros(partition.width)
         theta[2**j - 1] = np.sqrt(norm_sq)
         sq = _bjs_sq_errors(theta, partition, eps, trials, seed=j)
@@ -115,7 +115,7 @@ def test_sup_risk_bracket_holds_at_its_worst_point():
     weights = ellipsoid_weights(spec, theta.size)
     assert float((weights**2 * theta**2).sum()) <= spec.radius**2 * (1 + 1e-12)
     assert sup.lower <= sup.upper <= 1.02 * sup.lower
-    partition = dyadic_blocks(0, 8)  # floor(log2(1/eps^2)) = 8
+    partition = BlockPartition(0, 8)  # floor(log2(1/eps^2)) = 8
     errors = _bjs_sq_errors(theta, partition, eps, trials, seed=1).sum(axis=1)
     se = errors.std(ddof=1) / np.sqrt(trials)
     assert sup.lower - 4.0 * se <= errors.mean() <= sup.upper + 4.0 * se
@@ -163,7 +163,7 @@ def test_benchmark_reports_match_direct_cross_validation():
     model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=2)
     ds = generate_dataset(model, 4, 2, 64, 2, NoiseModel(sigma=0.4), seed=3)
     configs = [
-        PipelineConfig.pinsker(
+        PipelineConfig(
             64, ShrinkageProfile(np.ones(7), 3, label="mask[1:7]"), components=0
         ),
         PipelineConfig.bjs(64, pass_limit=2, components=0),
@@ -171,7 +171,8 @@ def test_benchmark_reports_match_direct_cross_validation():
     reports = benchmark_classifiers(ds, configs, scheme="loso")
     assert len(reports) == 2
     for rep, config in zip(reports, configs):
-        assert rep.config.label == config.label
+        direct = cross_validate(ds, config, scheme="loso")
+        assert np.array_equal(rep.confusion, direct.confusion)
         assert 0.0 <= rep.overall_accuracy <= 1.0
         assert rep.confusion.sum() == ds.n_trials
 
@@ -180,7 +181,6 @@ def test_phase_ablation_rejects_magnitude_only_config():
     model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=4)
     ds = generate_dataset(model, 3, 2, 64, 2, NoiseModel(sigma=0.4), seed=5)
     profile = ShrinkageProfile(np.ones(7), 3, label="mask[1:7]")
-    config = PipelineConfig.pinsker(64, profile, components=0,
-                                    magnitude_only=True)
+    config = PipelineConfig(64, profile, components=0, magnitude_only=True)
     with pytest.raises(ValueError):
         phase_ablation(ds, config)

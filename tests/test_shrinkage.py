@@ -9,7 +9,7 @@ from lfpdecode.shrinkage import (
     BlockPartition,
     EllipsoidSpec,
     bjs_estimate,
-    dyadic_blocks,
+    bjs_sampled_rows,
     ellipsoid_weights,
     james_stein,
     pinsker_mu,
@@ -96,18 +96,21 @@ def test_james_stein_shrinks_toward_zero_without_sign_flips():
 
 
 def test_dyadic_block_layout():
-    part = dyadic_blocks(2, 4)
+    part = BlockPartition(2, 4)
     assert part.blocks == ((1, 1), (2, 3), (4, 7), (8, 15))
     assert part.width == 15
     with pytest.raises(ValueError):
-        dyadic_blocks(4, 4)
+        BlockPartition(4, 4)
     with pytest.raises(ValueError):
-        dyadic_blocks(-1, 3)
+        BlockPartition(-1, 3)
 
 
-def test_block_partition_rejects_tampered_blocks():
-    with pytest.raises(ValueError):
-        BlockPartition(1, 3, ((1, 1), (2, 4), (4, 7)))
+def test_bjs_sampled_rows_pass_a_constant_through():
+    # at N = 66 (2 mod 4) the band used to be one harmonic too wide
+    observed, shrunk = bjs_sampled_rows(np.ones((2, 66)), 2)
+    assert observed.shape == shrunk.shape == (2, 63)
+    assert_allclose(observed[:, 0], 1.0)
+    assert_allclose(shrunk, observed, atol=1e-12)
 
 
 def test_bjs_hand_traced_single_spike():
@@ -116,7 +119,7 @@ def test_bjs_hand_traced_single_spike():
     # is 9.98975736
     y = np.zeros(15)
     y[8] = 10.0
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.1), dyadic_blocks(2, 4))
+    out = bjs_estimate(CoefficientVector(y, epsilon=0.1), BlockPartition(2, 4))
     assert_allclose(out.coeffs[8], 9.98975735931288, rtol=1e-12)
     assert_allclose(np.delete(out.coeffs, 8), np.zeros(14), atol=1e-15)
 
@@ -124,7 +127,7 @@ def test_bjs_hand_traced_single_spike():
 def test_bjs_passes_low_blocks_through():
     rng = np.random.default_rng(9)
     y = rng.normal(size=15)
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.3), dyadic_blocks(2, 4))
+    out = bjs_estimate(CoefficientVector(y, epsilon=0.3), BlockPartition(2, 4))
     # blocks {1}, {2,3}, {4..7} are below or at the pass limit
     assert_allclose(out.coeffs[:7], y[:7], rtol=1e-14)
 
@@ -132,20 +135,20 @@ def test_bjs_passes_low_blocks_through():
 def test_bjs_passes_tiny_js_blocks_through():
     # with pass_limit=0 the block {2,3} has size 2, too small for JS
     y = np.array([5.0, 1.0, -2.0])
-    out = bjs_estimate(CoefficientVector(y, epsilon=1.0), dyadic_blocks(0, 2))
+    out = bjs_estimate(CoefficientVector(y, epsilon=1.0), BlockPartition(0, 2))
     assert_allclose(out.coeffs, y, rtol=1e-14)
 
 
 def test_bjs_zeroes_beyond_partition_width():
     y = np.arange(1.0, 20.0)
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.1), dyadic_blocks(1, 3))
+    out = bjs_estimate(CoefficientVector(y, epsilon=0.1), BlockPartition(1, 3))
     assert len(out.coeffs) == 19
     assert_allclose(out.coeffs[7:], np.zeros(12))
 
 
 def test_bjs_pads_short_input():
     y = np.array([1.0, 2.0])
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.5), dyadic_blocks(1, 3))
+    out = bjs_estimate(CoefficientVector(y, epsilon=0.5), BlockPartition(1, 3))
     assert len(out.coeffs) == 7
     assert_allclose(out.coeffs[:2], y)
 
@@ -153,7 +156,7 @@ def test_bjs_pads_short_input():
 def test_bjs_scale_equivariance():
     rng = np.random.default_rng(21)
     y = rng.normal(size=31)
-    part = dyadic_blocks(2, 5)
+    part = BlockPartition(2, 5)
     base = bjs_estimate(CoefficientVector(y, epsilon=0.2), part)
     scaled = bjs_estimate(CoefficientVector(4.0 * y, epsilon=0.8), part)
     assert_allclose(scaled.coeffs, 4.0 * base.coeffs, rtol=1e-12)
@@ -161,12 +164,12 @@ def test_bjs_scale_equivariance():
 
 def test_bjs_requires_positive_noise_level():
     with pytest.raises(ValueError, match="positive noise level"):
-        bjs_estimate(CoefficientVector(np.ones(7)), dyadic_blocks(1, 3))
+        bjs_estimate(CoefficientVector(np.ones(7)), BlockPartition(1, 3))
 
 
 def test_bjs_never_expands_coordinates():
     rng = np.random.default_rng(30)
     for _ in range(20):
         y = rng.normal(size=31) * rng.uniform(0.5, 5.0)
-        out = bjs_estimate(CoefficientVector(y, epsilon=0.5), dyadic_blocks(2, 5))
+        out = bjs_estimate(CoefficientVector(y, epsilon=0.5), BlockPartition(2, 5))
         assert np.all(np.abs(out.coeffs) <= np.abs(y) + 1e-12)

@@ -10,7 +10,6 @@ from lfpdecode.synth import (
     ClassModel,
     NoiseModel,
     _min_interclass_distance,
-    _rng,
     generate_dataset,
     generate_trial,
     make_class_model,
@@ -18,6 +17,7 @@ from lfpdecode.synth import (
     make_phase_class_model,
     perturb_within_class,
     sample_sobolev,
+    stream_rng,
 )
 
 SPEC = EllipsoidSpec(2.0, 10.0)
@@ -73,7 +73,7 @@ def test_class_model_rejects_bad_geometry():
 
 def test_trial_noise_moments():
     # the per-channel stream drives trial noise; check its first four moments
-    z = _rng(42, 0, key=(1,)).standard_normal(1_000_000)
+    z = stream_rng(42, 0, key=(1,)).standard_normal(1_000_000)
     assert abs(z.mean()) < 0.005
     assert abs(z.var() - 1.0) < 0.01
     skew = np.mean(z**3)
