@@ -163,6 +163,20 @@ def min_distance_decode(fhat: CoefficientVector, model: ClassModel) -> int:
 # PCA
 
 
+def _top_eigenpairs(sym: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` largest eigenvalues of a centred symmetric matrix.
+
+    Returns the values largest first and their unit eigenvectors as the
+    matching columns.  This is the one PCA eigen-solver: :func:`pca_fit`
+    and the cross-validation fold loop both call it, on the dim x dim
+    scatter of centred rows when dim <= rows, otherwise on their
+    rows x rows Gram matrix.
+    """
+    evals, evecs = np.linalg.eigh(sym)
+    # eigh sorts ascending; [::-1] puts the largest first
+    return evals[::-1][:count], evecs[:, ::-1][:, :count]
+
+
 def pca_fit(features, n_components: int) -> PCAProjection:
     """Fit a PCA projection on a (n_samples, dim) feature matrix.
 
@@ -170,14 +184,14 @@ def pca_fit(features, n_components: int) -> PCAProjection:
     signs are fixed so each one's largest-magnitude loading is positive,
     making the fit deterministic.
 
-    The components are eigenvectors of whichever of the two symmetric
-    matrices of the centered data Xc is smaller, chosen from the shape:
-    the dim x dim scatter Xc'Xc when dim <= n_samples, otherwise the
-    n_samples x n_samples Gram Xc Xc' (the dual form of kernel PCA,
-    Schölkopf, Smola & Müller 1998).  In the Gram case the top
-    eigenvectors are mapped back through Xc', orthonormalized by QR and
-    rotated onto the principal axes by a Rayleigh-Ritz step, so the rows
-    stay orthonormal when ``n_components`` exceeds the numerical rank.
+    The components come from :func:`_top_eigenpairs` applied to whichever
+    of the two symmetric matrices of the centered data Xc is smaller,
+    chosen from the shape: the dim x dim scatter Xc'Xc when dim <=
+    n_samples, otherwise the n_samples x n_samples Gram Xc Xc' (the dual
+    form of kernel PCA, Schölkopf, Smola & Müller 1998).  In the Gram case
+    the top eigenvectors are mapped back through Xc', orthonormalized by
+    QR and rotated onto the principal axes by a Rayleigh-Ritz step, so the
+    rows stay orthonormal when ``n_components`` exceeds the numerical rank.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -190,23 +204,20 @@ def pca_fit(features, n_components: int) -> PCAProjection:
         )
     mean = X.mean(axis=0)
     centered = X - mean
-    # eigh sorts ascending; [::-1] puts the largest first
     if dim <= n:
-        evals, evecs = np.linalg.eigh(centered.T @ centered)
-        axes = evecs[:, ::-1][:, :n_components]
+        evals, axes = _top_eigenpairs(centered.T @ centered, n_components)
     else:
-        _, gram_vecs = np.linalg.eigh(centered @ centered.T)
-        top = gram_vecs[:, ::-1][:, :n_components]
+        _, top = _top_eigenpairs(centered @ centered.T, n_components)
         basis, _ = np.linalg.qr(centered.T @ top)
         reduced = centered @ basis
-        evals, evecs = np.linalg.eigh(reduced.T @ reduced)
-        axes = basis @ evecs[:, ::-1]
+        evals, rotation = _top_eigenpairs(reduced.T @ reduced, n_components)
+        axes = basis @ rotation
     comps = axes.T.copy()
     for row in comps:
         peak = np.argmax(np.abs(row))
         if row[peak] < 0.0:
             row *= -1.0
-    variance = np.clip(evals[::-1][:n_components], 0.0, None) / (n - 1)
+    variance = np.clip(evals, 0.0, None) / (n - 1)
     return PCAProjection(mean=mean, components=comps, explained_variance=variance)
 
 
@@ -447,6 +458,148 @@ def _parse_scheme(scheme: str, n_trials: int, sessions: np.ndarray):
     raise ValueError(f"unknown scheme {scheme!r}; use 'loso' or 'kfold:<k>'")
 
 
+def _weighted(X: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """X[:, cols] * weights, without a copy when that is X itself."""
+    if cols.size == X.shape[1] and np.all(weights == 1.0):
+        return X
+    return X[:, cols] * weights
+
+
+def _gram_scores(gram: np.ndarray, train, test, count: int):
+    """Principal scores of a fold from the Gram matrix of all rows.
+
+    The training block is double-centred with the training mean and the
+    test block centred against it, so the top eigenpairs (lam, U) give
+    training scores U sqrt(lam) and test scores K_te U / sqrt(lam).
+    Components at the rounding level of the matrix (rank below ``count``)
+    score zero.
+    """
+    k_train = gram[np.ix_(train, train)]
+    k_test = gram[np.ix_(test, train)]
+    col_mean = k_train.mean(axis=0)
+    grand = col_mean.mean()
+    centred = k_train - col_mean[:, None] - col_mean[None, :] + grand
+    cross = k_test - k_test.mean(axis=1)[:, None] - col_mean[None, :] + grand
+    evals, vecs = _top_eigenpairs(centred, count)
+    alive = evals > max(evals[0], 0.0) * centred.shape[0] * np.finfo(float).eps
+    root = np.sqrt(np.where(alive, evals, 1.0))
+    train_scores = vecs * np.where(alive, root, 0.0)
+    test_scores = cross @ (vecs * np.where(alive, 1.0 / root, 0.0))
+    return train_scores, test_scores
+
+
+def _cross_validate_scaled(
+    X: np.ndarray,
+    scalings,
+    labels,
+    sessions,
+    n_classes: int,
+    scheme: str,
+    components,
+    ridge: float | None,
+) -> list[CrossValReport]:
+    """Cross-validate PCA + LDA on column scalings of one feature matrix.
+
+    Each scaling is a (cols, weights) pair naming the features
+    X[:, cols] * weights, with ``cols`` increasing; each is
+    cross-validated at every PCA size in ``components`` and the reports
+    come scaling-major.  The folds share their moments and no component
+    matrix is formed.  A scaling no wider than the training rows takes
+    the top eigenpairs of diag(w) S diag(w) over its nonzero columns,
+    where S is the fold's one scatter of centred training rows; a wider
+    one takes them from its Gram matrix, formed once before the folds
+    (see :func:`_gram_scores`).  The scores are those of :func:`pca_fit`
+    and :func:`pca_apply` up to a rotation inside the top-P subspace,
+    which leaves LDA unchanged.  Components a zero column leaves out
+    score zero, so the default ridge still divides by the capped P.
+    """
+    y = np.asarray(labels, dtype=int)
+    folds = _parse_scheme(scheme, y.size, np.asarray(sessions, dtype=int))
+    jobs = [(s, int(p)) for s in range(len(scalings)) for p in components]
+    confusions = [np.zeros((n_classes, n_classes), dtype=int) for _ in jobs]
+    notes: list[list[str]] = [[] for _ in jobs]
+    live = [(cols[w != 0.0], w[w != 0.0]) for cols, w in scalings]
+    pca = any(p > 0 for _, p in jobs)
+    fewest = min(int((~mask).sum()) for _, mask in folds)
+    wide = [s for s, (cols, _) in enumerate(scalings) if pca and cols.size > fewest]
+    grams = {}
+    if wide:
+        # a common shift leaves a double-centred Gram unchanged; removing
+        # the mean first keeps its rounding error at the data's spread
+        shifted = X - X.mean(axis=0)
+        for s in wide:
+            z = _weighted(shifted, *live[s])
+            grams[s] = z @ z.T
+        del shifted, z
+    for name, test_mask in folds:
+        train = ~test_mask
+        ytr, yte = y[train], y[test_mask]
+        ntr = ytr.size
+        missing = sorted(set(range(1, n_classes + 1)) - set(ytr.tolist()))
+        narrow = [s for s, (cols, _) in enumerate(scalings) if cols.size <= ntr]
+        if pca and narrow:
+            used = np.unique(np.concatenate([live[s][0] for s in narrow]))
+            block = X[:, used]
+            mean = block[train].mean(axis=0)
+            centred_train, centred_test = block[train] - mean, block[test_mask] - mean
+            scatter = centred_train.T @ centred_train
+        scores = {}
+        for s, (cols, _) in enumerate(scalings):
+            top = max((min(p, ntr - 1, cols.size) for _, p in jobs if p > 0), default=0)
+            if top == 0:
+                continue
+            if cols.size <= ntr:
+                at = np.searchsorted(used, live[s][0])
+                w = live[s][1]
+                _, vecs = _top_eigenpairs(scatter[np.ix_(at, at)] * np.outer(w, w), top)
+                # fewer nonzero columns than components: the rest score zero
+                pad = ((0, 0), (0, top - vecs.shape[1]))
+                scores[s] = tuple(
+                    np.pad((rows[:, at] * w) @ vecs, pad)
+                    for rows in (centred_train, centred_test)
+                )
+            else:
+                scores[s] = _gram_scores(grams[s], train, test_mask, top)
+        for j, (s, p) in enumerate(jobs):
+            if missing:
+                notes[j].append(
+                    f"{name}: classes {missing} absent from training; skipped there"
+                )
+            if p > 0:
+                cap = min(p, ntr - 1, scalings[s][0].size)
+                if cap < p:
+                    notes[j].append(f"{name}: components capped at {cap} (rank limit)")
+                f_train, f_test = (z[:, :cap] for z in scores[s])
+            else:
+                feats = _weighted(X, *scalings[s])
+                f_train, f_test = feats[train], feats[test_mask]
+            model = lda_train(f_train, ytr, ridge)
+            picks, _ = lda_predict(model, f_test)
+            np.add.at(confusions[j], (yte - 1, picks - 1), 1)
+    reports = []
+    for confusion, job_notes in zip(confusions, notes):
+        for msg in job_notes:
+            logger.warning(msg)
+        row_sums = confusion.sum(axis=1)
+        per_class = np.divide(
+            np.diag(confusion),
+            row_sums,
+            out=np.zeros(n_classes, dtype=float),
+            where=row_sums > 0,
+        )
+        reports.append(
+            CrossValReport(
+                overall_accuracy=float(np.trace(confusion)) / int(confusion.sum()),
+                confusion=confusion,
+                per_class_accuracy=per_class,
+                n_trials=int(confusion.sum()),
+                scheme=scheme,
+                notes=job_notes,
+            )
+        )
+    return reports
+
+
 def cross_validate_features(
     features,
     labels,
@@ -461,53 +614,16 @@ def cross_validate_features(
     PCA and LDA are fit on the training folds only.  The requested
     component count is capped at the training-fold rank (with a note) and
     a fold whose training part misses a class trains on the remaining
-    classes, again with a note.
+    classes, again with a note.  The folds share one scatter (dim <=
+    training rows) or one Gram matrix (wider features), picked from the
+    shape; see :func:`_cross_validate_scaled`.
     """
     X = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
-    sess = np.asarray(sessions, dtype=int)
-    folds = _parse_scheme(scheme, y.size, sess)
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    notes: list[str] = []
-    for name, test_mask in folds:
-        train_mask = ~test_mask
-        Xtr, ytr = X[train_mask], y[train_mask]
-        Xte, yte = X[test_mask], y[test_mask]
-        missing = sorted(set(range(1, n_classes + 1)) - set(ytr.tolist()))
-        if missing:
-            msg = f"{name}: classes {missing} absent from training; skipped there"
-            logger.warning(msg)
-            notes.append(msg)
-        if components > 0:
-            cap = min(components, Xtr.shape[0] - 1, Xtr.shape[1])
-            if cap < components:
-                msg = f"{name}: components capped at {cap} (rank limit)"
-                logger.warning(msg)
-                notes.append(msg)
-            projection = pca_fit(Xtr, cap)
-            Xtr = pca_apply(projection, Xtr)
-            Xte = pca_apply(projection, Xte)
-        model = lda_train(Xtr, ytr, ridge)
-        picks, _ = lda_predict(model, Xte)
-        for truth, pick in zip(yte, picks):
-            confusion[truth - 1, pick - 1] += 1
-    total = int(confusion.sum())
-    overall = float(np.trace(confusion)) / total
-    row_sums = confusion.sum(axis=1)
-    per_class = np.divide(
-        np.diag(confusion),
-        row_sums,
-        out=np.zeros(n_classes, dtype=float),
-        where=row_sums > 0,
-    )
-    return CrossValReport(
-        overall_accuracy=overall,
-        confusion=confusion,
-        per_class_accuracy=per_class,
-        n_trials=total,
-        scheme=scheme,
-        notes=notes,
-    )
+    cols = np.arange(X.shape[1])
+    return _cross_validate_scaled(
+        X, [(cols, np.ones(cols.size))], labels, sessions, n_classes, scheme,
+        [components], ridge,
+    )[0]
 
 
 def cross_validate(
@@ -543,6 +659,7 @@ class GridSearchResult:
     best_config: PipelineConfig
     best_accuracy: float
     rows: list[GridRow]
+    best_report: CrossValReport
 
 
 def shrinkage_patterns(
@@ -594,9 +711,13 @@ def grid_search(
 
     Profiles default to :func:`shrinkage_patterns` per truncation.  The
     grid is scanned in lexicographic order and ties keep the earliest
-    configuration, so results are reproducible.
+    configuration, so results are reproducible.  Each truncation
+    transforms the dataset once; every profile is a column scaling of
+    those coefficients, so all its configurations share the folds'
+    moments (see :func:`_cross_validate_scaled`).
     """
     best: PipelineConfig | None = None
+    best_report: CrossValReport | None = None
     best_acc = -1.0
     rows: list[GridRow] = []
     for truncation in truncations:
@@ -606,26 +727,55 @@ def grid_search(
             )
         else:
             candidates = [p for p in patterns if p.truncation == truncation]
-        for profile in candidates:
-            for n_comp in components:
-                config = PipelineConfig(
-                    n_samples=dataset.n_samples,
-                    shrinkage=profile,
-                    components=int(n_comp),
-                    ridge=ridge,
+        configs = [
+            PipelineConfig(
+                n_samples=dataset.n_samples,
+                shrinkage=profile,
+                components=int(n_comp),
+                ridge=ridge,
+            )
+            for profile in candidates
+            for n_comp in components
+        ]
+        if not configs:
+            continue
+        count = 2 * truncation + 1
+        raw = PipelineConfig(
+            dataset.n_samples, ShrinkageProfile(np.ones(count), truncation, "raw")
+        )
+        coeffs = dataset_feature_matrix(dataset, raw)
+        offsets = np.arange(dataset.n_channels)[:, None] * count
+        scalings = [
+            (
+                (offsets + np.arange(profile.factors.size)).ravel(),
+                np.tile(profile.factors, dataset.n_channels),
+            )
+            for profile in candidates
+        ]
+        reports = _cross_validate_scaled(
+            coeffs,
+            scalings,
+            dataset.labels(),
+            dataset.session_ids(),
+            dataset.n_classes,
+            scheme,
+            [int(p) for p in components],
+            ridge,
+        )
+        for config, report in zip(configs, reports):
+            rows.append(
+                GridRow(
+                    truncation=truncation,
+                    pattern=config.shrinkage.label,
+                    components=config.components,
+                    accuracy=report.overall_accuracy,
                 )
-                report = cross_validate(dataset, config, scheme=scheme)
-                rows.append(
-                    GridRow(
-                        truncation=truncation,
-                        pattern=profile.label,
-                        components=int(n_comp),
-                        accuracy=report.overall_accuracy,
-                    )
-                )
-                if report.overall_accuracy > best_acc:
-                    best_acc = report.overall_accuracy
-                    best = config
+            )
+            if report.overall_accuracy > best_acc:
+                best_acc = report.overall_accuracy
+                best, best_report = config, report
     if best is None:
         raise ValueError("empty grid")
-    return GridSearchResult(best_config=best, best_accuracy=best_acc, rows=rows)
+    return GridSearchResult(
+        best_config=best, best_accuracy=best_acc, rows=rows, best_report=best_report
+    )

@@ -296,6 +296,11 @@ BENCHMARK_OPTS = [
 
 _PIPELINE_DEFAULT_COMPONENTS = {"pinsker": 165, "bjs": 190}
 
+# grid axis -> the single-run option it replaces; alone, that option is the
+# axis's one point
+_GRID_AXES = {"grid.truncations": "pipeline.truncation",
+              "grid.components": "pipeline.components"}
+
 
 def _full_band_profile(truncation: int) -> ShrinkageProfile:
     count = 2 * truncation + 1
@@ -349,6 +354,15 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             "grid search applies only to the pinsker pipeline; "
             "the bjs pipeline has no shrinkage profile to tune"
         )
+    if grid_requested:
+        flags = {opt.key: opt.flag_name for opt in BENCHMARK_OPTS}
+        both = [
+            f"{flags[axis]} ({axis}) replaces {flags[single]} ({single}); set one"
+            for axis, single in _GRID_AXES.items()
+            if axis in explicit and single in explicit
+        ]
+        if both:
+            raise ValueError("; ".join(both))
     dataset = fileio.read_dataset(args.dataset)
     if pipeline == "bjs":
         config = PipelineConfig.bjs(
@@ -386,7 +400,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             (r.truncation, r.pattern, r.components, r.accuracy)
             for r in result.rows
         ]
-        report = cross_validate(dataset, result.best_config, scheme=scheme)
+        report = result.best_report
         best_label = result.best_config.label
     else:
         profile = _full_band_profile(cfg["pipeline.truncation"])

@@ -4,6 +4,7 @@ noisy multichannel trial generation with reproducible, splittable seeding."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,7 +118,7 @@ class ClassModel:
         if self.within_spread < 0.0 or not self.within_spread < self.separation / 2.0:
             raise ValueError("within_spread must lie in [0, separation/2)")
         count = 2 * self.truncation + 1
-        a2 = ellipsoid_weights(self.spec, count) ** 2
+        a2 = self._weights_sq
         budget = self.spec.radius**2 + 1e-12
         for p in protos:
             if p.shape[1] != count:
@@ -133,6 +134,11 @@ class ClassModel:
     @property
     def n_classes(self) -> int:
         return len(self.prototypes)
+
+    @cached_property
+    def _weights_sq(self) -> np.ndarray:
+        """Squared semiaxis weights of the 2T+1 prototype coordinates."""
+        return ellipsoid_weights(self.spec, 2 * self.truncation + 1) ** 2
 
 
 def _min_interclass_distance(prototypes) -> float:
@@ -414,7 +420,7 @@ def perturb_within_class(
         return base.copy()
     radius = model.within_spread * rng.uniform() ** (1.0 / dim)
     delta = direction * (radius / norm)
-    a2 = ellipsoid_weights(model.spec, dim) ** 2
+    a2 = model._weights_sq
     budget = model.spec.radius**2 + 1e-12
     for _ in range(200):
         theta = base + delta
@@ -440,12 +446,23 @@ def generate_trial(
     N(0, sigma^2) sample noise.  All randomness is a pure function of
     (seed, noise.seed, channel index).
     """
+    phi = _grid_basis(model, n_channels, n_samples)
+    return _draw_trial(model, label, n_channels, phi, noise, seed, session)
+
+
+def _grid_basis(model: ClassModel, n_channels: int, n_samples: int) -> np.ndarray:
+    """Checked trial shape; the prototype basis on the uniform sample grid."""
+    count = 2 * model.truncation + 1
     if n_channels < 1:
         raise ValueError("n_channels must be at least 1")
-    if n_samples <= 2 * model.truncation + 1:
+    if n_samples <= count:
         raise ValueError("n_samples must exceed 2*truncation+1")
-    count = 2 * model.truncation + 1
-    phi = basis_matrix(count, np.arange(n_samples) / n_samples)
+    return basis_matrix(count, np.arange(n_samples) / n_samples)
+
+
+def _draw_trial(model, label, n_channels, phi, noise, seed, session) -> Trial:
+    """One trial on a precomputed basis, one random stream per channel."""
+    n_samples = phi.shape[1]
     channels = np.empty((n_channels, n_samples))
     for c in range(n_channels):
         rng = stream_rng(seed, noise.seed, key=(c,))
@@ -480,16 +497,17 @@ def generate_dataset(
     trial_seeds = np.random.SeedSequence(int(seed) % _U64).generate_state(
         total, dtype=np.uint64
     )
+    phi = _grid_basis(model, n_channels, n_samples)
     trials = []
     index = 0
     for label in range(1, model.n_classes + 1):
         for _ in range(trials_per_class):
             trials.append(
-                generate_trial(
+                _draw_trial(
                     model,
                     label,
                     n_channels,
-                    n_samples,
+                    phi,
                     noise,
                     seed=int(trial_seeds[index]),
                     session=(index % n_sessions) + 1,

@@ -7,7 +7,7 @@ own internals.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lfpdecode.basis import CoefficientVector, basis_matrix, transform_rows
 from lfpdecode.classify import (
@@ -26,7 +26,14 @@ from lfpdecode.classify import (
     shrinkage_patterns,
 )
 from lfpdecode.shrinkage import BlockPartition, EllipsoidSpec, bjs_coefficient_count
-from lfpdecode.synth import ClassModel, NoiseModel, generate_dataset, make_class_model
+from lfpdecode.synth import (
+    ClassModel,
+    LabeledDataset,
+    NoiseModel,
+    Trial,
+    generate_dataset,
+    make_class_model,
+)
 
 SPEC = EllipsoidSpec(2.0, 10.0)
 
@@ -378,6 +385,172 @@ def test_components_capped_by_training_rank():
     x, y, g = _blob_features(rng, n_per_class=4, sep=8.0)
     report = cross_validate_features(x, y, g, 3, scheme="loso", components=30)
     assert any("capped" in note for note in report.notes)
+
+
+# -- the fold loop against a chain of pca_fit, pca_apply, lda_train, lda_predict
+
+
+def _reference_cross_validate(x, y, g, n_classes, scheme="loso", components=0,
+                              ridge=None):
+    """Confusion and notes of a fold loop that fits a full PCA per fold."""
+    if scheme == "loso":
+        folds = [(f"session {s}", g == s) for s in np.unique(g)]
+    else:
+        k = int(scheme.split(":")[1])
+        folds = [(f"fold {f}", np.arange(y.size) % k == f) for f in range(k)]
+    confusion = np.zeros((n_classes, n_classes), dtype=int)
+    notes = []
+    for name, test in folds:
+        x_train, y_train, x_test = x[~test], y[~test], x[test]
+        missing = sorted(set(range(1, n_classes + 1)) - set(y_train.tolist()))
+        if missing:
+            notes.append(f"{name}: classes {missing} absent from training; "
+                         "skipped there")
+        if components > 0:
+            cap = min(components, y_train.size - 1, x.shape[1])
+            if cap < components:
+                notes.append(f"{name}: components capped at {cap} (rank limit)")
+            projection = pca_fit(x_train, cap)
+            x_train = pca_apply(projection, x_train)
+            x_test = pca_apply(projection, x_test)
+        picks, _ = lda_predict(lda_train(x_train, y_train, ridge), x_test)
+        for truth, pick in zip(y[test], picks):
+            confusion[truth - 1, pick - 1] += 1
+    return confusion, notes
+
+
+def _assert_matches_reference(x, y, g, n_classes, **kwargs):
+    report = cross_validate_features(x, y, g, n_classes, **kwargs)
+    confusion, notes = _reference_cross_validate(x, y, g, n_classes, **kwargs)
+    assert_array_equal(report.confusion, confusion)
+    assert report.notes == notes
+    return report
+
+
+def _hard_blobs(seed, n_per_class, d, sep=1.2):
+    # overlapping classes, so the confusion matrices have errors to compare
+    return _blob_features(np.random.default_rng(seed), n_per_class=n_per_class,
+                          k=3, d=d, sep=sep)
+
+
+@pytest.mark.parametrize("d, components", [(60, 5), (60, 20), (6, 3)],
+                         ids=["wide", "wide-many", "narrow"])
+def test_fold_loop_matches_reference(d, components):
+    x, y, g = _hard_blobs(30, 12, d)
+    report = _assert_matches_reference(x, y, g, 3, components=components)
+    assert 0 < np.trace(report.confusion) < y.size
+
+
+def test_fold_loop_matches_reference_on_duplicated_wide_rows():
+    # sessions 1 and 2 hold the same 12 rows, so the session-3 fold trains
+    # on rank 11 < P = 20 and its test rows leave the training span; the
+    # null components must score zero, not divide by ~0
+    rng = np.random.default_rng(31)
+    base, labels, _ = _blob_features(rng, n_per_class=4, k=3, d=50, sep=2.0)
+    fresh, _, _ = _blob_features(rng, n_per_class=4, k=3, d=50, sep=2.0)
+    x = np.vstack([base, base, fresh])
+    y = np.concatenate([labels, labels, labels])
+    g = np.repeat([1, 2, 3], 12)
+    _assert_matches_reference(x, y, g, 3, components=20)
+    _assert_matches_reference(x, y, g, 3, components=20, scheme="kfold:4")
+
+
+def test_fold_loop_matches_reference_with_zero_columns():
+    # coefficient 2 separates the classes with a within-class variance near
+    # the default ridge, so its LDA weight moves with the ridge; 3 of the 5
+    # coefficients are zero in the data
+    rng = np.random.default_rng(32)
+    y = np.repeat([1, 2], 30)
+    g = np.tile([1, 2, 3], 20)
+    theta = np.zeros((60, 5))
+    theta[:, 0] = np.where(y == 1, 0.5, -0.5) + rng.normal(size=60)
+    theta[:, 1] = np.where(y == 1, -4e-4, 4e-4) + 3e-4 * rng.normal(size=60)
+    report = _assert_matches_reference(theta, y, g, 2, components=4)
+    assert 0 < np.trace(report.confusion) < y.size
+    _assert_matches_reference(theta, y, g, 2, components=0)
+    # the same data as a dataset: mask[1:2] zeroes 3 columns, so P = 4
+    # keeps 2 null components and the ridge must still divide by 4
+    phi = basis_matrix(5, np.arange(64) / 64)
+    ds = LabeledDataset(
+        [Trial((t @ phi)[None, :], int(c), int(s)) for t, c, s in zip(theta, y, g)], 2
+    )
+    result = grid_search(ds, truncations=(2,), components=(4,), low_pass_only=True)
+    masks = {p.label: p for p in shrinkage_patterns(2, low_pass_only=True)}
+    assert [row.pattern for row in result.rows] == list(masks)
+    for row in result.rows:
+        config = PipelineConfig(64, masks[row.pattern], components=4)
+        confusion, _ = _reference_cross_validate(
+            dataset_feature_matrix(ds, config), y, g, 2, components=4
+        )
+        assert row.accuracy == np.trace(confusion) / y.size
+    by_pattern = {row.pattern: row.accuracy for row in result.rows}
+    assert by_pattern["mask[1:2]"] == by_pattern["mask[1:5]"]
+
+
+def test_fold_loop_matches_reference_on_kfold_missing_class_and_cap():
+    x, y, g = _hard_blobs(33, 10, 8)
+    _assert_matches_reference(x, y, g, 3, scheme="kfold:5", components=4)
+    # class 3 only in session 1: that fold trains on two classes
+    g = np.where(y == 3, 1, g)
+    report = _assert_matches_reference(x, y, g, 3, components=4)
+    assert any("absent from training" in note for note in report.notes)
+    # 6 rows per fold: P = 30 is capped at 5 on every fold
+    few, y_few, g_few = _hard_blobs(34, 3, 40)
+    report = _assert_matches_reference(few, y_few, g_few, 3, components=30)
+    assert sum("capped at 5" in note for note in report.notes) == 3
+
+
+def test_fold_loop_matches_reference_without_pca():
+    for d in (6, 60):
+        x, y, g = _hard_blobs(35, 12, d)
+        _assert_matches_reference(x, y, g, 3, components=0, ridge=0.5)
+        _assert_matches_reference(x, y, g, 3, components=0)
+
+
+def test_fold_loop_zero_ridge_on_singular_covariance_raises():
+    # wide features without PCA, and null components from zero columns
+    x, y, g = _hard_blobs(36, 12, 60)
+    padded = np.hstack([x[:, :3], np.zeros((x.shape[0], 5))])
+    for features, components in ((x, 0), (padded, 6)):
+        with pytest.raises(ValueError, match="singular"):
+            _reference_cross_validate(features, y, g, 3, components=components,
+                                      ridge=0.0)
+        with pytest.raises(ValueError, match="singular"):
+            cross_validate_features(features, y, g, 3, components=components,
+                                    ridge=0.0)
+
+
+def test_grid_rows_equal_per_profile_cross_validation():
+    model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=40)
+    # noisy enough that scaling columns by pinsker(mu=10) moves the PCA
+    # subspace at P = 3, and with it the accuracy
+    ds = generate_dataset(model, 8, 2, 64, 3, NoiseModel(sigma=8.0), seed=41)
+    result = grid_search(ds, truncations=(2, 3), components=(0, 3), spec=SPEC,
+                         mu_values=(10.0,), low_pass_only=True)
+    profiles = {}
+    for truncation in (2, 3):
+        for profile in shrinkage_patterns(truncation, spec=SPEC, mu_values=(10.0,),
+                                          low_pass_only=True):
+            profiles[truncation, profile.label] = profile
+    assert len(result.rows) == 2 * len(profiles)
+    assert any(row.pattern.startswith("pinsker(mu=") for row in result.rows)
+    accuracies = set()
+    for row in result.rows:
+        config = PipelineConfig(64, profiles[row.truncation, row.pattern],
+                                components=row.components)
+        report = cross_validate(ds, config)
+        confusion, notes = _reference_cross_validate(
+            dataset_feature_matrix(ds, config), ds.labels(), ds.session_ids(), 3,
+            components=row.components,
+        )
+        assert row.accuracy == report.overall_accuracy
+        assert_array_equal(report.confusion, confusion)
+        assert report.notes == notes
+        accuracies.add(row.accuracy)
+    assert len(accuracies) > 1
+    best = cross_validate(ds, result.best_config)
+    assert_array_equal(result.best_report.confusion, best.confusion)
+    assert result.best_report.notes == best.notes
 
 
 def test_shrinkage_pattern_enumeration():

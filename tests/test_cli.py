@@ -277,6 +277,48 @@ def test_benchmark_options_of_the_other_pipeline_exit_2(tmp_path, capsys,
         assert not os.path.exists(out + "_report.csv")
 
 
+@pytest.mark.parametrize(
+    "flags, keys, named",
+    [
+        (["--grid", "--truncations", "3", "--truncation", "7",
+          "--components", "9", "--grid-components", "0"],
+         "grid.enabled = true\ngrid.truncations = 3\npipeline.truncation = 7\n"
+         "pipeline.components = 9\ngrid.components = 0\n",
+         ["--truncations", "--grid-components"]),
+        (["--truncations", "3", "--truncation", "3"],
+         "grid.truncations = 3\npipeline.truncation = 3\n", ["--truncations"]),
+        (["--grid", "--components", "0", "--grid-components", "0"],
+         "grid.enabled = true\npipeline.components = 0\ngrid.components = 0\n",
+         ["--grid-components"]),
+    ],
+    ids=["both-axes", "truncation", "components"],
+)
+def test_benchmark_grid_axis_and_its_single_option_exit_2(tmp_path, capsys, flags,
+                                                          keys, named):
+    # a grid axis replaces its single-run option; setting both would drop one
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    out = str(tmp_path / "x")
+    for source in (flags, ["--config", str(cfg)]):
+        assert run("benchmark", "--dataset", ds, "--out", out, *source) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in named)
+        assert not os.path.exists(out + "_report.csv")
+
+
+def test_benchmark_grid_single_options_are_one_point_axes(tmp_path):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    out = str(tmp_path / "x")
+    assert run("benchmark", "--dataset", ds, "--out", out, "--grid",
+               "--low-pass-only", "--truncation", "3", "--components", "0") == 0
+    rows = open(out + "_report.csv").read().splitlines()[1:]
+    assert len(rows) == 7
+    assert all(row.startswith("3,") and row.split(",")[-2] == "0" for row in rows)
+
+
 def test_benchmark_has_no_seed(tmp_path, capsys):
     # nothing in a benchmark run is random, so a seed would do nothing
     ds = str(tmp_path / "ds.csv")

@@ -148,6 +148,19 @@ def test_dataset_generation_is_deterministic():
         assert ta.label == tb.label and ta.session == tb.session
 
 
+def test_dataset_trials_equal_generate_trial():
+    # the dataset builds its basis once; every trial must still be the one
+    # generate_trial draws from that trial's seed, bit for bit
+    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=6)
+    noise = NoiseModel(sigma=0.4, seed=2)
+    ds = generate_dataset(model, 2, 3, 64, 2, noise, seed=8)
+    seeds = np.random.SeedSequence(8).generate_state(6, dtype=np.uint64)
+    for trial, seed in zip(ds.trials, seeds):
+        want = generate_trial(model, trial.label, 3, 64, noise, seed=int(seed),
+                              session=trial.session)
+        assert np.array_equal(trial.channels, want.channels)
+
+
 def test_phase_classes_share_magnitudes():
     model = make_phase_class_model(8, SPEC, 5, 0.5, 0.02, seed=10)
     mags = []
