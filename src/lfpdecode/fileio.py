@@ -2,7 +2,11 @@
 single-channel signal CSV, generic result tables, and flat config files.
 
 All floats are written with 17 significant digits so values round-trip
-exactly, and every write lands atomically (temp file + rename).
+exactly, and every write lands atomically (temp file + rename).  The
+dataset writer formats each trial's rows in one ``%`` call, with the same
+bytes as :func:`fmt_float` on each value.  Key columns (every column of a
+dataset or signal CSV but the value) must be integer literals: ``1.0`` is
+rejected like ``1.7``.
 """
 
 from __future__ import annotations
@@ -85,18 +89,21 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
     Columns are trial_id (0-based), session, label, channel (1-based) and
     sample_index (0-based) with the sample value last.
     """
+    # "ch,s,%.17g" for every sample of a trial, in channel-major order; a
+    # trial's rows are these with its key prefix, formatted in one % call
+    # (%.17g is the conversion fmt_float makes)
+    keys = [
+        f"{ch},{s},%.17g\n"
+        for ch in range(1, dataset.n_channels + 1)
+        for s in range(dataset.n_samples)
+    ]
     with _replacing(path) as handle:
         handle.write(DATASET_HEADER + "\n")
         # one trial at a time keeps memory flat in the number of trials
         for tid, trial in enumerate(dataset.trials):
-            head = f"{tid},{trial.session},{trial.label}"
-            lines = []
-            for ch, row in enumerate(trial.channels, start=1):
-                prefix = f"{head},{ch},"
-                lines.extend(
-                    prefix + f"{s},{fmt_float(v)}" for s, v in enumerate(row)
-                )
-            handle.write("\n".join(lines) + "\n")
+            head = f"{tid},{trial.session},{trial.label},"
+            template = head + head.join(keys)
+            handle.write(template % tuple(trial.channels.ravel().tolist()))
 
     meta = {
         "n_trials": dataset.n_trials,
@@ -121,21 +128,38 @@ def _parse_scalar(raw: str):
         return raw
 
 
+def _read_rows(path: str, header: str, what: str) -> np.ndarray:
+    """Parse a CSV with the given header into int64 key fields and a value.
+
+    Fields are named after the header's columns: every column but the
+    last is an int64 key, the last a float64 value.  A row with another
+    column count or a key that is not an integer literal raises
+    ValueError naming both rules.
+    """
+    with open(path) as handle:
+        found = handle.readline().strip()
+    if found != header:
+        raise ValueError(f"unexpected {what} header {found!r}; want {header!r}")
+    names = header.split(",")
+    dtype = [(name, np.int64) for name in names[:-1]] + [(names[-1], np.float64)]
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(
+            f"{what} rows must have {len(names)} columns, and "
+            f"{', '.join(names[:-1])} must be integers ({exc})"
+        ) from None
+
+
 def read_dataset(path: str) -> LabeledDataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     The .meta sidecar is required; it restores n_classes, the seed and the
     generator parameters.
     """
-    with open(path) as handle:
-        header = handle.readline().strip()
-    if header != DATASET_HEADER:
-        raise ValueError(
-            f"unexpected dataset header {header!r}; want {DATASET_HEADER!r}"
-        )
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 6:
-        raise ValueError("dataset rows must have 6 columns")
+    rows = _read_rows(path, DATASET_HEADER, "dataset")
+    if rows.size == 0:
+        raise ValueError("dataset file has no rows")
     side = meta_path(path)
     if not os.path.exists(side):
         raise ValueError(f"missing metadata sidecar {side}")
@@ -148,22 +172,16 @@ def read_dataset(path: str) -> LabeledDataset:
             key, _, value = line.partition("=")
             meta[key.strip()] = _parse_scalar(value.strip())
 
-    keys = data[:, :5].astype(int)
-    if np.any(keys != data[:, :5]):
-        raise ValueError(
-            "trial_id, session, label, channel and sample_index must be integers"
-        )
-    tids, sessions, labels, channels, samples = keys.T
-    values = data[:, 5]
-    unique_tids = np.unique(tids)
+    sessions, labels = rows["session"], rows["label"]
+    channels, samples = rows["channel"], rows["sample_index"]
+    unique_tids, tid_index = np.unique(rows["trial_id"], return_inverse=True)
     n_trials = unique_tids.size
     n_channels = int(channels.max())
     n_samples = int(samples.max()) + 1
-    if data.shape[0] != n_trials * n_channels * n_samples:
+    if rows.size != n_trials * n_channels * n_samples:
         raise ValueError("dataset file is incomplete or has duplicate rows")
-    tid_index = np.searchsorted(unique_tids, tids)
     cube = np.full((n_trials, n_channels, n_samples), np.nan)
-    cube[tid_index, channels - 1, samples] = values
+    cube[tid_index, channels - 1, samples] = rows["value"]
     if np.isnan(cube).any():
         raise ValueError("dataset file has missing samples")
     trial_labels = np.zeros(n_trials, dtype=int)
@@ -198,18 +216,11 @@ def write_signal(samples, path: str) -> None:
 
 def read_signal(path: str) -> np.ndarray:
     """Read a signal CSV back into a sample vector ordered by index."""
-    with open(path) as handle:
-        header = handle.readline().strip()
-    if header != SIGNAL_HEADER:
-        raise ValueError(f"unexpected signal header {header!r}; want {SIGNAL_HEADER!r}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("signal rows must have 2 columns")
-    order = np.argsort(data[:, 0])
-    idx = data[order, 0].astype(int)
-    if not np.array_equal(idx, np.arange(idx.size)):
+    rows = _read_rows(path, SIGNAL_HEADER, "signal")
+    rows = rows[np.argsort(rows["sample_index"])]
+    if not np.array_equal(rows["sample_index"], np.arange(rows.size)):
         raise ValueError("sample_index must cover 0..N-1 exactly once")
-    return data[order, 1]
+    return np.ascontiguousarray(rows["value"])
 
 
 def write_table(path: str, header, rows) -> None:

@@ -202,6 +202,14 @@ def test_estimate_too_few_samples_exits_2(tmp_path, capsys):
     assert "frequency overflow" in capsys.readouterr().err
 
 
+def test_estimate_fractional_sample_index_exits_2(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    fileio.write_signal(np.arange(64.0), str(sig))
+    sig.write_text(sig.read_text().replace("\n5,5\n", "\n5.5,5\n"))
+    assert run("estimate", "--input", str(sig), "--out", str(tmp_path / "o")) == 2
+    assert "integer" in capsys.readouterr().err
+
+
 def test_benchmark_writes_report_confusion_summary(tmp_path):
     ds = str(tmp_path / "ds.csv")
     assert run("synth", "--out", ds, *SMALL_SYNTH) == 0

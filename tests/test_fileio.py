@@ -102,6 +102,138 @@ def test_dataset_rejects_fractional_integer_columns(tmp_path):
             fileio.read_dataset(str(path))
 
 
+def _pinned_lines(tmp_path):
+    path = tmp_path / "ds.csv"
+    fileio.write_dataset(_pinned_dataset(), str(path))
+    return path, path.read_text().splitlines()
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _assert_same_dataset(a, b):
+    assert (a.n_classes, a.seed, a.params) == (b.n_classes, b.seed, b.params)
+    assert a.n_trials == b.n_trials
+    for ta, tb in zip(a.trials, b.trials):
+        assert np.array_equal(ta.channels, tb.channels)
+        assert (ta.label, ta.session) == (tb.label, tb.session)
+
+
+def test_dataset_rows_read_back_in_any_order(tmp_path):
+    path, lines = _pinned_lines(tmp_path)
+    rows = lines[1:]
+    order = np.random.default_rng(5).permutation(len(rows))
+    _write_lines(path, [lines[0]] + [rows[i] for i in order])
+    _assert_same_dataset(fileio.read_dataset(str(path)), _pinned_dataset())
+
+
+def _duplicated_row(rows):
+    return rows + [rows[7]]
+
+
+def _duplicate_over_another(rows):
+    return [rows[7] if i == 8 else row for i, row in enumerate(rows)]
+
+
+def _missing_sample(rows):
+    return rows[:5] + rows[6:]
+
+
+def _cell_changed(column, value):
+    def edit(rows):
+        cells = rows[20].split(",")
+        cells[column] = value
+        return rows[:20] + [",".join(cells)] + rows[21:]
+    return edit
+
+
+def _row_width(width):
+    def edit(rows):
+        cells = rows[20].split(",")
+        cells = cells[:width] + ["0"] * (width - len(cells))
+        return rows[:20] + [",".join(cells)] + rows[21:]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _duplicated_row,
+    _duplicate_over_another,
+    _missing_sample,
+    _cell_changed(2, "1"),  # row 20 is in trial 1, label 2
+    _cell_changed(1, "9"),  # and session 2
+    _row_width(5),
+    _row_width(7),
+    lambda rows: [],
+], ids=["duplicated-row", "duplicate-over-another", "missing-sample",
+        "label-changes", "session-changes", "5-columns", "7-columns",
+        "header-only"])
+def test_dataset_rejects_malformed_rows(tmp_path, edit):
+    path, lines = _pinned_lines(tmp_path)
+    _write_lines(path, [lines[0]] + edit(lines[1:]))
+    with pytest.raises(ValueError):
+        fileio.read_dataset(str(path))
+
+
+# "1.0" and "1e0" name integers but are float literals, rejected like "1.7"
+@pytest.mark.parametrize("cell", ["1.7", "nan", "1.0", "1e0"])
+@pytest.mark.parametrize("column", range(5))
+def test_dataset_keys_must_be_integer_literals(tmp_path, column, cell):
+    path, lines = _pinned_lines(tmp_path)
+    _write_lines(path, [lines[0]] + _cell_changed(column, cell)(lines[1:]))
+    with pytest.raises(ValueError, match="must be integers"):
+        fileio.read_dataset(str(path))
+
+
+# values whose shortest form, exponent, sign or rounding a formatter could get wrong
+EDGE_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+    1.7976931348623157e308, 1.0 / 3.0, -2.0 / 3.0, 0.1, 3.0, -7.0, 1e16,
+    1e17, 123456789012345678.0, 0.5, 1e-5, 1e-4,
+]
+
+
+def test_dataset_writer_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(9)
+    wide = rng.normal(size=(3, 4, 2 * len(EDGE_VALUES))) * 10.0 ** rng.integers(
+        -300, 300, size=(3, 4, 2 * len(EDGE_VALUES)))
+    wide[0, 0, ::2] = EDGE_VALUES
+    wide[2, 2, ::2] = EDGE_VALUES[::-1]
+    # every other sample of every other channel: a non-contiguous view
+    trials = [
+        Trial(channels=wide[i, ::2, ::2], label=i + 1, session=3 - i)
+        for i in range(3)
+    ]
+    assert not trials[0].channels.flags.c_contiguous
+    # Trial rejects non-finite samples; write them into the array afterwards
+    # so the formatter still sees them
+    trials[1].channels[0, 0] = np.inf
+    trials[1].channels[1, 1] = -np.inf
+    trials[1].channels[0, 1] = np.nan
+    ds = LabeledDataset(trials=trials, n_classes=3, seed=2)
+    expected = [fileio.DATASET_HEADER]
+    for tid, trial in enumerate(ds.trials):
+        for ch, row in enumerate(trial.channels, start=1):
+            for s, v in enumerate(row):
+                expected.append(
+                    f"{tid},{trial.session},{trial.label},{ch},{s},"
+                    f"{fileio.fmt_float(v)}"
+                )
+    path = tmp_path / "ds.csv"
+    fileio.write_dataset(ds, str(path))
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert "\n1,2,2,1,0,inf\n" in path.read_text()
+
+
+def test_signal_writer_matches_per_value_formatting(tmp_path):
+    values = np.array(EDGE_VALUES + [np.inf, -np.inf, np.nan] + [2.5] * 4)[::2]
+    expected = [fileio.SIGNAL_HEADER]
+    expected += [f"{i},{fileio.fmt_float(v)}" for i, v in enumerate(values)]
+    path = tmp_path / "sig.csv"
+    fileio.write_signal(values, str(path))
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
 def test_written_files_follow_the_umask(tmp_path):
     old = os.umask(0o022)
     try:
@@ -150,6 +282,13 @@ def test_signal_index_coverage_checked(tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("sample_index,value\n0,1.0\n2,2.0\n")
     with pytest.raises(ValueError):
+        fileio.read_signal(str(path))
+
+
+def test_signal_rejects_fractional_index(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("sample_index,value\n0,1.0\n1.5,2.0\n")
+    with pytest.raises(ValueError, match="integer"):
         fileio.read_signal(str(path))
 
 
