@@ -21,7 +21,6 @@ from .shrinkage import (
     BlockPartition,
     EllipsoidSpec,
     bjs_coefficient_count,
-    bjs_estimate,
     bjs_sampled_rows,
     ellipsoid_weights,
     james_stein,
@@ -36,7 +35,6 @@ from .synth import (
     NoiseModel,
     Trial,
     generate_dataset,
-    generate_trial,
     make_class_model,
     make_magnitude_class_model,
     make_phase_class_model,
@@ -54,7 +52,6 @@ from .classify import (
     lda_predict,
     lda_train,
     magnitude_features,
-    min_distance_decode,
     pca_apply,
     pca_fit,
     shrinkage_patterns,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import CoefficientVector, transform_rows
+from .basis import transform_rows
 from .shrinkage import (
     BlockPartition,
     EllipsoidSpec,
@@ -31,7 +31,6 @@ __all__ = [
     "CrossValReport",
     "GridRow",
     "GridSearchResult",
-    "min_distance_decode",
     "pca_fit",
     "pca_apply",
     "lda_train",
@@ -93,24 +92,17 @@ class PCAProjection:
         object.__setattr__(self, "explained_variance", var)
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
 
-    @property
-    def n_components(self) -> int:
-        return int(self.components.shape[0])
-
 
 @dataclass(frozen=True)
 class LDAModel:
     """Gaussian LDA with a shared (ridge-regularized) covariance.
 
-    ``coef``/``intercept`` cache the linear discriminants
-    delta_k(x) = x' Sigma^-1 mu_k - mu_k' Sigma^-1 mu_k / 2 + log pi_k.
+    ``coef`` and ``intercept`` hold the linear discriminants
+    delta_k(x) = x' Sigma^-1 mu_k - mu_k' Sigma^-1 mu_k / 2 + log pi_k
+    of the classes in ``class_ids``.
     """
 
     class_ids: np.ndarray
-    means: np.ndarray
-    covariance: np.ndarray
-    priors: np.ndarray
-    ridge: float
     coef: np.ndarray
     intercept: np.ndarray
 
@@ -148,15 +140,6 @@ def _class_distances(rows: np.ndarray, model: ClassModel) -> np.ndarray:
 def _decode_rows(rows: np.ndarray, model: ClassModel) -> np.ndarray:
     """Batched minimum-distance decoding; ties go to the lowest class id."""
     return _class_distances(rows, model).argmin(axis=1) + 1
-
-
-def min_distance_decode(fhat: CoefficientVector, model: ClassModel) -> int:
-    """Decode a coefficient vector to the nearest class set.
-
-    Returns the 1-based class id minimizing the spread-adjusted distance;
-    exact ties resolve to the lowest id.
-    """
-    return int(_decode_rows(fhat.coeffs[None, :], model)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +253,18 @@ def lda_train(features, labels, ridge: float | None = None) -> LDAModel:
             "pooled covariance is singular; pass a positive ridge or reduce "
             "the feature dimension with PCA"
         ) from None
-    priors = counts / n
     coef = np.linalg.solve(cov, means.T)
-    intercept = -0.5 * np.einsum("kd,dk->k", means, coef) + np.log(priors)
-    return LDAModel(
-        class_ids=class_ids,
-        means=means,
-        covariance=cov,
-        priors=priors,
-        ridge=lam,
-        coef=coef,
-        intercept=intercept,
-    )
+    intercept = -0.5 * np.einsum("kd,dk->k", means, coef) + np.log(counts / n)
+    return LDAModel(class_ids=class_ids, coef=coef, intercept=intercept)
 
 
 def lda_predict(model: LDAModel, features):
-    """Predict class ids and return the per-class discriminant scores.
+    """Class ids and per-class discriminant scores of a (n, dim) matrix.
 
-    Accepts a single feature vector or a (n, dim) matrix.  Score ties
-    resolve to the lowest class id.
+    Score ties resolve to the lowest class id.
     """
-    X = np.asarray(features, dtype=float)
-    single = X.ndim == 1
-    scores = np.atleast_2d(X) @ model.coef + model.intercept
-    picks = model.class_ids[scores.argmax(axis=1)]
-    if single:
-        return int(picks[0]), scores[0]
-    return picks, scores
+    scores = np.asarray(features, dtype=float) @ model.coef + model.intercept
+    return model.class_ids[scores.argmax(axis=1)], scores
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +309,6 @@ class PipelineConfig:
         pass_limit: int = 2,
         components: int = 0,
         ridge: float | None = None,
-        magnitude_only: bool = False,
     ) -> "PipelineConfig":
         """Blockwise James-Stein pipeline with zero cutoff at floor(log2 N)."""
         partition = BlockPartition(pass_limit, int(np.floor(np.log2(n_samples))))
@@ -350,7 +317,6 @@ class PipelineConfig:
             shrinkage=partition,
             components=components,
             ridge=ridge,
-            magnitude_only=magnitude_only,
         )
 
     @property
@@ -377,13 +343,12 @@ class PipelineConfig:
 def magnitude_features(features, channel_width: int) -> np.ndarray:
     """Collapse each harmonic pair to (magnitude, 0) within channel blocks.
 
-    The first coefficient of each channel block becomes its absolute
-    value; every following (cos, sin) pair becomes (sqrt(cos^2+sin^2), 0).
-    Rotating any pair of the input leaves the output unchanged.
+    ``features`` is a (n, width) matrix.  The first coefficient of each
+    channel block becomes its absolute value; every following (cos, sin)
+    pair becomes (sqrt(cos^2+sin^2), 0).  Rotating any pair of the input
+    leaves the output unchanged.
     """
     X = np.asarray(features, dtype=float)
-    single = X.ndim == 1
-    X = np.atleast_2d(X)
     if X.shape[1] % channel_width != 0:
         raise ValueError("feature width is not a multiple of channel_width")
     blocks = X.reshape(X.shape[0], -1, channel_width)
@@ -396,8 +361,7 @@ def magnitude_features(features, channel_width: int) -> np.ndarray:
         out[:, :, 1 : 2 * pairs : 2] = np.hypot(cos, sin)
     if channel_width % 2 == 0:
         out[:, :, -1] = np.abs(blocks[:, :, -1])
-    flat = out.reshape(X.shape[0], -1)
-    return flat[0] if single else flat
+    return out.reshape(X.shape[0], -1)
 
 
 def _channel_feature_rows(rows: np.ndarray, config: PipelineConfig) -> np.ndarray:
@@ -433,8 +397,6 @@ class CrossValReport:
     overall_accuracy: float
     confusion: np.ndarray
     per_class_accuracy: np.ndarray
-    n_trials: int
-    scheme: str
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -592,8 +554,6 @@ def _cross_validate_scaled(
                 overall_accuracy=float(np.trace(confusion)) / int(confusion.sum()),
                 confusion=confusion,
                 per_class_accuracy=per_class,
-                n_trials=int(confusion.sum()),
-                scheme=scheme,
                 notes=job_notes,
             )
         )
@@ -701,7 +661,6 @@ def grid_search(
     scheme: str = "loso",
     truncations=(5,),
     components=(0,),
-    patterns=None,
     spec: EllipsoidSpec | None = None,
     mu_values=(),
     ridge: float | None = None,
@@ -709,7 +668,7 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustive search over (truncation, factor profile, components).
 
-    Profiles default to :func:`shrinkage_patterns` per truncation.  The
+    Profiles come from :func:`shrinkage_patterns` per truncation.  The
     grid is scanned in lexicographic order and ties keep the earliest
     configuration, so results are reproducible.  Each truncation
     transforms the dataset once; every profile is a column scaling of
@@ -721,12 +680,9 @@ def grid_search(
     best_acc = -1.0
     rows: list[GridRow] = []
     for truncation in truncations:
-        if patterns is None:
-            candidates = shrinkage_patterns(
-                truncation, spec=spec, mu_values=mu_values, low_pass_only=low_pass_only
-            )
-        else:
-            candidates = [p for p in patterns if p.truncation == truncation]
+        candidates = shrinkage_patterns(
+            truncation, spec=spec, mu_values=mu_values, low_pass_only=low_pass_only
+        )
         configs = [
             PipelineConfig(
                 n_samples=dataset.n_samples,

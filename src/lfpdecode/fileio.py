@@ -132,14 +132,18 @@ def _read_rows(path: str, header: str, what: str) -> np.ndarray:
     """Parse a CSV with the given header into int64 key fields and a value.
 
     Fields are named after the header's columns: every column but the
-    last is an int64 key, the last a float64 value.  A row with another
-    column count or a key that is not an integer literal raises
-    ValueError naming both rules.
+    last is an int64 key, the last a float64 value.  A file with no row
+    after the header, a row with another column count, or a key that is
+    not an integer literal raises ValueError.
     """
     with open(path) as handle:
         found = handle.readline().strip()
+        # the lines np.loadtxt skips: blank, or empty up to a "#" comment
+        empty = not any(line.split("#", 1)[0].strip() for line in handle)
     if found != header:
         raise ValueError(f"unexpected {what} header {found!r}; want {header!r}")
+    if empty:
+        raise ValueError(f"{what} file has no rows")
     names = header.split(",")
     dtype = [(name, np.int64) for name in names[:-1]] + [(names[-1], np.float64)]
     try:
@@ -155,11 +159,11 @@ def read_dataset(path: str) -> LabeledDataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     The .meta sidecar is required; it restores n_classes, the seed and the
-    generator parameters.
+    generator parameters, and its trial, channel and sample counts must
+    match the rows.  Channels must lie in 1..n_channels and sample indices
+    in 0..n_samples-1.
     """
     rows = _read_rows(path, DATASET_HEADER, "dataset")
-    if rows.size == 0:
-        raise ValueError("dataset file has no rows")
     side = meta_path(path)
     if not os.path.exists(side):
         raise ValueError(f"missing metadata sidecar {side}")
@@ -174,10 +178,16 @@ def read_dataset(path: str) -> LabeledDataset:
 
     sessions, labels = rows["session"], rows["label"]
     channels, samples = rows["channel"], rows["sample_index"]
+    if channels.min() < 1 or samples.min() < 0:
+        raise ValueError("channels count from 1 and sample indices from 0")
     unique_tids, tid_index = np.unique(rows["trial_id"], return_inverse=True)
     n_trials = unique_tids.size
     n_channels = int(channels.max())
     n_samples = int(samples.max()) + 1
+    counts = {"n_trials": n_trials, "n_channels": n_channels, "n_samples": n_samples}
+    differ = {k: meta.get(k) for k, v in counts.items() if meta.get(k) != v}
+    if differ:
+        raise ValueError(f"dataset rows give {counts}; its sidecar says {differ}")
     if rows.size != n_trials * n_channels * n_samples:
         raise ValueError("dataset file is incomplete or has duplicate rows")
     cube = np.full((n_trials, n_channels, n_samples), np.nan)

@@ -22,7 +22,6 @@ __all__ = [
     "pinsker_shrink",
     "james_stein",
     "stein_threshold",
-    "bjs_estimate",
     "bjs_coefficient_count",
     "bjs_sampled_rows",
 ]
@@ -58,20 +57,14 @@ def ellipsoid_weights(spec: EllipsoidSpec, count: int) -> np.ndarray:
     return (2.0 * (ks // 2)) ** spec.alpha
 
 
-def pinsker_mu(spec: EllipsoidSpec, epsilon: float, rel_tol: float = 1e-10) -> float:
+def pinsker_mu(spec: EllipsoidSpec, epsilon: float) -> float:
     """Water-filling level mu for the linear minimax weights.
 
-    Solves eps^2 * sum_k a_k (mu - a_k)_+ = radius^2 by bisection.  The
-    left side is continuous and nondecreasing in mu and the sum is finite
-    for any finite mu because the weights grow without bound.
-
-    Parameters
-    ----------
-    spec : EllipsoidSpec
-    epsilon : float
-        Per-coefficient noise level, > 0.
-    rel_tol : float
-        Relative width of the final bisection bracket.
+    Solves eps^2 * sum_k a_k (mu - a_k)_+ = radius^2 by bisection down to
+    a bracket of relative width 1e-10.  The left side is continuous and
+    nondecreasing in mu and the sum is finite for any finite mu because
+    the weights grow without bound.  ``epsilon`` is the per-coefficient
+    noise level, > 0.
     """
     if not np.isfinite(epsilon) or epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -87,7 +80,7 @@ def pinsker_mu(spec: EllipsoidSpec, epsilon: float, rel_tol: float = 1e-10) -> f
     hi = max(2.0**spec.alpha, 1.0)
     while filled(hi) < target:
         hi *= 2.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if filled(mid) < target:
             lo = mid
@@ -187,7 +180,9 @@ def _bjs_rows(rows: np.ndarray, partition: BlockPartition, epsilon: float) -> np
 
     ``rows`` must be at least ``partition.width`` columns wide; columns
     beyond the partition are zeroed in the output.  Shrunk blocks use
-    :func:`stein_threshold`.
+    :func:`stein_threshold` at noise level ``epsilon``; blocks at or
+    below the pass limit, and blocks of size <= 2 where James-Stein is
+    undefined, pass through unshrunk.
     """
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
@@ -208,25 +203,6 @@ def _bjs_rows(rows: np.ndarray, partition: BlockPartition, epsilon: float) -> np
         )
         out[:, first - 1 : last] = factors[:, None] * block
     return out
-
-
-def bjs_estimate(y: CoefficientVector, partition: BlockPartition) -> CoefficientVector:
-    """Blockwise James-Stein estimate over a dyadic partition.
-
-    Low blocks (j <= pass_limit) pass through unshrunk, higher blocks are
-    shrunk with the penalized Stein threshold (:func:`stein_threshold`) at
-    the vector's own noise level, and everything at or above index
-    2^zero_limit is zeroed.  Blocks of size <= 2 inside the shrinkage range
-    also pass through, since James-Stein is undefined there.  The input is
-    zero-padded to the partition width if shorter.
-    """
-    if y.epsilon <= 0.0:
-        raise ValueError("blockwise James-Stein requires a positive noise level")
-    width = max(len(y), partition.width)
-    rows = np.zeros((1, width))
-    rows[0, : len(y)] = y.coeffs
-    shrunk = _bjs_rows(rows, partition, y.epsilon)[0]
-    return CoefficientVector(shrunk, epsilon=y.epsilon)
 
 
 def bjs_coefficient_count(n_samples: int) -> int:

@@ -22,12 +22,15 @@ __all__ = [
     "make_phase_class_model",
     "make_magnitude_class_model",
     "perturb_within_class",
-    "generate_trial",
     "generate_dataset",
     "stream_rng",
 ]
 
 _U64 = 2**64
+# prototype draws make_class_model tries before giving up
+_MAX_ATTEMPTS = 4000
+# the phase and magnitude geometries clear the separation floor by 5%
+_MARGIN = 1.05
 
 
 class ClassConstructionError(RuntimeError):
@@ -150,33 +153,6 @@ def _min_interclass_distance(prototypes) -> float:
     return best
 
 
-def _rejection_prototypes(draw, n_classes, floor, max_attempts):
-    """Greedy rejection sampling of prototypes with pairwise distance > floor.
-
-    ``draw(i)`` produces candidate i.  Returns the accepted list or raises
-    ClassConstructionError quoting the best separation actually reachable.
-    """
-    accepted: list[np.ndarray] = []
-    best_floor = 0.0
-    for attempt in range(max_attempts):
-        cand = draw(attempt)
-        dists = [float(np.linalg.norm(cand - p)) for p in accepted]
-        if not dists or min(dists) > floor:
-            accepted.append(cand)
-            if len(accepted) == n_classes:
-                return accepted
-        else:
-            best_floor = max(best_floor, min(dists))
-    achievable = max(0.0, best_floor / 2.0)
-    raise ClassConstructionError(
-        f"could not place {n_classes} prototypes with pairwise distance > "
-        f"{floor:.6g} within {max_attempts} attempts; the requested separation "
-        f"is too large for this ellipsoid (roughly {achievable:.6g} is "
-        f"achievable here)",
-        achievable_separation=achievable,
-    )
-
-
 def make_class_model(
     n_classes: int,
     spec: EllipsoidSpec,
@@ -184,18 +160,17 @@ def make_class_model(
     separation: float,
     within_spread: float,
     seed: int,
-    max_attempts: int = 4000,
 ) -> ClassModel:
     """Sample a class geometry of smooth prototypes by rejection.
 
-    Prototypes are drawn with :func:`sample_sobolev` until all pairwise
-    distances exceed 2*separation + 2*within_spread, so the resulting
-    class balls are separated by more than 2*separation.
+    Prototypes are drawn with :func:`sample_sobolev` and kept greedily
+    while every pairwise distance exceeds 2*separation + 2*within_spread,
+    so the resulting class balls are separated by more than 2*separation.
 
     Raises
     ------
     ClassConstructionError
-        If the budget of ``max_attempts`` draws runs out, which means the
+        If the budget of 4000 draws runs out, which means the
         separation is unrealistic for the ellipsoid radius.  The error
         reports the roughly achievable separation.
     """
@@ -203,17 +178,30 @@ def make_class_model(
         raise ValueError("n_classes must be at least 2")
     seq = np.random.SeedSequence(int(seed) % _U64)
     floor = 2.0 * separation + 2.0 * within_spread
-
-    def draw(_attempt: int) -> np.ndarray:
-        return sample_sobolev(spec, truncation, seq.spawn(1)[0]).coeffs
-
-    protos = _rejection_prototypes(draw, n_classes, floor, max_attempts)
-    return ClassModel(
-        prototypes=tuple(p[None, :] for p in protos),
-        separation=separation,
-        within_spread=within_spread,
-        spec=spec,
-        truncation=truncation,
+    accepted: list[np.ndarray] = []
+    best_floor = 0.0
+    for _ in range(_MAX_ATTEMPTS):
+        cand = sample_sobolev(spec, truncation, seq.spawn(1)[0]).coeffs
+        dists = [float(np.linalg.norm(cand - p)) for p in accepted]
+        if not dists or min(dists) > floor:
+            accepted.append(cand)
+            if len(accepted) == n_classes:
+                return ClassModel(
+                    prototypes=tuple(p[None, :] for p in accepted),
+                    separation=separation,
+                    within_spread=within_spread,
+                    spec=spec,
+                    truncation=truncation,
+                )
+        else:
+            best_floor = max(best_floor, min(dists))
+    achievable = max(0.0, best_floor / 2.0)
+    raise ClassConstructionError(
+        f"could not place {n_classes} prototypes with pairwise distance > "
+        f"{floor:.6g} within {_MAX_ATTEMPTS} attempts; the requested separation "
+        f"is too large for this ellipsoid (roughly {achievable:.6g} is "
+        f"achievable here)",
+        achievable_separation=achievable,
     )
 
 
@@ -224,7 +212,6 @@ def make_phase_class_model(
     separation: float,
     within_spread: float,
     seed: int,
-    margin: float = 1.05,
 ) -> ClassModel:
     """Classes that share per-harmonic magnitudes and differ only in phase.
 
@@ -248,7 +235,7 @@ def make_phase_class_model(
     # adjacent class angles realize the minimum pairwise distance
     gap = np.sqrt(2.0 - 2.0 * np.cos(2.0 * np.pi / n_classes))
     floor = 2.0 * separation + 2.0 * within_spread
-    mags *= margin * floor / (gap * float(np.linalg.norm(mags)))
+    mags *= _MARGIN * floor / (gap * float(np.linalg.norm(mags)))
     weighted = float(np.sum((a[1::2] * mags) ** 2))
     if weighted >= 0.95 * spec.radius**2:
         achievable = separation * np.sqrt(0.95) * spec.radius / np.sqrt(weighted)
@@ -281,7 +268,6 @@ def make_magnitude_class_model(
     separation: float,
     within_spread: float,
     seed: int,
-    margin: float = 1.05,
 ) -> ClassModel:
     """Classes that differ only in per-harmonic magnitudes, with zero phase.
 
@@ -305,12 +291,12 @@ def make_magnitude_class_model(
     ) ** 2
     template /= float(np.linalg.norm(template))
     # adjacent scale factors realize the minimum pairwise distance
-    step = margin * (2.0 * separation + 2.0 * within_spread)
+    step = _MARGIN * (2.0 * separation + 2.0 * within_spread)
     scales = step * np.arange(1, n_classes + 1)
     weighted = float(np.linalg.norm(a * template))
     if scales[-1] * weighted >= np.sqrt(0.95) * spec.radius:
         top = np.sqrt(0.95) * spec.radius / weighted
-        achievable = max(0.0, top / (n_classes * margin) / 2.0 - within_spread)
+        achievable = max(0.0, top / (n_classes * _MARGIN) / 2.0 - within_spread)
         raise ClassConstructionError(
             f"magnitude-coded classes with separation {separation:.6g} do not "
             f"fit inside the ellipsoid of radius {spec.radius:.6g}; roughly "
@@ -430,47 +416,6 @@ def perturb_within_class(
     return base.copy()
 
 
-def generate_trial(
-    model: ClassModel,
-    label: int,
-    n_channels: int,
-    n_samples: int,
-    noise: NoiseModel,
-    seed: int,
-    session: int = 1,
-) -> Trial:
-    """Generate one noisy multichannel trial of the given class.
-
-    Each channel draws its own perturbation of the class prototype, is
-    evaluated on the uniform grid l/n_samples, and receives independent
-    N(0, sigma^2) sample noise.  All randomness is a pure function of
-    (seed, noise.seed, channel index).
-    """
-    phi = _grid_basis(model, n_channels, n_samples)
-    return _draw_trial(model, label, n_channels, phi, noise, seed, session)
-
-
-def _grid_basis(model: ClassModel, n_channels: int, n_samples: int) -> np.ndarray:
-    """Checked trial shape; the prototype basis on the uniform sample grid."""
-    count = 2 * model.truncation + 1
-    if n_channels < 1:
-        raise ValueError("n_channels must be at least 1")
-    if n_samples <= count:
-        raise ValueError("n_samples must exceed 2*truncation+1")
-    return basis_matrix(count, np.arange(n_samples) / n_samples)
-
-
-def _draw_trial(model, label, n_channels, phi, noise, seed, session) -> Trial:
-    """One trial on a precomputed basis, one random stream per channel."""
-    n_samples = phi.shape[1]
-    channels = np.empty((n_channels, n_samples))
-    for c in range(n_channels):
-        rng = stream_rng(seed, noise.seed, key=(c,))
-        theta = perturb_within_class(model, label, rng)
-        channels[c] = theta @ phi + noise.sigma * rng.standard_normal(n_samples)
-    return Trial(channels=channels, label=label, session=session)
-
-
 def generate_dataset(
     model: ClassModel,
     trials_per_class: int,
@@ -484,8 +429,12 @@ def generate_dataset(
 
     Trials are laid out class-major (all of class 1, then class 2, ...)
     and sessions cycle over the trial index, so session sizes differ by at
-    most one and every class appears in nearly every session.  The whole
-    dataset is a pure function of its arguments.
+    most one and every class appears in nearly every session.  Each
+    channel of a trial perturbs the class prototype on its own, is
+    evaluated on the uniform grid l/n_samples and gets independent
+    N(0, sigma^2) sample noise, all from one stream keyed by the trial's
+    seed, noise.seed and the channel index.  The whole dataset is a pure
+    function of its arguments.
     """
     if trials_per_class < 1:
         raise ValueError("trials_per_class must be at least 1")
@@ -494,26 +443,26 @@ def generate_dataset(
     total = model.n_classes * trials_per_class
     if n_sessions > total:
         raise ValueError("more sessions than trials")
+    count = 2 * model.truncation + 1
+    if n_channels < 1:
+        raise ValueError("n_channels must be at least 1")
+    if n_samples <= count:
+        raise ValueError("n_samples must exceed 2*truncation+1")
     trial_seeds = np.random.SeedSequence(int(seed) % _U64).generate_state(
         total, dtype=np.uint64
     )
-    phi = _grid_basis(model, n_channels, n_samples)
+    phi = basis_matrix(count, np.arange(n_samples) / n_samples)
     trials = []
-    index = 0
-    for label in range(1, model.n_classes + 1):
-        for _ in range(trials_per_class):
-            trials.append(
-                _draw_trial(
-                    model,
-                    label,
-                    n_channels,
-                    phi,
-                    noise,
-                    seed=int(trial_seeds[index]),
-                    session=(index % n_sessions) + 1,
-                )
-            )
-            index += 1
+    for index, trial_seed in enumerate(trial_seeds.tolist()):
+        label = index // trials_per_class + 1
+        channels = np.empty((n_channels, n_samples))
+        for c in range(n_channels):
+            rng = stream_rng(trial_seed, noise.seed, key=(c,))
+            theta = perturb_within_class(model, label, rng)
+            channels[c] = theta @ phi + noise.sigma * rng.standard_normal(n_samples)
+        trials.append(
+            Trial(channels=channels, label=label, session=index % n_sessions + 1)
+        )
     params = {
         "alpha": model.spec.alpha,
         "radius": model.spec.radius,

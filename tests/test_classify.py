@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lfpdecode.basis import CoefficientVector, basis_matrix, transform_rows
+from lfpdecode.basis import basis_matrix, transform_rows
 from lfpdecode.classify import (
     PipelineConfig,
     ShrinkageProfile,
+    _decode_rows,
     cross_validate,
     cross_validate_features,
     dataset_feature_matrix,
@@ -20,7 +21,6 @@ from lfpdecode.classify import (
     lda_predict,
     lda_train,
     magnitude_features,
-    min_distance_decode,
     pca_apply,
     pca_fit,
     shrinkage_patterns,
@@ -52,15 +52,14 @@ def _toy_model(spread=0.3):
 def test_decoder_matches_brute_force():
     model = _toy_model()
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        fhat = rng.normal(scale=3.0, size=5)
+    rows = rng.normal(scale=3.0, size=(100, 5))
+    got = _decode_rows(rows, model)
+    for fhat, pick in zip(rows, got):
         dists = []
         for protos in model.prototypes:
             nearest = min(np.linalg.norm(fhat - p) for p in protos)
             dists.append(max(nearest - model.within_spread, 0.0))
-        want = int(np.argmin(dists)) + 1
-        got = min_distance_decode(CoefficientVector(fhat), model)
-        assert got == want
+        assert pick == int(np.argmin(dists)) + 1
 
 
 def test_decoder_breaks_ties_toward_lowest_label():
@@ -71,13 +70,13 @@ def test_decoder_breaks_ties_toward_lowest_label():
     )
     model = ClassModel(protos, 0.4, 0.0, EllipsoidSpec(2.0, 50.0), 2)
     # the origin ties classes 1 and 2 and is far from class 3
-    assert min_distance_decode(CoefficientVector(np.zeros(5)), model) == 1
+    assert_array_equal(_decode_rows(np.zeros((1, 5)), model), [1])
 
 
 def test_decoder_pads_shorter_estimates():
     model = _toy_model()
-    short = CoefficientVector(np.array([4.0, 0.0]))
-    assert min_distance_decode(short, model) == 1
+    short = np.array([[4.0, 0.0], [-4.0, 0.0]])
+    assert_array_equal(_decode_rows(short, model), [1, 2])
 
 
 def test_pca_matches_eigendecomposition():
@@ -235,17 +234,6 @@ def test_lda_singular_covariance_without_ridge():
         lda_train(flat, y, ridge=0.0)
 
 
-def test_lda_predict_single_vector():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(20, 2))
-    y = np.repeat([1, 2], 10)
-    x[y == 2] += 5.0
-    model = lda_train(x, y)
-    pick, scores = lda_predict(model, x[0])
-    assert pick in (1, 2)
-    assert scores.shape == (2,)
-
-
 def test_magnitude_features_per_channel_blocks():
     # one channel of width 5: constant plus two (cos, sin) pairs
     row = np.array([[-1.5, 3.0, 4.0, 0.0, -2.0]])
@@ -332,8 +320,8 @@ def test_kfold_n_matches_leave_one_out():
     for i in range(n):
         mask = np.arange(n) != i
         model = lda_train(x[mask], y[mask])
-        pick, _ = lda_predict(model, x[i])
-        hits += int(pick == y[i])
+        picks, _ = lda_predict(model, x[i : i + 1])
+        hits += int(picks[0] == y[i])
     assert_allclose(report.overall_accuracy, hits / n)
 
 

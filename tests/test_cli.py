@@ -7,6 +7,7 @@ files.  Determinism is asserted byte for byte.
 import hashlib
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +37,10 @@ SMALL_SYNTH = [
 def test_synth_writes_expected_row_count(tmp_path):
     out = str(tmp_path / "ds.csv")
     assert run("synth", "--out", out, *SMALL_SYNTH) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == fileio.DATASET_HEADER
     assert len(lines) == 1 + 12 * 2 * 64  # header + trials*channels*samples
-    meta = open(fileio.meta_path(out)).read()
+    meta = Path(fileio.meta_path(out)).read_text()
     assert "n_trials=12" in meta and "sigma=0.4" in meta
 
 
@@ -220,9 +221,9 @@ def test_benchmark_writes_report_confusion_summary(tmp_path):
     assert confusion[:, 0].tolist() == [1.0, 2.0, 3.0]
     assert confusion[:, 1:].sum() == 12  # every trial lands in one cell
     assert confusion[:, 1:].sum(axis=1).tolist() == [4.0, 4.0, 4.0]
-    summary = open(out + "_summary.txt").read()
+    summary = Path(out + "_summary.txt").read_text()
     assert "pipeline: bjs" in summary and "overall accuracy" in summary
-    report = open(out + "_report.csv").read().splitlines()
+    report = Path(out + "_report.csv").read_text().splitlines()
     assert report[0] == "truncation,pattern,components,overall_accuracy"
 
 
@@ -233,7 +234,7 @@ def test_benchmark_grid_rows_cover_masks(tmp_path):
     assert run("benchmark", "--dataset", ds, "--out", out,
                "--pipeline", "pinsker", "--grid", "--low-pass-only",
                "--truncations", "3", "--grid-components", "0") == 0
-    rows = open(out + "_report.csv").read().splitlines()
+    rows = Path(out + "_report.csv").read_text().splitlines()
     assert len(rows) == 1 + 7  # header + masks [1:1]..[1:7]
 
 
@@ -322,7 +323,7 @@ def test_benchmark_grid_single_options_are_one_point_axes(tmp_path):
     out = str(tmp_path / "x")
     assert run("benchmark", "--dataset", ds, "--out", out, "--grid",
                "--low-pass-only", "--truncation", "3", "--components", "0") == 0
-    rows = open(out + "_report.csv").read().splitlines()[1:]
+    rows = Path(out + "_report.csv").read_text().splitlines()[1:]
     assert len(rows) == 7
     assert all(row.startswith("3,") and row.split(",")[-2] == "0" for row in rows)
 
@@ -379,10 +380,10 @@ def test_experiment_rates_outputs(tmp_path):
     assert run("experiment", "--name", "rates", "--out", out,
                "--epsilons", "0.5,0.2", "--trials", "100",
                "--thetas", "5") == 0
-    rows = open(os.path.join(out, "rates.csv")).read().splitlines()
+    rows = Path(out, "rates.csv").read_text().splitlines()
     assert rows[0] == "epsilon,risk,std_error,trials"
     assert len(rows) == 3
-    summary = open(os.path.join(out, "rates_summary.txt")).read()
+    summary = Path(out, "rates_summary.txt").read_text()
     assert "log-log slope" in summary
 
 
@@ -390,10 +391,10 @@ def test_experiment_adaptivity_outputs(tmp_path):
     out = str(tmp_path / "exp")
     assert run("experiment", "--name", "adaptivity", "--out", out,
                "--alphas", "2", "--radii", "5", "--epsilon", "0.05") == 0
-    rows = open(os.path.join(out, "adaptivity.csv")).read().splitlines()
+    rows = Path(out, "adaptivity.csv").read_text().splitlines()
     assert rows[0] == "alpha,radius,bjs_lower,bjs_upper,pinsker_risk,ratio"
     assert len(rows) == 2
-    summary = open(os.path.join(out, "adaptivity_summary.txt")).read()
+    summary = Path(out, "adaptivity_summary.txt").read_text()
     assert "max risk ratio" in summary
 
 

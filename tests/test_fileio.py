@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,11 +141,11 @@ def _missing_sample(rows):
     return rows[:5] + rows[6:]
 
 
-def _cell_changed(column, value):
+def _cell_changed(column, value, row=20):
     def edit(rows):
-        cells = rows[20].split(",")
+        cells = rows[row].split(",")
         cells[column] = value
-        return rows[:20] + [",".join(cells)] + rows[21:]
+        return rows[:row] + [",".join(cells)] + rows[row + 1:]
     return edit
 
 
@@ -156,6 +157,11 @@ def _row_width(width):
     return edit
 
 
+def _rows_dropped(column, value):
+    return lambda rows: [row for row in rows if row.split(",")[column] != value]
+
+
+# the pinned dataset has 3 trials x 2 channels x 8 samples, trial-major rows
 @pytest.mark.parametrize("edit", [
     _duplicated_row,
     _duplicate_over_another,
@@ -165,9 +171,16 @@ def _row_width(width):
     _row_width(5),
     _row_width(7),
     lambda rows: [],
+    _cell_changed(4, "-1", row=7),  # in place of the last sample of channel 1
+    _cell_changed(3, "0", row=15),  # in place of channel 2, the last channel
+    _rows_dropped(0, "2"),  # the last trial
+    _rows_dropped(3, "2"),  # the last channel of every trial
+    _rows_dropped(4, "7"),  # the last sample of every channel
 ], ids=["duplicated-row", "duplicate-over-another", "missing-sample",
         "label-changes", "session-changes", "5-columns", "7-columns",
-        "header-only"])
+        "header-only", "sample-index-below-0", "channel-below-1",
+        "fewer-trials-than-sidecar", "fewer-channels-than-sidecar",
+        "fewer-samples-than-sidecar"])
 def test_dataset_rejects_malformed_rows(tmp_path, edit):
     path, lines = _pinned_lines(tmp_path)
     _write_lines(path, [lines[0]] + edit(lines[1:]))
@@ -285,6 +298,13 @@ def test_signal_index_coverage_checked(tmp_path):
         fileio.read_signal(str(path))
 
 
+def test_signal_rejects_header_only_file(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("sample_index,value\n")
+    with pytest.raises(ValueError, match="no rows"):
+        fileio.read_signal(str(path))
+
+
 def test_signal_rejects_fractional_index(tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("sample_index,value\n0,1.0\n1.5,2.0\n")
@@ -323,6 +343,6 @@ def test_config_rejects_duplicates_and_garbage(tmp_path):
 def test_write_table(tmp_path):
     path = str(tmp_path / "t.csv")
     fileio.write_table(path, ["a", "b"], [(1, 0.5), (2, 0.25)])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "a,b"
     assert lines[1] == "1,0.5"

@@ -8,7 +8,7 @@ from lfpdecode.basis import CoefficientVector
 from lfpdecode.shrinkage import (
     BlockPartition,
     EllipsoidSpec,
-    bjs_estimate,
+    _bjs_rows,
     bjs_sampled_rows,
     ellipsoid_weights,
     james_stein,
@@ -119,57 +119,45 @@ def test_bjs_hand_traced_single_spike():
     # is 9.98975736
     y = np.zeros(15)
     y[8] = 10.0
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.1), BlockPartition(2, 4))
-    assert_allclose(out.coeffs[8], 9.98975735931288, rtol=1e-12)
-    assert_allclose(np.delete(out.coeffs, 8), np.zeros(14), atol=1e-15)
+    out = _bjs_rows(y[None, :], BlockPartition(2, 4), 0.1)[0]
+    assert_allclose(out[8], 9.98975735931288, rtol=1e-12)
+    assert_allclose(np.delete(out, 8), np.zeros(14), atol=1e-15)
 
 
 def test_bjs_passes_low_blocks_through():
     rng = np.random.default_rng(9)
     y = rng.normal(size=15)
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.3), BlockPartition(2, 4))
+    out = _bjs_rows(y[None, :], BlockPartition(2, 4), 0.3)[0]
     # blocks {1}, {2,3}, {4..7} are below or at the pass limit
-    assert_allclose(out.coeffs[:7], y[:7], rtol=1e-14)
+    assert_allclose(out[:7], y[:7], rtol=1e-14)
 
 
 def test_bjs_passes_tiny_js_blocks_through():
     # with pass_limit=0 the block {2,3} has size 2, too small for JS
     y = np.array([5.0, 1.0, -2.0])
-    out = bjs_estimate(CoefficientVector(y, epsilon=1.0), BlockPartition(0, 2))
-    assert_allclose(out.coeffs, y, rtol=1e-14)
+    out = _bjs_rows(y[None, :], BlockPartition(0, 2), 1.0)[0]
+    assert_allclose(out, y, rtol=1e-14)
 
 
 def test_bjs_zeroes_beyond_partition_width():
     y = np.arange(1.0, 20.0)
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.1), BlockPartition(1, 3))
-    assert len(out.coeffs) == 19
-    assert_allclose(out.coeffs[7:], np.zeros(12))
-
-
-def test_bjs_pads_short_input():
-    y = np.array([1.0, 2.0])
-    out = bjs_estimate(CoefficientVector(y, epsilon=0.5), BlockPartition(1, 3))
-    assert len(out.coeffs) == 7
-    assert_allclose(out.coeffs[:2], y)
+    out = _bjs_rows(y[None, :], BlockPartition(1, 3), 0.1)[0]
+    assert len(out) == 19
+    assert_allclose(out[7:], np.zeros(12))
 
 
 def test_bjs_scale_equivariance():
     rng = np.random.default_rng(21)
     y = rng.normal(size=31)
     part = BlockPartition(2, 5)
-    base = bjs_estimate(CoefficientVector(y, epsilon=0.2), part)
-    scaled = bjs_estimate(CoefficientVector(4.0 * y, epsilon=0.8), part)
-    assert_allclose(scaled.coeffs, 4.0 * base.coeffs, rtol=1e-12)
-
-
-def test_bjs_requires_positive_noise_level():
-    with pytest.raises(ValueError, match="positive noise level"):
-        bjs_estimate(CoefficientVector(np.ones(7)), BlockPartition(1, 3))
+    base = _bjs_rows(y[None, :], part, 0.2)[0]
+    scaled = _bjs_rows(4.0 * y[None, :], part, 0.8)[0]
+    assert_allclose(scaled, 4.0 * base, rtol=1e-12)
 
 
 def test_bjs_never_expands_coordinates():
     rng = np.random.default_rng(30)
     for _ in range(20):
         y = rng.normal(size=31) * rng.uniform(0.5, 5.0)
-        out = bjs_estimate(CoefficientVector(y, epsilon=0.5), BlockPartition(2, 5))
-        assert np.all(np.abs(out.coeffs) <= np.abs(y) + 1e-12)
+        out = _bjs_rows(y[None, :], BlockPartition(2, 5), 0.5)[0]
+        assert np.all(np.abs(out) <= np.abs(y) + 1e-12)

@@ -11,7 +11,6 @@ from lfpdecode.synth import (
     NoiseModel,
     _min_interclass_distance,
     generate_dataset,
-    generate_trial,
     make_class_model,
     make_magnitude_class_model,
     make_phase_class_model,
@@ -57,7 +56,7 @@ def test_class_model_separation_margin():
 
 def test_class_model_reports_achievable_separation():
     with pytest.raises(ClassConstructionError) as err:
-        make_class_model(8, SPEC, 5, 100.0, 0.1, seed=0, max_attempts=200)
+        make_class_model(8, SPEC, 5, 100.0, 0.1, seed=0)
     assert "separation" in str(err.value)
     assert err.value.achievable_separation >= 0.0
 
@@ -103,11 +102,12 @@ def test_perturbation_zero_spread_returns_prototype():
 def test_generate_trial_shape_and_determinism():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=3)
     noise = NoiseModel(sigma=0.5, seed=9)
-    t1 = generate_trial(model, 2, 4, 64, noise, seed=77)
-    t2 = generate_trial(model, 2, 4, 64, noise, seed=77)
+    t1 = generate_dataset(model, 1, 4, 64, 1, noise, seed=77).trials[1]
+    t2 = generate_dataset(model, 1, 4, 64, 1, noise, seed=77).trials[1]
+    assert t1.label == 2
     assert t1.channels.shape == (4, 64)
     assert_allclose(t1.channels, t2.channels)
-    t3 = generate_trial(model, 2, 4, 64, noise, seed=78)
+    t3 = generate_dataset(model, 1, 4, 64, 1, noise, seed=78).trials[1]
     assert not np.allclose(t1.channels, t3.channels)
     # channels carry independent noise
     assert not np.allclose(t1.channels[0], t1.channels[1])
@@ -115,15 +115,16 @@ def test_generate_trial_shape_and_determinism():
 
 def test_generate_trial_noise_seed_changes_noise():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=3)
-    a = generate_trial(model, 1, 1, 64, NoiseModel(sigma=0.5, seed=0), seed=5)
-    b = generate_trial(model, 1, 1, 64, NoiseModel(sigma=0.5, seed=1), seed=5)
-    assert not np.allclose(a.channels, b.channels)
+    a = generate_dataset(model, 1, 1, 64, 1, NoiseModel(sigma=0.5, seed=0), seed=5)
+    b = generate_dataset(model, 1, 1, 64, 1, NoiseModel(sigma=0.5, seed=1), seed=5)
+    for ta, tb in zip(a.trials, b.trials):
+        assert not np.allclose(ta.channels, tb.channels)
 
 
 def test_generate_trial_needs_enough_samples():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=3)
-    with pytest.raises(ValueError):
-        generate_trial(model, 1, 1, 7, NoiseModel(), seed=0)
+    with pytest.raises(ValueError, match="n_samples"):
+        generate_dataset(model, 1, 1, 7, 1, NoiseModel(), seed=0)
 
 
 def test_dataset_is_balanced_and_sessions_cycle():
@@ -146,19 +147,6 @@ def test_dataset_generation_is_deterministic():
     for ta, tb in zip(a.trials, b.trials):
         assert_allclose(ta.channels, tb.channels)
         assert ta.label == tb.label and ta.session == tb.session
-
-
-def test_dataset_trials_equal_generate_trial():
-    # the dataset builds its basis once; every trial must still be the one
-    # generate_trial draws from that trial's seed, bit for bit
-    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=6)
-    noise = NoiseModel(sigma=0.4, seed=2)
-    ds = generate_dataset(model, 2, 3, 64, 2, noise, seed=8)
-    seeds = np.random.SeedSequence(8).generate_state(6, dtype=np.uint64)
-    for trial, seed in zip(ds.trials, seeds):
-        want = generate_trial(model, trial.label, 3, 64, noise, seed=int(seed),
-                              session=trial.session)
-        assert np.array_equal(trial.channels, want.channels)
 
 
 def test_phase_classes_share_magnitudes():
