@@ -4,14 +4,16 @@ single-channel signal CSV, generic result tables, and flat config files.
 All floats are written with 17 significant digits so values round-trip
 exactly, and every write lands atomically (temp file + rename).  The
 dataset writer formats each trial's rows in one ``%`` call, with the same
-bytes as :func:`fmt_float` on each value.  Key columns (every column of a
-dataset or signal CSV but the value) must be integer literals: ``1.0`` is
-rejected like ``1.7``.
+bytes as :func:`fmt_float` on each value; the reader parses one trial's
+rows at a time into a cube sized from the sidecar.  Key columns (every
+column of a dataset or signal CSV but the value) must be integer
+literals: ``1.0`` is rejected like ``1.7``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import secrets
 
@@ -128,26 +130,44 @@ def _parse_scalar(raw: str):
         return raw
 
 
-def _read_rows(path: str, header: str, what: str) -> np.ndarray:
-    """Parse a CSV with the given header into int64 key fields and a value.
+def _first_row(handle, header: str, what: str) -> str:
+    """Check the header line of an open CSV and return its first row line.
 
-    Fields are named after the header's columns: every column but the
-    last is an int64 key, the last a float64 value.  A file with no row
-    after the header, a row with another column count, or a key that is
-    not an integer literal raises ValueError.
+    A wrong header, or no row after it, raises ValueError.
     """
-    with open(path) as handle:
-        found = handle.readline().strip()
-        # the lines np.loadtxt skips: blank, or empty up to a "#" comment
-        empty = not any(line.split("#", 1)[0].strip() for line in handle)
+    found = handle.readline().strip()
     if found != header:
         raise ValueError(f"unexpected {what} header {found!r}; want {header!r}")
-    if empty:
+    line = _next_row(handle)
+    if line is None:
         raise ValueError(f"{what} file has no rows")
+    return line
+
+
+def _next_row(handle) -> str | None:
+    """The next line np.loadtxt would parse, or None at the end of the file.
+
+    np.loadtxt skips only empty lines and lines with "#" in the first column.
+    """
+    return next((line for line in handle if line[:1] not in "#\n"), None)
+
+
+def _parse_rows(line: str, handle, header: str, what: str,
+                max_rows=None) -> np.ndarray:
+    """Parse ``line`` and up to ``max_rows - 1`` further rows from ``handle``.
+
+    Fields are named after the header's columns: every column but the
+    last is an int64 key, the last a float64 value.  A row with another
+    column count, or a key that is not an integer literal, raises
+    ValueError.  Lines after the last row parsed stay unread in ``handle``.
+    """
     names = header.split(",")
     dtype = [(name, np.int64) for name in names[:-1]] + [(names[-1], np.float64)]
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype, ndmin=1)
+        return np.loadtxt(
+            itertools.chain([line], handle), delimiter=",", dtype=dtype,
+            ndmin=1, max_rows=max_rows,
+        )
     except ValueError as exc:
         raise ValueError(
             f"{what} rows must have {len(names)} columns, and "
@@ -155,64 +175,96 @@ def _read_rows(path: str, header: str, what: str) -> np.ndarray:
         ) from None
 
 
-def read_dataset(path: str) -> LabeledDataset:
-    """Read a dataset CSV written by :func:`write_dataset`.
+# the shortest dataset row, "0,1,1,1,0,0\n", in bytes
+_MIN_ROW_BYTES = 12
+_COUNTS = ("n_trials", "n_channels", "n_samples")
 
-    The .meta sidecar is required; it restores n_classes, the seed and the
-    generator parameters, and its trial, channel and sample counts must
-    match the rows.  Channels must lie in 1..n_channels and sample indices
-    in 0..n_samples-1.
+
+def _read_sidecar(path: str) -> dict:
+    """Parse a dataset's .meta sidecar and check its counts against the CSV.
+
+    n_trials, n_channels and n_samples must be positive integers that the
+    CSV's size can hold, at the shortest row each, so a wrong count fails
+    here rather than in a huge allocation.
     """
-    rows = _read_rows(path, DATASET_HEADER, "dataset")
     side = meta_path(path)
     if not os.path.exists(side):
         raise ValueError(f"missing metadata sidecar {side}")
-    meta: dict = {}
-    with open(side) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = _parse_scalar(value.strip())
+    meta = {key: _parse_scalar(value) for key, value in read_config(side).items()}
+    for key in _COUNTS:
+        value = meta.get(key)
+        if type(value) is not int or value < 1:
+            raise ValueError(
+                f"sidecar {side}: {key} must be a positive integer, got {value!r}"
+            )
+    n_rows = meta["n_trials"] * meta["n_channels"] * meta["n_samples"]
+    if n_rows * _MIN_ROW_BYTES > os.path.getsize(path):
+        raise ValueError(
+            f"sidecar {side} counts {n_rows} rows, more than {path} can hold"
+        )
+    return meta
 
-    sessions, labels = rows["session"], rows["label"]
-    channels, samples = rows["channel"], rows["sample_index"]
-    if channels.min() < 1 or samples.min() < 0:
-        raise ValueError("channels count from 1 and sample indices from 0")
-    unique_tids, tid_index = np.unique(rows["trial_id"], return_inverse=True)
-    n_trials = unique_tids.size
-    n_channels = int(channels.max())
-    n_samples = int(samples.max()) + 1
-    counts = {"n_trials": n_trials, "n_channels": n_channels, "n_samples": n_samples}
-    differ = {k: meta.get(k) for k, v in counts.items() if meta.get(k) != v}
-    if differ:
-        raise ValueError(f"dataset rows give {counts}; its sidecar says {differ}")
-    if rows.size != n_trials * n_channels * n_samples:
-        raise ValueError("dataset file is incomplete or has duplicate rows")
-    cube = np.full((n_trials, n_channels, n_samples), np.nan)
-    cube[tid_index, channels - 1, samples] = rows["value"]
+
+def read_dataset(path: str) -> LabeledDataset:
+    """Read a dataset CSV written by :func:`write_dataset`.
+
+    The .meta sidecar is required and is read before any row is parsed:
+    its trial, channel and sample counts size the cube, and it restores
+    n_classes, the seed and the generator parameters.  Rows may come in any order, but
+    trial ids must lie in 0..n_trials-1, channels in 1..n_channels and
+    sample indices in 0..n_samples-1, with each (trial, channel, sample)
+    given exactly once and one label and session per trial.  Rows are
+    parsed one trial's worth at a time, so memory is the cube plus one
+    trial's rows.
+    """
+    with open(path) as handle:
+        line = _first_row(handle, DATASET_HEADER, "dataset")
+        meta = _read_sidecar(path)
+        n_trials, n_channels, n_samples = (meta.pop(key) for key in _COUNTS)
+        per_trial = n_channels * n_samples
+        cube = np.full((n_trials, n_channels, n_samples), np.nan)
+        # per-trial low and high of the label and session over every row;
+        # they differ where a trial's label or session changes
+        low = np.full((2, n_trials), np.iinfo(np.int64).max)
+        high = np.full((2, n_trials), np.iinfo(np.int64).min)
+        # n_trials chunks of one trial's rows, or fewer if the file ends
+        for _ in range(n_trials):
+            if line is None:
+                break
+            rows = _parse_rows(line, handle, DATASET_HEADER, "dataset", per_trial)
+            for name, first, last in (("trial_id", 0, n_trials - 1),
+                                      ("channel", 1, n_channels),
+                                      ("sample_index", 0, n_samples - 1)):
+                if rows[name].min() < first or rows[name].max() > last:
+                    raise ValueError(
+                        f"dataset {name} must lie in {first}..{last}, "
+                        "as the sidecar counts"
+                    )
+            tids = rows["trial_id"]
+            cube[tids, rows["channel"] - 1, rows["sample_index"]] = rows["value"]
+            for i, key in enumerate(("label", "session")):
+                np.minimum.at(low[i], tids, rows[key])
+                np.maximum.at(high[i], tids, rows[key])
+            # None after a short chunk, which only the end of the file makes
+            line = _next_row(handle)
+    if line is not None:
+        raise ValueError("dataset file has extra or duplicate rows")
+    # fewer rows than the cube's cells leave some NaN, and so does a duplicate
     if np.isnan(cube).any():
-        raise ValueError("dataset file has missing samples")
-    trial_labels = np.zeros(n_trials, dtype=int)
-    trial_sessions = np.zeros(n_trials, dtype=int)
-    trial_labels[tid_index] = labels
-    trial_sessions[tid_index] = sessions
-    if not (np.all(trial_labels[tid_index] == labels)
-            and np.all(trial_sessions[tid_index] == sessions)):
+        raise ValueError("dataset file is incomplete or has missing samples")
+    if not np.array_equal(low, high):
         raise ValueError("inconsistent label or session within a trial")
 
-    easy = {"n_trials", "n_channels", "n_samples", "n_classes", "seed"}
-    params = {k: v for k, v in meta.items() if k not in easy}
+    labels, sessions = low
     trials = [
-        Trial(channels=cube[i], label=int(trial_labels[i]), session=int(trial_sessions[i]))
+        Trial(channels=cube[i], label=int(labels[i]), session=int(sessions[i]))
         for i in range(n_trials)
     ]
     return LabeledDataset(
         trials=trials,
-        n_classes=int(meta.get("n_classes", trial_labels.max())),
-        seed=int(meta.get("seed", 0)),
-        params=params,
+        n_classes=int(meta.pop("n_classes", labels.max())),
+        seed=int(meta.pop("seed", 0)),
+        params=meta,
     )
 
 
@@ -226,7 +278,9 @@ def write_signal(samples, path: str) -> None:
 
 def read_signal(path: str) -> np.ndarray:
     """Read a signal CSV back into a sample vector ordered by index."""
-    rows = _read_rows(path, SIGNAL_HEADER, "signal")
+    with open(path) as handle:
+        line = _first_row(handle, SIGNAL_HEADER, "signal")
+        rows = _parse_rows(line, handle, SIGNAL_HEADER, "signal")
     rows = rows[np.argsort(rows["sample_index"])]
     if not np.array_equal(rows["sample_index"], np.arange(rows.size)):
         raise ValueError("sample_index must cover 0..N-1 exactly once")

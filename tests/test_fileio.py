@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,13 @@ def _rows_dropped(column, value):
     return lambda rows: [row for row in rows if row.split(",")[column] != value]
 
 
+def _trial_ids_mapped(ids):
+    def edit(rows):
+        split = (row.split(",", 1) for row in rows)
+        return [f"{ids[int(tid)]},{rest}" for tid, rest in split]
+    return edit
+
+
 # the pinned dataset has 3 trials x 2 channels x 8 samples, trial-major rows
 @pytest.mark.parametrize("edit", [
     _duplicated_row,
@@ -176,11 +184,14 @@ def _rows_dropped(column, value):
     _rows_dropped(0, "2"),  # the last trial
     _rows_dropped(3, "2"),  # the last channel of every trial
     _rows_dropped(4, "7"),  # the last sample of every channel
+    _trial_ids_mapped([-4, 1, 9]),  # three distinct ids, not 0..2
+    _cell_changed(0, "3", row=47),  # in place of trial 2, the last trial
 ], ids=["duplicated-row", "duplicate-over-another", "missing-sample",
         "label-changes", "session-changes", "5-columns", "7-columns",
         "header-only", "sample-index-below-0", "channel-below-1",
         "fewer-trials-than-sidecar", "fewer-channels-than-sidecar",
-        "fewer-samples-than-sidecar"])
+        "fewer-samples-than-sidecar", "trial-ids-not-0-to-2",
+        "trial-id-equals-n-trials"])
 def test_dataset_rejects_malformed_rows(tmp_path, edit):
     path, lines = _pinned_lines(tmp_path)
     _write_lines(path, [lines[0]] + edit(lines[1:]))
@@ -273,6 +284,59 @@ def test_dataset_requires_sidecar(tmp_path):
     os.remove(fileio.meta_path(path))
     with pytest.raises(ValueError, match="sidecar"):
         fileio.read_dataset(path)
+
+
+# 10**15 trials would be a cube of ~128 PB, which no allocator can make: a
+# reader that trusted the count would raise MemoryError, not ValueError
+@pytest.mark.parametrize("key,value", [
+    ("n_trials", "1000000000000000"),
+    ("n_channels", "2.5"),
+    ("n_samples", "abc"),
+    ("n_trials", "0"),
+])
+def test_dataset_sidecar_counts_checked_before_allocation(tmp_path, key, value):
+    path, _ = _pinned_lines(tmp_path)
+    side = Path(fileio.meta_path(str(path)))
+    lines = side.read_text().splitlines()
+    edited = [
+        f"{key}={value}" if line.startswith(f"{key}=") else line for line in lines
+    ]
+    assert edited != lines
+    _write_lines(side, edited)
+    with pytest.raises(ValueError, match="sidecar"):
+        fileio.read_dataset(str(path))
+
+
+@pytest.mark.parametrize("extra,match", [
+    ("seed=5", "duplicate key"),
+    ("just some words", "key=value"),
+])
+def test_dataset_sidecar_rejects_duplicate_and_garbage_lines(tmp_path, extra, match):
+    path, _ = _pinned_lines(tmp_path)
+    side = Path(fileio.meta_path(str(path)))
+    _write_lines(side, side.read_text().splitlines() + [extra])
+    with pytest.raises(ValueError, match=match):
+        fileio.read_dataset(str(path))
+
+
+def test_dataset_read_memory_is_one_cube_plus_one_trial(tmp_path):
+    # tracemalloc sees numpy's buffers; a reader holding every row at once
+    # (48 bytes a row against the cube's 8 per sample) peaks at ~6x the cube
+    values = np.random.default_rng(3).normal(size=(64, 2, 100))
+    trials = [
+        Trial(channels=v, label=i % 4 + 1, session=i % 2 + 1)
+        for i, v in enumerate(values)
+    ]
+    path = str(tmp_path / "ds.csv")
+    fileio.write_dataset(LabeledDataset(trials=trials, n_classes=4), path)
+    tracemalloc.start()
+    try:
+        back = fileio.read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(t.channels, v) for t, v in zip(back.trials, values))
+    assert peak < 3 * values.nbytes
 
 
 def test_dataset_header_checked(tmp_path):
