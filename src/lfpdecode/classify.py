@@ -378,8 +378,9 @@ def _channel_feature_rows(rows: np.ndarray, config: PipelineConfig) -> np.ndarra
 
 def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> np.ndarray:
     """Pre-PCA feature matrix for a whole dataset, (n_trials, dim)."""
-    stacked = np.vstack([t.channels for t in dataset.trials])
-    per_channel = _channel_feature_rows(stacked, config)
+    # one row per channel of every trial; a view of a C-ordered cube
+    rows = dataset.cube.reshape(-1, dataset.n_samples)
+    per_channel = _channel_feature_rows(rows, config)
     feats = per_channel.reshape(dataset.n_trials, -1)
     if config.magnitude_only:
         feats = magnitude_features(feats, config.channel_width)
@@ -593,8 +594,8 @@ def cross_validate(
     features = dataset_feature_matrix(dataset, config)
     return cross_validate_features(
         features,
-        dataset.labels(),
-        dataset.session_ids(),
+        dataset.labels,
+        dataset.session_ids,
         dataset.n_classes,
         scheme=scheme,
         components=config.components,
@@ -711,8 +712,8 @@ def grid_search(
         reports = _cross_validate_scaled(
             coeffs,
             scalings,
-            dataset.labels(),
-            dataset.session_ids(),
+            dataset.labels,
+            dataset.session_ids,
             dataset.n_classes,
             scheme,
             [int(p) for p in components],

@@ -364,17 +364,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         if both:
             raise ValueError("; ".join(both))
     dataset = fileio.read_dataset(args.dataset)
-    if pipeline == "bjs":
-        config = PipelineConfig.bjs(
-            dataset.n_samples,
-            pass_limit=cfg["pipeline.block_limit"],
-            components=components,
-            ridge=ridge,
-        )
-        report = cross_validate(dataset, config, scheme=scheme)
-        rows = [("-", config.label, components, report.overall_accuracy)]
-        best_label = config.label
-    elif grid_requested:
+    if grid_requested:
         truncations = cfg["grid.truncations"] or [cfg["pipeline.truncation"]]
         comp_grid = cfg["grid.components"] or [components]
         spec = None
@@ -403,15 +393,22 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         report = result.best_report
         best_label = result.best_config.label
     else:
-        profile = _full_band_profile(cfg["pipeline.truncation"])
-        config = PipelineConfig(
-            dataset.n_samples, profile, components=components, ridge=ridge
-        )
+        if pipeline == "bjs":
+            truncation = "-"
+            config = PipelineConfig.bjs(
+                dataset.n_samples,
+                pass_limit=cfg["pipeline.block_limit"],
+                components=components,
+                ridge=ridge,
+            )
+        else:
+            truncation = cfg["pipeline.truncation"]
+            config = PipelineConfig(
+                dataset.n_samples, _full_band_profile(truncation),
+                components=components, ridge=ridge,
+            )
         report = cross_validate(dataset, config, scheme=scheme)
-        rows = [
-            (cfg["pipeline.truncation"], config.label, components,
-             report.overall_accuracy)
-        ]
+        rows = [(truncation, config.label, components, report.overall_accuracy)]
         best_label = config.label
 
     fileio.write_table(
@@ -598,8 +595,7 @@ def _experiment_consistency(cfg: dict, out_dir: str) -> int:
 
 
 def _experiment_phase(cfg: dict, out_dir: str) -> int:
-    synth_cfg = dict(cfg)
-    dataset = _build_dataset(synth_cfg)
+    dataset = _build_dataset(cfg)
     profile = _full_band_profile(cfg["pipeline.truncation"])
     config = PipelineConfig(
         dataset.n_samples,

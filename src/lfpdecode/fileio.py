@@ -3,9 +3,10 @@ single-channel signal CSV, generic result tables, and flat config files.
 
 All floats are written with 17 significant digits so values round-trip
 exactly, and every write lands atomically (temp file + rename).  The
-dataset writer formats each trial's rows in one ``%`` call, with the same
-bytes as :func:`fmt_float` on each value; the reader parses one trial's
-rows at a time into a cube sized from the sidecar.  Key columns (every
+dataset writer formats each trial's rows of the dataset's cube in one
+``%`` call, with the same bytes as :func:`fmt_float` on each value; the
+reader parses one trial's rows at a time into a cube sized from the
+sidecar and returns the dataset holding that cube.  Key columns (every
 column of a dataset or signal CSV but the value) must be integer
 literals: ``1.0`` is rejected like ``1.7``.
 """
@@ -19,7 +20,7 @@ import secrets
 
 import numpy as np
 
-from .synth import LabeledDataset, Trial
+from .synth import LabeledDataset
 
 __all__ = [
     "fmt_float",
@@ -102,10 +103,11 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
     with _replacing(path) as handle:
         handle.write(DATASET_HEADER + "\n")
         # one trial at a time keeps memory flat in the number of trials
-        for tid, trial in enumerate(dataset.trials):
-            head = f"{tid},{trial.session},{trial.label},"
+        rows = zip(dataset.cube, dataset.session_ids.tolist(), dataset.labels.tolist())
+        for tid, (channels, session, label) in enumerate(rows):
+            head = f"{tid},{session},{label},"
             template = head + head.join(keys)
-            handle.write(template % tuple(trial.channels.ravel().tolist()))
+            handle.write(template % tuple(channels.ravel().tolist()))
 
     meta = {
         "n_trials": dataset.n_trials,
@@ -215,7 +217,7 @@ def read_dataset(path: str) -> LabeledDataset:
     sample indices in 0..n_samples-1, with each (trial, channel, sample)
     given exactly once and one label and session per trial.  Rows are
     parsed one trial's worth at a time, so memory is the cube plus one
-    trial's rows.
+    trial's rows; the returned dataset holds that cube itself.
     """
     with open(path) as handle:
         line = _first_row(handle, DATASET_HEADER, "dataset")
@@ -256,12 +258,10 @@ def read_dataset(path: str) -> LabeledDataset:
         raise ValueError("inconsistent label or session within a trial")
 
     labels, sessions = low
-    trials = [
-        Trial(channels=cube[i], label=int(labels[i]), session=int(sessions[i]))
-        for i in range(n_trials)
-    ]
     return LabeledDataset(
-        trials=trials,
+        cube=cube,
+        labels=labels,
+        session_ids=sessions,
         n_classes=int(meta.pop("n_classes", labels.max())),
         seed=int(meta.pop("seed", 0)),
         params=meta,

@@ -1,10 +1,15 @@
 """Synthetic data: smooth random functions, separated class geometries, and
-noisy multichannel trial generation with reproducible, splittable seeding."""
+noisy multichannel trial generation with reproducible, splittable seeding.
+
+A :class:`LabeledDataset` holds its samples once, as one (n_trials,
+n_channels, n_samples) cube with a label and a session array beside it;
+:func:`generate_dataset` fills that cube in place."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -313,75 +318,64 @@ def make_magnitude_class_model(
     )
 
 
-@dataclass(frozen=True)
-class Trial:
-    """One multichannel recording: ``channels`` is (n_channels, n_samples)."""
+class Trial(NamedTuple):
+    """One trial of a dataset: ``channels`` is its (n_channels, n_samples) view."""
 
     channels: np.ndarray
     label: int
     session: int
 
-    def __post_init__(self) -> None:
-        channels = np.asarray(self.channels, dtype=float)
-        if channels.ndim != 2 or channels.size == 0:
-            raise ValueError("channels must be a nonempty (channels, samples) matrix")
-        if not np.all(np.isfinite(channels)):
-            raise ValueError("channel samples must be finite")
-        if self.label < 1:
-            raise ValueError("labels are 1-based")
-        if self.session < 1:
-            raise ValueError("sessions are 1-based")
-        object.__setattr__(self, "channels", channels)
-
-    @property
-    def n_channels(self) -> int:
-        return int(self.channels.shape[0])
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.channels.shape[1])
-
 
 @dataclass
 class LabeledDataset:
-    """A list of labeled trials with shared shape plus generator metadata."""
+    """A (n_trials, n_channels, n_samples) sample cube with one label and
+    one session per trial, plus generator metadata."""
 
-    trials: list[Trial]
+    cube: np.ndarray
+    labels: np.ndarray
+    session_ids: np.ndarray
     n_classes: int
     seed: int = 0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.trials:
-            raise ValueError("dataset must contain at least one trial")
-        shape = self.trials[0].channels.shape
-        for t in self.trials:
-            if t.channels.shape != shape:
-                raise ValueError("all trials must share the channel/sample shape")
-            if t.label > self.n_classes:
-                raise ValueError("trial label exceeds n_classes")
+        self.cube = np.asarray(self.cube, dtype=float)
+        self.labels = np.asarray(self.labels, dtype=int)
+        self.session_ids = np.asarray(self.session_ids, dtype=int)
+        if self.cube.ndim != 3 or self.cube.size == 0:
+            raise ValueError("cube must be a nonempty (trial, channel, sample) array")
+        if not np.isfinite(self.cube).all():
+            raise ValueError("channel samples must be finite")
+        per_trial = self.cube.shape[:1]
+        if self.labels.shape != per_trial or self.session_ids.shape != per_trial:
+            raise ValueError("labels and session_ids need one entry per trial")
+        if self.labels.min() < 1 or self.labels.max() > self.n_classes:
+            raise ValueError("labels must lie in 1..n_classes")
+        if self.session_ids.min() < 1:
+            raise ValueError("sessions are 1-based")
 
     @property
     def n_trials(self) -> int:
-        return len(self.trials)
+        return int(self.cube.shape[0])
 
     @property
     def n_channels(self) -> int:
-        return self.trials[0].n_channels
+        return int(self.cube.shape[1])
 
     @property
     def n_samples(self) -> int:
-        return self.trials[0].n_samples
+        return int(self.cube.shape[2])
 
     @property
     def sessions(self) -> list[int]:
-        return sorted({t.session for t in self.trials})
+        return np.unique(self.session_ids).tolist()
 
-    def labels(self) -> np.ndarray:
-        return np.array([t.label for t in self.trials], dtype=int)
-
-    def session_ids(self) -> np.ndarray:
-        return np.array([t.session for t in self.trials], dtype=int)
+    @property
+    def trials(self) -> list[Trial]:
+        # per-trial views of the cube; perfbench's _same_dataset compares
+        # datasets through them
+        rows = zip(self.cube, self.labels.tolist(), self.session_ids.tolist())
+        return [Trial(*row) for row in rows]
 
 
 def perturb_within_class(
@@ -452,17 +446,14 @@ def generate_dataset(
         total, dtype=np.uint64
     )
     phi = basis_matrix(count, np.arange(n_samples) / n_samples)
-    trials = []
-    for index, trial_seed in enumerate(trial_seeds.tolist()):
-        label = index // trials_per_class + 1
-        channels = np.empty((n_channels, n_samples))
+    labels = np.repeat(np.arange(1, model.n_classes + 1), trials_per_class)
+    cube = np.empty((total, n_channels, n_samples))
+    # each trial's channels are written into its view of the cube
+    for trial_seed, label, channels in zip(trial_seeds.tolist(), labels.tolist(), cube):
         for c in range(n_channels):
             rng = stream_rng(trial_seed, noise.seed, key=(c,))
             theta = perturb_within_class(model, label, rng)
             channels[c] = theta @ phi + noise.sigma * rng.standard_normal(n_samples)
-        trials.append(
-            Trial(channels=channels, label=label, session=index % n_sessions + 1)
-        )
     params = {
         "alpha": model.spec.alpha,
         "radius": model.spec.radius,
@@ -474,6 +465,5 @@ def generate_dataset(
         "trials_per_class": trials_per_class,
         "n_sessions": n_sessions,
     }
-    return LabeledDataset(
-        trials=trials, n_classes=model.n_classes, seed=int(seed), params=params
-    )
+    sessions = np.arange(total) % n_sessions + 1
+    return LabeledDataset(cube, labels, sessions, model.n_classes, int(seed), params)

@@ -5,6 +5,8 @@ the covariance, Gaussian log-density Bayes rule) rather than against their
 own internals.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -30,7 +32,6 @@ from lfpdecode.synth import (
     ClassModel,
     LabeledDataset,
     NoiseModel,
-    Trial,
     generate_dataset,
     make_class_model,
 )
@@ -263,7 +264,7 @@ def test_pinsker_features_match_manual_transform():
     profile = ShrinkageProfile(factors, 2, label="test")
     config = PipelineConfig(64, profile, components=0)
     feats = dataset_feature_matrix(ds, config)
-    manual = transform_rows(ds.trials[0].channels, 2)[:, :5] * factors
+    manual = transform_rows(ds.cube[0], 2)[:, :5] * factors
     assert_allclose(feats[0], manual.reshape(-1), rtol=1e-12)
 
 
@@ -293,9 +294,25 @@ def test_dataset_feature_matrix_stacks_trials():
     config = PipelineConfig(64, profile, components=0)
     feats = dataset_feature_matrix(ds, config)
     assert feats.shape == (6, 14)
-    for i, trial in enumerate(ds.trials):
-        assert_allclose(feats[i], transform_rows(trial.channels, 3).reshape(-1),
+    for i, channels in enumerate(ds.cube):
+        assert_allclose(feats[i], transform_rows(channels, 3).reshape(-1),
                         rtol=1e-12)
+
+
+def test_dataset_feature_matrix_makes_no_copy_of_the_cube():
+    # the channel rows are a view of the cube: only the transform's
+    # (rows, 2T+1) output and its basis matrix are allocated
+    model = make_class_model(2, SPEC, 3, 0.5, 0.1, seed=4)
+    ds = generate_dataset(model, 32, 8, 512, 2, NoiseModel(0.3), seed=5)
+    config = PipelineConfig(512, ShrinkageProfile(np.ones(11), 5, "raw"))
+    tracemalloc.start()
+    try:
+        feats = dataset_feature_matrix(ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feats.shape == (64, 8 * 11)
+    assert peak < ds.cube.nbytes / 2
 
 
 def _blob_features(rng, n_per_class=12, k=3, d=4, sep=6.0):
@@ -459,9 +476,7 @@ def test_fold_loop_matches_reference_with_zero_columns():
     # the same data as a dataset: mask[1:2] zeroes 3 columns, so P = 4
     # keeps 2 null components and the ridge must still divide by 4
     phi = basis_matrix(5, np.arange(64) / 64)
-    ds = LabeledDataset(
-        [Trial((t @ phi)[None, :], int(c), int(s)) for t, c, s in zip(theta, y, g)], 2
-    )
+    ds = LabeledDataset((theta @ phi)[:, None, :], y, g, 2)
     result = grid_search(ds, truncations=(2,), components=(4,), low_pass_only=True)
     masks = {p.label: p for p in shrinkage_patterns(2, low_pass_only=True)}
     assert [row.pattern for row in result.rows] == list(masks)
@@ -528,7 +543,7 @@ def test_grid_rows_equal_per_profile_cross_validation():
                                 components=row.components)
         report = cross_validate(ds, config)
         confusion, notes = _reference_cross_validate(
-            dataset_feature_matrix(ds, config), ds.labels(), ds.session_ids(), 3,
+            dataset_feature_matrix(ds, config), ds.labels, ds.session_ids, 3,
             components=row.components,
         )
         assert row.accuracy == report.overall_accuracy

@@ -7,14 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lfpdecode import fileio
 from lfpdecode.shrinkage import EllipsoidSpec
 from lfpdecode.synth import (
     LabeledDataset,
     NoiseModel,
-    Trial,
     generate_dataset,
     make_class_model,
 )
@@ -52,9 +51,9 @@ def test_dataset_roundtrip(tmp_path):
     back = fileio.read_dataset(path)
     assert back.n_trials == ds.n_trials
     assert back.n_classes == ds.n_classes
-    for ta, tb in zip(ds.trials, back.trials):
-        assert_allclose(tb.channels, ta.channels)  # exact via 17-digit floats
-        assert tb.label == ta.label and tb.session == ta.session
+    assert_allclose(back.cube, ds.cube)  # exact via 17-digit floats
+    assert_array_equal(back.labels, ds.labels)
+    assert_array_equal(back.session_ids, ds.session_ids)
     assert back.params["sigma"] == 0.3
     assert back.params["alpha"] == 2.0
 
@@ -64,11 +63,8 @@ def _pinned_dataset():
     # rounded, so these values (and the pinned digests) match on every platform
     grid = np.arange(3 * 2 * 8, dtype=float).reshape(3, 2, 8)
     values = (grid - 20.0) ** 3 / 7.0 + 1.0 / (grid + 3.0)
-    trials = [
-        Trial(channels=values[i], label=i % 2 + 1, session=i + 1) for i in range(3)
-    ]
     return LabeledDataset(
-        trials=trials, n_classes=2, seed=4,
+        cube=values, labels=[1, 2, 1], session_ids=[1, 2, 3], n_classes=2, seed=4,
         params={"sigma": 0.3, "geometry": "random"},
     )
 
@@ -116,10 +112,9 @@ def _write_lines(path, lines):
 
 def _assert_same_dataset(a, b):
     assert (a.n_classes, a.seed, a.params) == (b.n_classes, b.seed, b.params)
-    assert a.n_trials == b.n_trials
-    for ta, tb in zip(a.trials, b.trials):
-        assert np.array_equal(ta.channels, tb.channels)
-        assert (ta.label, ta.session) == (tb.label, tb.session)
+    assert_array_equal(a.cube, b.cube)
+    assert_array_equal(a.labels, b.labels)
+    assert_array_equal(a.session_ids, b.session_ids)
 
 
 def test_dataset_rows_read_back_in_any_order(tmp_path):
@@ -224,24 +219,21 @@ def test_dataset_writer_matches_per_value_formatting(tmp_path):
     wide[0, 0, ::2] = EDGE_VALUES
     wide[2, 2, ::2] = EDGE_VALUES[::-1]
     # every other sample of every other channel: a non-contiguous view
-    trials = [
-        Trial(channels=wide[i, ::2, ::2], label=i + 1, session=3 - i)
-        for i in range(3)
-    ]
-    assert not trials[0].channels.flags.c_contiguous
-    # Trial rejects non-finite samples; write them into the array afterwards
-    # so the formatter still sees them
-    trials[1].channels[0, 0] = np.inf
-    trials[1].channels[1, 1] = -np.inf
-    trials[1].channels[0, 1] = np.nan
-    ds = LabeledDataset(trials=trials, n_classes=3, seed=2)
+    ds = LabeledDataset(cube=wide[:, ::2, ::2], labels=[1, 2, 3],
+                        session_ids=[3, 2, 1], n_classes=3, seed=2)
+    assert not ds.cube.flags.c_contiguous
+    # the dataset rejects non-finite samples; write them into its cube
+    # afterwards so the formatter still sees them
+    ds.cube[1, 0, 0] = np.inf
+    ds.cube[1, 1, 1] = -np.inf
+    ds.cube[1, 0, 1] = np.nan
     expected = [fileio.DATASET_HEADER]
-    for tid, trial in enumerate(ds.trials):
-        for ch, row in enumerate(trial.channels, start=1):
+    for tid, channels in enumerate(ds.cube):
+        session, label = ds.session_ids[tid], ds.labels[tid]
+        for ch, row in enumerate(channels, start=1):
             for s, v in enumerate(row):
                 expected.append(
-                    f"{tid},{trial.session},{trial.label},{ch},{s},"
-                    f"{fileio.fmt_float(v)}"
+                    f"{tid},{session},{label},{ch},{s},{fileio.fmt_float(v)}"
                 )
     path = tmp_path / "ds.csv"
     fileio.write_dataset(ds, str(path))
@@ -323,19 +315,18 @@ def test_dataset_read_memory_is_one_cube_plus_one_trial(tmp_path):
     # tracemalloc sees numpy's buffers; a reader holding every row at once
     # (48 bytes a row against the cube's 8 per sample) peaks at ~6x the cube
     values = np.random.default_rng(3).normal(size=(64, 2, 100))
-    trials = [
-        Trial(channels=v, label=i % 4 + 1, session=i % 2 + 1)
-        for i, v in enumerate(values)
-    ]
+    index = np.arange(64)
     path = str(tmp_path / "ds.csv")
-    fileio.write_dataset(LabeledDataset(trials=trials, n_classes=4), path)
+    fileio.write_dataset(
+        LabeledDataset(values, index % 4 + 1, index % 2 + 1, n_classes=4), path
+    )
     tracemalloc.start()
     try:
         back = fileio.read_dataset(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(np.array_equal(t.channels, v) for t, v in zip(back.trials, values))
+    assert_array_equal(back.cube, values)
     assert peak < 3 * values.nbytes
 
 

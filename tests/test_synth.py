@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lfpdecode.shrinkage import EllipsoidSpec, ellipsoid_weights
 from lfpdecode.synth import (
     ClassConstructionError,
     ClassModel,
+    LabeledDataset,
     NoiseModel,
     _min_interclass_distance,
     generate_dataset,
@@ -102,23 +103,24 @@ def test_perturbation_zero_spread_returns_prototype():
 def test_generate_trial_shape_and_determinism():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=3)
     noise = NoiseModel(sigma=0.5, seed=9)
-    t1 = generate_dataset(model, 1, 4, 64, 1, noise, seed=77).trials[1]
-    t2 = generate_dataset(model, 1, 4, 64, 1, noise, seed=77).trials[1]
-    assert t1.label == 2
-    assert t1.channels.shape == (4, 64)
-    assert_allclose(t1.channels, t2.channels)
-    t3 = generate_dataset(model, 1, 4, 64, 1, noise, seed=78).trials[1]
-    assert not np.allclose(t1.channels, t3.channels)
+    ds = generate_dataset(model, 1, 4, 64, 1, noise, seed=77)
+    t1 = ds.cube[1]
+    t2 = generate_dataset(model, 1, 4, 64, 1, noise, seed=77).cube[1]
+    assert ds.labels[1] == 2
+    assert t1.shape == (4, 64)
+    assert_allclose(t1, t2)
+    t3 = generate_dataset(model, 1, 4, 64, 1, noise, seed=78).cube[1]
+    assert not np.allclose(t1, t3)
     # channels carry independent noise
-    assert not np.allclose(t1.channels[0], t1.channels[1])
+    assert not np.allclose(t1[0], t1[1])
 
 
 def test_generate_trial_noise_seed_changes_noise():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=3)
     a = generate_dataset(model, 1, 1, 64, 1, NoiseModel(sigma=0.5, seed=0), seed=5)
     b = generate_dataset(model, 1, 1, 64, 1, NoiseModel(sigma=0.5, seed=1), seed=5)
-    for ta, tb in zip(a.trials, b.trials):
-        assert not np.allclose(ta.channels, tb.channels)
+    for ta, tb in zip(a.cube, b.cube):
+        assert not np.allclose(ta, tb)
 
 
 def test_generate_trial_needs_enough_samples():
@@ -131,10 +133,10 @@ def test_dataset_is_balanced_and_sessions_cycle():
     model = make_class_model(4, SPEC, 3, 0.5, 0.1, seed=4)
     ds = generate_dataset(model, 7, 2, 64, 3, NoiseModel(sigma=0.3), seed=5)
     assert ds.n_trials == 28
-    labels = ds.labels()
+    labels = ds.labels
     for k in range(1, 5):
         assert int(np.sum(labels == k)) == 7
-    sessions = ds.session_ids()
+    sessions = ds.session_ids
     counts = [int(np.sum(sessions == s)) for s in (1, 2, 3)]
     assert max(counts) - min(counts) <= 1
     assert ds.params["trials_per_class"] == 7
@@ -144,9 +146,9 @@ def test_dataset_generation_is_deterministic():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=6)
     a = generate_dataset(model, 2, 2, 64, 2, NoiseModel(sigma=0.4), seed=8)
     b = generate_dataset(model, 2, 2, 64, 2, NoiseModel(sigma=0.4), seed=8)
-    for ta, tb in zip(a.trials, b.trials):
-        assert_allclose(ta.channels, tb.channels)
-        assert ta.label == tb.label and ta.session == tb.session
+    assert_allclose(a.cube, b.cube)
+    assert_array_equal(a.labels, b.labels)
+    assert_array_equal(a.session_ids, b.session_ids)
 
 
 def test_phase_classes_share_magnitudes():
@@ -192,3 +194,37 @@ def test_magnitude_classes_are_cosine_ladder():
 def test_magnitude_model_too_wide_raises():
     with pytest.raises(ClassConstructionError):
         make_magnitude_class_model(8, EllipsoidSpec(2.0, 0.2), 5, 2.0, 0.02, seed=0)
+
+
+def _dataset_args(value=1.0):
+    cube = np.ones((3, 2, 8))
+    cube[1, 0, 4] = value
+    return dict(cube=cube, labels=[1, 2, 1], session_ids=[1, 1, 2], n_classes=2)
+
+
+@pytest.mark.parametrize("change,match", [
+    (dict(cube=np.ones((3, 8))), "nonempty"),
+    (dict(cube=np.ones((0, 2, 8)), labels=[], session_ids=[]), "nonempty"),
+    (_dataset_args(np.nan), "finite"),
+    (_dataset_args(np.inf), "finite"),
+    (dict(labels=[1, 0, 1]), "1..n_classes"),
+    (dict(labels=[1, 3, 1]), "1..n_classes"),
+    (dict(session_ids=[1, 0, 2]), "1-based"),
+    (dict(labels=[1, 2]), "one entry per trial"),
+    (dict(session_ids=[1, 1, 2, 2]), "one entry per trial"),
+], ids=["2-d-cube", "empty-cube", "nan-sample", "inf-sample", "label-0",
+        "label-above-n-classes", "session-0", "short-labels", "long-sessions"])
+def test_dataset_rejects_invalid_contents(change, match):
+    LabeledDataset(**_dataset_args())
+    with pytest.raises(ValueError, match=match):
+        LabeledDataset(**{**_dataset_args(), **change})
+
+
+def test_dataset_trials_are_views_of_the_cube():
+    ds = LabeledDataset(**_dataset_args(5.0))
+    assert (ds.n_trials, ds.n_channels, ds.n_samples) == (3, 2, 8)
+    assert ds.sessions == [1, 2]
+    assert [(t.label, t.session) for t in ds.trials] == [(1, 1), (2, 1), (1, 2)]
+    for trial, channels in zip(ds.trials, ds.cube):
+        assert np.shares_memory(trial.channels, ds.cube)
+        assert_array_equal(trial.channels, channels)
