@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lfpdecode.basis import basis_matrix
 from lfpdecode.shrinkage import EllipsoidSpec, ellipsoid_weights
 from lfpdecode.synth import (
     ClassConstructionError,
@@ -228,3 +229,84 @@ def test_dataset_trials_are_views_of_the_cube():
     for trial, channels in zip(ds.trials, ds.cube):
         assert np.shares_memory(trial.channels, ds.cube)
         assert_array_equal(trial.channels, channels)
+
+
+def _per_channel_reference(model, trials_per_class, n_channels, n_samples, noise, seed):
+    """The dataset rule spelled out one channel at a time with numpy alone:
+    one default_rng per (trial seed, noise seed, channel) and the
+    prototype-plus-ball perturbation, halved until inside the ellipsoid.
+    Returns the cube and how many halvings it took."""
+    total = model.n_classes * trials_per_class
+    trial_seeds = np.random.SeedSequence(seed % 2**64).generate_state(
+        total, dtype=np.uint64
+    )
+    count = 2 * model.truncation + 1
+    phi = basis_matrix(count, np.arange(n_samples) / n_samples)
+    a2 = ellipsoid_weights(model.spec, count) ** 2
+    budget = model.spec.radius**2 + 1e-12
+    labels = np.repeat(np.arange(1, model.n_classes + 1), trials_per_class)
+    cube = np.empty((total, n_channels, n_samples))
+    halvings = 0
+    for t, (trial_seed, label) in enumerate(zip(trial_seeds.tolist(), labels)):
+        for c in range(n_channels):
+            seq = np.random.SeedSequence(
+                [trial_seed, noise.seed % 2**64], spawn_key=(c,)
+            )
+            rng = np.random.default_rng(seq)
+            protos = model.prototypes[label - 1]
+            if len(protos) == 1:
+                base = protos[0]
+            else:
+                base = protos[rng.integers(len(protos))]
+            theta = base.copy()
+            if model.within_spread > 0.0:
+                direction = rng.standard_normal(count)
+                norm = float(np.linalg.norm(direction))
+                if norm > 0.0:
+                    radius = model.within_spread * rng.uniform() ** (1.0 / count)
+                    delta = direction * (radius / norm)
+                    for _ in range(200):
+                        if float(np.sum(a2 * (base + delta) ** 2)) <= budget:
+                            theta = base + delta
+                            break
+                        delta *= 0.5
+                        halvings += 1
+            cube[t, c] = theta @ phi + noise.sigma * rng.standard_normal(n_samples)
+    return cube, halvings
+
+
+def _two_prototype_model():
+    # four well-separated prototypes, two per class
+    protos = make_class_model(4, SPEC, 3, 0.5, 0.1, seed=13).prototypes
+    return ClassModel(
+        (np.vstack(protos[:2]), np.vstack(protos[2:])), 0.5, 0.1, SPEC, 3
+    )
+
+
+@pytest.mark.parametrize("case", [
+    "loso-geometry", "zero-spread", "noise-seed-0", "noise-seed-2**40",
+    "noise-seed-negative", "two-prototypes",
+])
+def test_generate_dataset_matches_per_channel_streams(case):
+    sizes = dict(trials_per_class=2, n_channels=3, n_samples=64)
+    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=4)
+    noise = NoiseModel(sigma=0.5, seed=0)
+    if case == "loso-geometry":
+        # the benchmark's sigma = 24 geometry; its prototype 8 lies at 98% of
+        # the ellipsoid budget, so some perturbations need halving
+        model = make_class_model(8, SPEC, 5, 0.5, 0.1, seed=2)
+        sizes = dict(trials_per_class=3, n_channels=32, n_samples=500)
+        noise = NoiseModel(sigma=24.0, seed=2)
+    elif case == "zero-spread":
+        model = make_class_model(3, SPEC, 3, 0.5, 0.0, seed=4)
+    elif case == "two-prototypes":
+        model = _two_prototype_model()
+    elif case == "noise-seed-2**40":
+        noise = NoiseModel(sigma=0.5, seed=2**40)
+    elif case == "noise-seed-negative":
+        noise = NoiseModel(sigma=0.5, seed=-3)
+    ds = generate_dataset(model, n_sessions=2, noise=noise, seed=3, **sizes)
+    expected, halvings = _per_channel_reference(model, noise=noise, seed=3, **sizes)
+    assert np.array_equal(ds.cube, expected)
+    if case == "loso-geometry":
+        assert halvings > 0
