@@ -32,6 +32,14 @@ __all__ = [
 ]
 
 _U64 = 2**64
+_M32 = 2**32 - 1
+# numpy's SeedSequence: pool words, hash constants and mixing multipliers
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # prototype draws make_class_model tries before giving up
 _MAX_ATTEMPTS = 4000
 # the phase and magnitude geometries clear the separation floor by 5%
@@ -61,13 +69,90 @@ class NoiseModel:
 def stream_rng(*entropy: int, key: tuple[int, ...] = ()) -> np.random.Generator:
     """Deterministic generator from an entropy tuple and a spawn key.
 
+    Its draws equal those of ``default_rng(SeedSequence([e % 2**64 for e
+    in entropy], spawn_key=key))``; the state comes from the same batched
+    derivation that seeds every channel of :func:`generate_dataset`.
     Distinct (entropy, key) pairs give statistically independent streams,
     so per-trial and per-channel draws never overlap.
     """
-    seq = np.random.SeedSequence(
-        [int(e) % _U64 for e in entropy], spawn_key=tuple(int(k) for k in key)
-    )
-    return np.random.default_rng(seq)
+    (state,), (inc,) = _pcg64_states(np.array([_entropy_words(entropy, key)]))
+    bitgen = np.random.PCG64(0)
+    _set_pcg64(bitgen, state, inc)
+    return np.random.Generator(bitgen)
+
+
+def _int_words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence splits an int into."""
+    if value < 0:
+        raise ValueError("seed words must be nonnegative")
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _entropy_words(entropy, key=()) -> list[int]:
+    """SeedSequence's assembled entropy: the words of each entropy int mod
+    2**64, zero-padded to the pool size, then the words of the spawn key.
+
+    Padding a keyless entropy changes nothing, since SeedSequence hashes a
+    missing pool word as a zero word."""
+    words = [w for e in entropy for w in _int_words(int(e) % _U64)]
+    words += [0] * (_POOL - len(words))
+    return words + [w for k in key for w in _int_words(int(k))]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays, its constant advancing by
+    ``mult`` on every call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
+    """The (state, inc) of ``PCG64(SeedSequence(...))`` for every row of
+    assembled entropy words (:func:`_entropy_words`, one row per stream),
+    derived for all rows in one pass of uint32 array arithmetic."""
+    words = words.astype(np.uint32)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, words.shape[1]):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(words[:, src]))
+    # generate_state(4, np.uint64): eight words drawn cyclically from the pool
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = np.column_stack([hashmix(pool[i % _POOL]) for i in range(8)])
+    seed = out.astype("<u4").view("<u8").astype(object)
+    # PCG64's seeding step: two LCG steps from state 0, adding the seed between
+    mask = 2**128 - 1
+    inc = ((seed[:, 2] << 64 | seed[:, 3]) << 1 | 1) & mask
+    state = ((inc + (seed[:, 0] << 64 | seed[:, 1])) * _PCG_MULT + inc) & mask
+    return state.tolist(), inc.tolist()
+
+
+def _set_pcg64(bitgen: np.random.PCG64, state: int, inc: int) -> None:
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def sample_sobolev(
@@ -389,25 +474,52 @@ def perturb_within_class(
     """
     if not 1 <= label <= model.n_classes:
         raise ValueError("label out of range")
+    direction = np.zeros(2 * model.truncation + 1)
+    index, norm_sq, u = _draw_member(model, label, rng, direction)
+    base = model.prototypes[label - 1][index]
+    return _perturb_rows(model, base[None], direction[None], [norm_sq], [u])[0]
+
+
+def _draw_member(model: ClassModel, label: int, rng, direction: np.ndarray):
+    """Make one class member's draws, in stream order: the prototype index
+    (only if the class has several prototypes), then, unless within_spread
+    is 0, a standard normal ``direction`` (written in place) and, if that
+    is nonzero, the radius uniform.  Returns (index, |direction|^2, uniform).
+    """
     protos = model.prototypes[label - 1]
-    base = protos[0] if protos.shape[0] == 1 else protos[rng.integers(protos.shape[0])]
+    index = int(rng.integers(len(protos))) if len(protos) > 1 else 0
     if model.within_spread == 0.0:
-        return base.copy()
-    dim = base.size
-    direction = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
-        return base.copy()
-    radius = model.within_spread * rng.uniform() ** (1.0 / dim)
-    delta = direction * (radius / norm)
+        return index, 0.0, 0.0
+    rng.standard_normal(out=direction)
+    norm_sq = float(direction.dot(direction))
+    return index, norm_sq, rng.uniform() if norm_sq > 0.0 else 0.0
+
+
+def _perturb_rows(model: ClassModel, bases, directions, norms_sq, uniforms):
+    """Class members for many draws at once: each base row moved along its
+    direction by within_spread * u**(1/dim), the move halved until the row
+    lies inside the ellipsoid (at most 200 times, else the base is kept).
+    Rows with a zero direction keep their base."""
+    thetas = np.array(bases, dtype=float)
+    if model.within_spread == 0.0:
+        return thetas
+    dim = thetas.shape[1]
+    norms_sq = np.asarray(norms_sq)
+    moving = np.flatnonzero(norms_sq > 0.0)
+    # a Python float power: numpy's vectorised power rounds some values
+    # differently from the libm pow of a per-draw radius
+    radii = [model.within_spread * uniforms[i] ** (1.0 / dim) for i in moving]
+    delta = directions[moving] * (radii / np.sqrt(norms_sq[moving]))[:, None]
     a2 = model._weights_sq
     budget = model.spec.radius**2 + 1e-12
     for _ in range(200):
-        theta = base + delta
-        if float(np.sum(a2 * theta**2)) <= budget:
-            return theta
-        delta *= 0.5
-    return base.copy()
+        if not moving.size:
+            break
+        cand = thetas[moving] + delta
+        inside = (a2 * cand**2).sum(axis=1) <= budget
+        thetas[moving[inside]] = cand[inside]
+        moving, delta = moving[~inside], delta[~inside] * 0.5
+    return thetas
 
 
 def generate_dataset(
@@ -424,11 +536,21 @@ def generate_dataset(
     Trials are laid out class-major (all of class 1, then class 2, ...)
     and sessions cycle over the trial index, so session sizes differ by at
     most one and every class appears in nearly every session.  Each
-    channel of a trial perturbs the class prototype on its own, is
-    evaluated on the uniform grid l/n_samples and gets independent
-    N(0, sigma^2) sample noise, all from one stream keyed by the trial's
-    seed, noise.seed and the channel index.  The whole dataset is a pure
-    function of its arguments.
+    channel of a trial perturbs the class prototype on its own
+    (:func:`perturb_within_class`), is evaluated on the uniform grid
+    l/n_samples and gets independent N(0, sigma^2) sample noise.  The whole
+    dataset is a pure function of its arguments.
+
+    Stream contract: channel c of a trial draws from
+    ``default_rng(SeedSequence([trial_seed, noise.seed % 2**64],
+    spawn_key=(c,)))``, where the trial seeds are
+    ``SeedSequence(seed % 2**64).generate_state(n_trials, np.uint64)``.  Its
+    draws come in this order: the prototype index (only if the class has
+    more than one prototype), the perturbation direction (2T+1 standard
+    normals) and the radius uniform (both skipped when within_spread is
+    0), then the n_samples noise values.  All channel states are derived
+    in one batched pass and the perturbations are applied in one batch;
+    the data are the same as one stream and one perturbation at a time.
     """
     if trials_per_class < 1:
         raise ValueError("trials_per_class must be at least 1")
@@ -448,12 +570,33 @@ def generate_dataset(
     phi = basis_matrix(count, np.arange(n_samples) / n_samples)
     labels = np.repeat(np.arange(1, model.n_classes + 1), trials_per_class)
     cube = np.empty((total, n_channels, n_samples))
-    # each trial's channels are written into its view of the cube
-    for trial_seed, label, channels in zip(trial_seeds.tolist(), labels.tolist(), cube):
-        for c in range(n_channels):
-            rng = stream_rng(trial_seed, noise.seed, key=(c,))
-            theta = perturb_within_class(model, label, rng)
-            channels[c] = theta @ phi + noise.sigma * rng.standard_normal(n_samples)
+    rows = cube.reshape(-1, n_samples)
+    row_labels = np.repeat(labels, n_channels)
+    # one stream per (trial, channel): entropy [trial seed, noise seed], key (c,)
+    words = np.empty((len(rows), _POOL + 1), dtype=np.uint32)
+    run = [_entropy_words((t, noise.seed)) for t in trial_seeds.tolist()]
+    words[:, :_POOL] = np.repeat(run, n_channels, axis=0)
+    words[:, _POOL] = np.tile(np.arange(n_channels), total)
+    states, incs = _pcg64_states(words)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    directions = np.zeros((len(rows), count))
+    draws = []
+    # only the draws run per channel; the noise goes straight into its row
+    for state, inc, label, direction, row in zip(
+        states, incs, row_labels.tolist(), directions, rows
+    ):
+        _set_pcg64(bitgen, state, inc)
+        draws.append(_draw_member(model, label, rng, direction))
+        rng.standard_normal(out=row)
+    index, norms_sq, uniforms = zip(*draws)
+    first_row = np.cumsum([0] + [len(p) for p in model.prototypes])
+    bases = np.vstack(model.prototypes)[first_row[row_labels - 1] + index]
+    thetas = _perturb_rows(model, bases, directions, norms_sq, uniforms)
+    rows *= noise.sigma
+    # a per-row product: one matrix product over all rows rounds differently
+    for row, theta in zip(rows, thetas):
+        row += theta @ phi
     params = {
         "alpha": model.spec.alpha,
         "radius": model.spec.radius,

@@ -11,7 +11,9 @@ from lfpdecode.synth import (
     ClassModel,
     LabeledDataset,
     NoiseModel,
+    _entropy_words,
     _min_interclass_distance,
+    _pcg64_states,
     generate_dataset,
     make_class_model,
     make_magnitude_class_model,
@@ -310,3 +312,45 @@ def test_generate_dataset_matches_per_channel_streams(case):
     assert np.array_equal(ds.cube, expected)
     if case == "loso-geometry":
         assert halvings > 0
+
+
+# entropy of 1, 2, 3 and 4 assembled words: trial seeds below and above
+# 2**32, noise seeds 0 and above 2**32, one negative noise seed
+STREAM_ENTROPY = [(7,), (7, 0), (2**40 + 3, 0), (2**40 + 3, 2**33), (9, -3),
+                  (2**64 - 1, 2**63)]
+# the spawn keys experiments and generate_dataset use
+STREAM_KEYS = [(), (3,), (2, 5)]
+
+
+@pytest.mark.parametrize("key", STREAM_KEYS, ids=["no-key", "key-1", "key-2"])
+@pytest.mark.parametrize("entropy", STREAM_ENTROPY)
+def test_stream_state_matches_seed_sequence(entropy, key):
+    seq = np.random.SeedSequence([e % 2**64 for e in entropy], spawn_key=key)
+    (state,), (inc,) = _pcg64_states(np.array([_entropy_words(entropy, key)]))
+    expected = np.random.PCG64(seq).state["state"]
+    assert (state, inc) == (expected["state"], expected["inc"])
+    draws = stream_rng(*entropy, key=key)
+    reference = np.random.default_rng(seq)
+    assert_array_equal(draws.standard_normal(50), reference.standard_normal(50))
+    assert draws.uniform() == reference.uniform()
+    assert draws.integers(1000) == reference.integers(1000)
+
+
+def test_batched_stream_states_match_one_seed_sequence_per_row():
+    # the rows generate_dataset derives at once: random 64-bit trial seeds,
+    # a few of them below 2**32, times the channel key
+    trial_seeds = np.random.default_rng(0).integers(0, 2**64, 20, dtype=np.uint64)
+    trial_seeds[:3] = [0, 5, 2**32 - 1]
+    for noise_seed in (0, 2**40):
+        rows = [(int(t), noise_seed, c) for t in trial_seeds for c in range(4)]
+        words = np.array([_entropy_words(r[:2], key=r[2:]) for r in rows])
+        states, incs = _pcg64_states(words)
+        for (t, n, c), state, inc in zip(rows, states, incs):
+            seq = np.random.SeedSequence([t, n], spawn_key=(c,))
+            expected = np.random.PCG64(seq).state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"])
+
+
+def test_stream_key_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        stream_rng(1, key=(-1,))
