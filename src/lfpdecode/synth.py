@@ -73,7 +73,8 @@ def stream_rng(*entropy: int, key: tuple[int, ...] = ()) -> np.random.Generator:
     in entropy], spawn_key=key))``; the state comes from the same batched
     derivation that seeds every channel of :func:`generate_dataset`.
     Distinct (entropy, key) pairs give statistically independent streams,
-    so per-trial and per-channel draws never overlap.
+    so per-trial and per-channel draws never overlap.  Only the draws are
+    the stream's: the generator holds no SeedSequence of it to spawn from.
     """
     (state,), (inc,) = _pcg64_states(np.array([_entropy_words(entropy, key)]))
     bitgen = np.random.PCG64(0)
