@@ -6,6 +6,7 @@ vectorized implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,29 @@ def test_transform_rows_matches_single_transform():
     for i in range(4):
         single = forward_transform(SampledSignal(rows[i]), 3)
         assert_allclose(batch[i], single.coeffs, atol=1e-13)
+
+
+def test_transform_rows_is_the_basis_product_over_n_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for m, n, truncation in ((1, 80, 3), (7, 500, 124), (33, 257, 20)):
+        rows = 24.0 * rng.standard_normal((m, n))
+        phi = basis_matrix(2 * truncation + 1, np.arange(n) / n)
+        assert np.array_equal(transform_rows(rows, truncation), rows @ phi.T / n)
+
+
+def test_transform_rows_holds_only_its_output_and_basis():
+    # loso's N = 500 at the widest safe band, 2T+1 = 249; the rows are
+    # allocated before tracing starts
+    rows = np.random.default_rng(17).standard_normal((4096, 500))
+    tracemalloc.start()
+    try:
+        coeffs = transform_rows(rows, 124)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    phi_bytes = 249 * 500 * rows.itemsize
+    assert coeffs.shape == (4096, 249)
+    assert peak < 1.1 * (coeffs.nbytes + phi_bytes)
 
 
 def test_reconstruct_evaluates_on_uniform_grid():

@@ -1,20 +1,24 @@
 """Shrinkage estimator tests: ellipsoid weights, water filling, JS, BJS."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfpdecode.basis import CoefficientVector
+from lfpdecode.basis import CoefficientVector, basis_matrix
 from lfpdecode.shrinkage import (
     BlockPartition,
     EllipsoidSpec,
     _bjs_rows,
+    bjs_coefficient_count,
     bjs_sampled_rows,
     ellipsoid_weights,
     james_stein,
     pinsker_mu,
     pinsker_shrink,
     pinsker_weights,
+    stein_threshold,
 )
 
 
@@ -161,3 +165,60 @@ def test_bjs_never_expands_coordinates():
         y = rng.normal(size=31) * rng.uniform(0.5, 5.0)
         out = _bjs_rows(y[None, :], BlockPartition(2, 5), 0.5)[0]
         assert np.all(np.abs(out) <= np.abs(y) + 1e-12)
+
+
+def _bjs_sampled_reference(samples, pass_limit, sigma):
+    """The blockwise rule written out with numpy, every product out of place."""
+    n = samples.shape[1]
+    count = bjs_coefficient_count(n)
+    phi = basis_matrix(count, np.arange(n) / n)
+    partition = BlockPartition(pass_limit, int(np.floor(np.log2(n))))
+    observed = np.zeros((samples.shape[0], partition.width))
+    observed[:, :count] = samples @ phi.T / n
+    epsilon = sigma / np.sqrt(n)
+    estimate = np.zeros_like(observed)
+    for j, (first, last) in enumerate(partition.blocks):
+        block = observed[:, first - 1 : last]
+        size = last - first + 1
+        if j <= pass_limit or size <= 2:
+            estimate[:, first - 1 : last] = block
+            continue
+        norms_sq = np.einsum("ij,ij->i", block, block)
+        factors = np.zeros(samples.shape[0])
+        hit = norms_sq > 0.0
+        factors[hit] = np.clip(
+            1.0 - stein_threshold(size) * epsilon**2 / norms_sq[hit], 0.0, None
+        )
+        estimate[:, first - 1 : last] = factors[:, None] * block
+    return observed, estimate
+
+
+@pytest.mark.parametrize("sigma", [1.0, 24.0])
+def test_bjs_sampled_rows_equal_the_written_out_rule_bit_for_bit(sigma):
+    # loso's geometry: N = 500 samples of a smooth signal under noise sd 24,
+    # plus one all-zero row, where every shrunk block's factor is 0
+    rng = np.random.default_rng(22)
+    grid = np.arange(500) / 500
+    signal = 40.0 * np.sin(2 * np.pi * 3 * grid) + 15.0 * np.cos(2 * np.pi * 20 * grid)
+    samples = signal + 24.0 * rng.standard_normal((64, 500))
+    samples[5] = 0.0
+    observed, estimate = bjs_sampled_rows(samples, 2, sigma=sigma)
+    ref_observed, ref_estimate = _bjs_sampled_reference(samples, 2, sigma)
+    assert np.array_equal(observed, ref_observed)
+    assert np.array_equal(estimate, ref_estimate)
+    # the noise level matters: some shrunk blocks are scaled, none expanded
+    assert not np.array_equal(estimate, observed)
+
+
+def test_bjs_sampled_rows_hold_two_estimate_sized_arrays():
+    # loso's N = 500: a 249-wide transform padded to 255 columns; the
+    # samples are allocated before tracing starts
+    samples = 24.0 * np.random.default_rng(23).standard_normal((4096, 500))
+    tracemalloc.start()
+    try:
+        observed, estimate = bjs_sampled_rows(samples, 2, sigma=24.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert observed.shape == estimate.shape == (4096, 255)
+    assert peak < 2.1 * estimate.nbytes
