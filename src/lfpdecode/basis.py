@@ -166,7 +166,10 @@ def transform_rows(rows, truncation: int) -> np.ndarray:
             f"frequency overflow: need 2T+1 < N/2, got 2T+1={count} with N={n}"
         )
     phi = basis_matrix(count, np.arange(n) / n)
-    return rows @ phi.T / n
+    # divide in place: the product and a quotient never coexist
+    out = rows @ phi.T
+    out /= n
+    return out
 
 
 def reconstruct(coeffs: CoefficientVector, grid_size: int) -> SampledSignal:
