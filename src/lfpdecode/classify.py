@@ -214,6 +214,25 @@ def pca_apply(projection: PCAProjection, features) -> np.ndarray:
 # LDA
 
 
+def _pooled_covariance(X: np.ndarray, y: np.ndarray):
+    """Class ids, counts, class means and pooled within-class covariance.
+
+    Requires at least 2 classes and at least 2 samples in each.
+    """
+    class_ids, counts = np.unique(y, return_counts=True)
+    if class_ids.size < 2:
+        raise ValueError("LDA needs at least 2 classes")
+    if np.any(counts < 2):
+        raise ValueError("every class needs at least 2 training samples")
+    members = [y == c for c in class_ids]
+    means = np.vstack([X[mask].mean(axis=0) for mask in members])
+    scatter = np.zeros((X.shape[1], X.shape[1]))
+    for mask, m in zip(members, means):
+        centered = X[mask] - m
+        scatter += centered.T @ centered
+    return class_ids, counts, means, scatter / (y.size - class_ids.size)
+
+
 def lda_train(features, labels, ridge: float | None = None) -> LDAModel:
     """Train LDA with pooled within-class covariance plus a ridge.
 
@@ -228,17 +247,7 @@ def lda_train(features, labels, ridge: float | None = None) -> LDAModel:
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("features must be (n_samples, dim) matching labels")
     n, dim = X.shape
-    class_ids, counts = np.unique(y, return_counts=True)
-    if class_ids.size < 2:
-        raise ValueError("LDA needs at least 2 classes")
-    if np.any(counts < 2):
-        raise ValueError("every class needs at least 2 training samples")
-    means = np.vstack([X[y == c].mean(axis=0) for c in class_ids])
-    scatter = np.zeros((dim, dim))
-    for c, m in zip(class_ids, means):
-        centered = X[y == c] - m
-        scatter += centered.T @ centered
-    pooled = scatter / (n - class_ids.size)
+    class_ids, counts, means, pooled = _pooled_covariance(X, y)
     if ridge is None:
         lam = 1e-6 * float(np.trace(pooled)) / dim
     else:
@@ -473,8 +482,10 @@ def _cross_validate_scaled(
     one takes them from its Gram matrix, formed once before the folds
     (see :func:`_gram_scores`).  The scores are those of :func:`pca_fit`
     and :func:`pca_apply` up to a rotation inside the top-P subspace,
-    which leaves LDA unchanged.  Components a zero column leaves out
-    score zero, so the default ridge still divides by the capped P.
+    which leaves LDA unchanged.  A scaling with fewer nonzero columns
+    than the capped P trains LDA on those columns' scores only; the
+    components it leaves out would score zero, so the default ridge is
+    1e-6 * trace / P, the capped P, as on the zero-padded scores.
     """
     y = np.asarray(labels, dtype=int)
     folds = _parse_scheme(scheme, y.size, np.asarray(sessions, dtype=int))
@@ -515,11 +526,8 @@ def _cross_validate_scaled(
                 at = np.searchsorted(used, live[s][0])
                 w = live[s][1]
                 _, vecs = _top_eigenpairs(scatter[np.ix_(at, at)] * np.outer(w, w), top)
-                # fewer nonzero columns than components: the rest score zero
-                pad = ((0, 0), (0, top - vecs.shape[1]))
                 scores[s] = tuple(
-                    np.pad((rows[:, at] * w) @ vecs, pad)
-                    for rows in (centred_train, centred_test)
+                    (rows[:, at] * w) @ vecs for rows in (centred_train, centred_test)
                 )
             else:
                 scores[s] = _gram_scores(grams[s], train, test_mask, top)
@@ -528,15 +536,19 @@ def _cross_validate_scaled(
                 notes[j].append(
                     f"{name}: classes {missing} absent from training; skipped there"
                 )
+            lam = ridge
             if p > 0:
                 cap = min(p, ntr - 1, scalings[s][0].size)
                 if cap < p:
                     notes[j].append(f"{name}: components capped at {cap} (rank limit)")
                 f_train, f_test = (z[:, :cap] for z in scores[s])
+                if lam is None and f_train.shape[1] < cap:
+                    pooled = _pooled_covariance(f_train, ytr)[3]
+                    lam = 1e-6 * float(np.trace(pooled)) / cap
             else:
                 feats = _weighted(X, *scalings[s])
                 f_train, f_test = feats[train], feats[test_mask]
-            model = lda_train(f_train, ytr, ridge)
+            model = lda_train(f_train, ytr, lam)
             picks, _ = lda_predict(model, f_test)
             np.add.at(confusions[j], (yte - 1, picks - 1), 1)
     reports = []
