@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lfpdecode.basis import (
+    _ROW_BLOCK,
     CoefficientVector,
     SampledSignal,
     basis_matrix,
@@ -68,6 +69,34 @@ def test_basis_matrix_matches_pointwise_oracle():
     for k in range(1, 10):
         for j, x in enumerate(grid):
             assert_allclose(phi[k - 1, j], slow_basis(k, x), rtol=1e-14)
+
+
+def test_basis_matrix_equals_the_written_out_rule_bit_for_bit():
+    # the out-of-place rule: angles 2 pi m x, then sqrt(2) cos or sin
+    rng = np.random.default_rng(8)
+    for count, grid in ((1, np.arange(16) / 16), (2, rng.uniform(size=7)),
+                        (11, np.arange(500) / 500), (249, np.arange(500) / 500),
+                        (64, rng.uniform(size=257))):
+        ks = np.arange(2, count + 1)
+        angles = 2.0 * np.pi * np.outer(ks // 2, grid)
+        even = ks % 2 == 0
+        want = np.ones((count, grid.size))
+        want[1:][even] = np.sqrt(2.0) * np.cos(angles[even])
+        want[1:][~even] = np.sqrt(2.0) * np.sin(angles[~even])
+        assert np.array_equal(basis_matrix(count, grid), want)
+
+
+def test_basis_matrix_is_built_in_place():
+    # no angle matrix beside the output: the basis of the BJS transform
+    # is built while the padded estimate is already allocated
+    grid = np.arange(500) / 500
+    tracemalloc.start()
+    try:
+        phi = basis_matrix(249, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * phi.nbytes
 
 
 def test_discrete_gram_is_identity():
@@ -141,6 +170,29 @@ def test_transform_rows_is_the_basis_product_over_n_bit_for_bit():
         rows = 24.0 * rng.standard_normal((m, n))
         phi = basis_matrix(2 * truncation + 1, np.arange(n) / n)
         assert np.array_equal(transform_rows(rows, truncation), rows @ phi.T / n)
+
+
+@pytest.mark.parametrize("truncation", [5, 124])
+def test_transform_rows_is_one_product_per_row_block_bit_for_bit(truncation):
+    # two full blocks and a short one
+    n = 500
+    rows = 24.0 * np.random.default_rng(18).standard_normal((2 * _ROW_BLOCK + 37, n))
+    phi = basis_matrix(2 * truncation + 1, np.arange(n) / n)
+    want = np.vstack([rows[i : i + _ROW_BLOCK] @ phi.T / n
+                      for i in range(0, rows.shape[0], _ROW_BLOCK)])
+    assert np.array_equal(transform_rows(rows, truncation), want)
+
+
+def test_transform_rows_writes_into_a_given_output():
+    # a strided slice of a wider array, as the padded BJS estimate
+    rows = 24.0 * np.random.default_rng(19).standard_normal((_ROW_BLOCK + 9, 500))
+    padded = np.full((rows.shape[0], 255), 7.0)
+    out = transform_rows(rows, 124, out=padded[:, :249])
+    assert out.base is padded
+    assert np.array_equal(padded[:, :249], transform_rows(rows, 124))
+    assert np.all(padded[:, 249:] == 7.0)
+    with pytest.raises(ValueError, match="out"):
+        transform_rows(rows, 124, out=padded)
 
 
 def test_transform_rows_holds_only_its_output_and_basis():

@@ -385,6 +385,42 @@ def test_accuracy_is_rotation_invariant():
     assert_allclose(rotated.confusion, base.confusion)
 
 
+def _wide_blobs(seed, n_per_class, d):
+    # class means 0.01 * label on every other column under noise sd 0.01,
+    # so the classes separate along a direction spread over d / 2 columns;
+    # 4 sessions
+    rng = np.random.default_rng(seed)
+    y = np.repeat([1, 2, 3], n_per_class)
+    g = np.tile([1, 2, 3, 4], 3 * n_per_class // 4)
+    x = 0.01 * rng.standard_normal((y.size, d))
+    x[:, ::2] += 0.01 * y[:, None]
+    return x, y, g
+
+
+def test_wide_cross_validation_makes_no_copy_of_the_features():
+    # 16,000 columns over 240 rows: the Gram matrix is formed from column
+    # blocks, so no centred copy of the features is allocated
+    x, y, g = _wide_blobs(16, 80, 16_000)
+    tracemalloc.start()
+    try:
+        report = cross_validate_features(x, y, g, 3, components=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall_accuracy == 1.0
+    assert peak < 0.25 * x.nbytes
+
+
+def test_wide_confusion_is_unchanged_by_a_common_shift():
+    # an uncentred Gram of features near 1e6 would lose the 0.01 spread
+    # to rounding; removing the mean first keeps it
+    x, y, g = _wide_blobs(17, 20, 2_500)
+    base = cross_validate_features(x, y, g, 3, components=5)
+    shifted = cross_validate_features(x + 1e6, y, g, 3, components=5)
+    assert base.overall_accuracy == 1.0
+    assert_array_equal(shifted.confusion, base.confusion)
+
+
 def test_components_capped_by_training_rank():
     rng = np.random.default_rng(15)
     x, y, g = _blob_features(rng, n_per_class=4, sep=8.0)
@@ -438,8 +474,8 @@ def _hard_blobs(seed, n_per_class, d, sep=1.2):
                           k=3, d=d, sep=sep)
 
 
-@pytest.mark.parametrize("d, components", [(60, 5), (60, 20), (6, 3)],
-                         ids=["wide", "wide-many", "narrow"])
+@pytest.mark.parametrize("d, components", [(60, 5), (60, 20), (2100, 5), (6, 3)],
+                         ids=["wide", "wide-many", "wide-column-blocks", "narrow"])
 def test_fold_loop_matches_reference(d, components):
     x, y, g = _hard_blobs(30, 12, d)
     report = _assert_matches_reference(x, y, g, 3, components=components)

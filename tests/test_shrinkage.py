@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfpdecode.basis import CoefficientVector, basis_matrix
+from lfpdecode.basis import CoefficientVector, basis_matrix, transform_rows
 from lfpdecode.shrinkage import (
     BlockPartition,
     EllipsoidSpec,
@@ -109,12 +109,27 @@ def test_dyadic_block_layout():
         BlockPartition(-1, 3)
 
 
+def _padded_transform(samples, width):
+    """The widest-band transform of each row, zero-padded to ``width``."""
+    count = bjs_coefficient_count(samples.shape[1])
+    padded = np.zeros((samples.shape[0], width))
+    padded[:, :count] = transform_rows(samples, (count - 1) // 2)
+    return padded
+
+
 def test_bjs_sampled_rows_pass_a_constant_through():
     # at N = 66 (2 mod 4) the band used to be one harmonic too wide
-    observed, shrunk = bjs_sampled_rows(np.ones((2, 66)), 2)
+    shrunk = bjs_sampled_rows(np.ones((2, 66)), 2)
+    observed = _padded_transform(np.ones((2, 66)), shrunk.shape[1])
     assert observed.shape == shrunk.shape == (2, 63)
     assert_allclose(observed[:, 0], 1.0)
     assert_allclose(shrunk, observed, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(66,), (1, 2, 66)], ids=["1-D", "3-D"])
+def test_bjs_sampled_rows_reject_samples_that_are_not_2d(shape):
+    with pytest.raises(ValueError, match="2-D"):
+        bjs_sampled_rows(np.ones(shape), 2)
 
 
 def test_bjs_hand_traced_single_spike():
@@ -167,6 +182,21 @@ def test_bjs_never_expands_coordinates():
         assert np.all(np.abs(out) <= np.abs(y) + 1e-12)
 
 
+def test_bjs_in_place_equals_out_of_place_and_default_keeps_input():
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(6, 19)) * rng.uniform(0.5, 5.0, size=(6, 1))
+    rows[2] = 0.0
+    kept = rows.copy()
+    part = BlockPartition(1, 4)
+    out_of_place = _bjs_rows(rows, part, 0.5)
+    assert np.array_equal(rows, kept)
+    in_place = _bjs_rows(rows, part, 0.5, out=rows)
+    assert in_place is rows
+    assert np.array_equal(in_place, out_of_place)
+    # columns beyond the partition are zeroed in place too
+    assert_allclose(rows[:, part.width :], 0.0)
+
+
 def _bjs_sampled_reference(samples, pass_limit, sigma):
     """The blockwise rule written out with numpy, every product out of place."""
     n = samples.shape[1]
@@ -202,23 +232,26 @@ def test_bjs_sampled_rows_equal_the_written_out_rule_bit_for_bit(sigma):
     signal = 40.0 * np.sin(2 * np.pi * 3 * grid) + 15.0 * np.cos(2 * np.pi * 20 * grid)
     samples = signal + 24.0 * rng.standard_normal((64, 500))
     samples[5] = 0.0
-    observed, estimate = bjs_sampled_rows(samples, 2, sigma=sigma)
+    estimate = bjs_sampled_rows(samples, 2, sigma=sigma)
     ref_observed, ref_estimate = _bjs_sampled_reference(samples, 2, sigma)
+    observed = _padded_transform(samples, estimate.shape[1])
     assert np.array_equal(observed, ref_observed)
     assert np.array_equal(estimate, ref_estimate)
     # the noise level matters: some shrunk blocks are scaled, none expanded
     assert not np.array_equal(estimate, observed)
 
 
-def test_bjs_sampled_rows_hold_two_estimate_sized_arrays():
-    # loso's N = 500: a 249-wide transform padded to 255 columns; the
-    # samples are allocated before tracing starts
+def test_bjs_sampled_rows_hold_one_estimate_sized_array():
+    # loso's N = 500: a 249-wide transform padded to 255 columns, written
+    # and shrunk in the estimate itself; the samples are allocated before
+    # tracing starts
     samples = 24.0 * np.random.default_rng(23).standard_normal((4096, 500))
     tracemalloc.start()
     try:
-        observed, estimate = bjs_sampled_rows(samples, 2, sigma=24.0)
+        estimate = bjs_sampled_rows(samples, 2, sigma=24.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert observed.shape == estimate.shape == (4096, 255)
-    assert peak < 2.1 * estimate.nbytes
+    phi_bytes = 249 * 500 * samples.itemsize
+    assert estimate.shape == (4096, 255)
+    assert peak < 1.1 * (estimate.nbytes + phi_bytes)
