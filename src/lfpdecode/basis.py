@@ -20,6 +20,10 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
+# rows per product in transform_rows: bounds the operand OpenBLAS packs,
+# whose buffers otherwise stay resident after a tall transform
+_ROW_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class SampledSignal:
@@ -115,12 +119,14 @@ def basis_matrix(count: int, grid) -> np.ndarray:
     phi = np.empty((count, grid.size))
     phi[0] = 1.0
     if count > 1:
-        ks = np.arange(2, count + 1)
-        angles = 2.0 * np.pi * np.outer(ks // 2, grid)
-        even = ks % 2 == 0
+        # the angles 2 pi m x are formed in the output and mapped in
+        # place: rows 0, 2, ... of the body are cosines, 1, 3, ... sines
         body = phi[1:]
-        body[even] = _SQRT2 * np.cos(angles[even])
-        body[~even] = _SQRT2 * np.sin(angles[~even])
+        np.outer(np.arange(2, count + 1) // 2, grid, out=body)
+        body *= 2.0 * np.pi
+        for rows, wave in ((body[0::2], np.cos), (body[1::2], np.sin)):
+            wave(rows, out=rows)
+            rows *= _SQRT2
     return phi
 
 
@@ -149,26 +155,37 @@ def forward_transform(signal: SampledSignal, truncation: int) -> CoefficientVect
     return CoefficientVector(coeffs, epsilon=1.0 / np.sqrt(signal.n_samples))
 
 
-def transform_rows(rows, truncation: int) -> np.ndarray:
+def transform_rows(rows, truncation: int, *, out=None) -> np.ndarray:
     """Forward transform applied to each row of an (m, N) sample matrix.
 
-    Same convention as :func:`forward_transform`; returns (m, 2T+1).
+    Same convention as :func:`forward_transform`; returns (m, 2T+1),
+    written into ``out`` when one is given (any (m, 2T+1) float view,
+    such as the leading columns of a wider array).  The product runs in
+    blocks of ``_ROW_BLOCK`` rows, each divided by N in place, so the
+    result has the bits of ``block @ Phi.T / N`` stacked block by block;
+    for at most ``_ROW_BLOCK`` rows that is the one product
+    ``rows @ Phi.T / N``.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-D matrix of sampled channels")
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    n = rows.shape[1]
+    m, n = rows.shape
     count = 2 * truncation + 1
     if 2 * count >= n:
         raise ValueError(
             f"frequency overflow: need 2T+1 < N/2, got 2T+1={count} with N={n}"
         )
+    if out is None:
+        out = np.empty((m, count))
+    elif out.shape != (m, count):
+        raise ValueError(f"out must have shape {(m, count)}, got {out.shape}")
     phi = basis_matrix(count, np.arange(n) / n)
-    # divide in place: the product and a quotient never coexist
-    out = rows @ phi.T
-    out /= n
+    for start in range(0, m, _ROW_BLOCK):
+        block = out[start : start + _ROW_BLOCK]
+        np.matmul(rows[start : start + _ROW_BLOCK], phi.T, out=block)
+        block /= n
     return out
 
 

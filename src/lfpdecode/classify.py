@@ -45,6 +45,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# feature columns per block of a wide fold-shared Gram matrix
+_COL_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ShrinkageProfile:
@@ -382,7 +385,7 @@ def _channel_feature_rows(rows: np.ndarray, config: PipelineConfig) -> np.ndarra
         profile = config.shrinkage
         coeffs = transform_rows(rows, profile.truncation)
         return coeffs[:, : profile.factors.size] * profile.factors
-    return bjs_sampled_rows(rows, config.shrinkage.pass_limit)[1]
+    return bjs_sampled_rows(rows, config.shrinkage.pass_limit)
 
 
 def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> np.ndarray:
@@ -437,6 +440,26 @@ def _weighted(X: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarra
     return X[:, cols] * weights
 
 
+def _centred_gram(X: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+    """Gram matrix Z Z' of Z = (X[:, cols] - column means) * weights.
+
+    Z is formed ``_COL_BLOCK`` columns at a time and the blocks' products
+    are summed, so no copy of X is made.  A common shift leaves a
+    double-centred Gram unchanged; removing the mean first keeps its
+    rounding error at the data's spread.
+    """
+    mean = X.mean(axis=0)
+    gram = np.zeros((X.shape[0], X.shape[0]))
+    for start in range(0, cols.size, _COL_BLOCK):
+        block = cols[start : start + _COL_BLOCK]
+        z = np.take(X, block, axis=1)
+        z -= mean[block]
+        z *= weights[start : start + _COL_BLOCK]
+        gram += z @ z.T
+        del z  # one block live at a time
+    return gram
+
+
 def _gram_scores(gram: np.ndarray, train, test, count: int):
     """Principal scores of a fold from the Gram matrix of all rows.
 
@@ -480,7 +503,9 @@ def _cross_validate_scaled(
     the top eigenpairs of diag(w) S diag(w) over its nonzero columns,
     where S is the fold's one scatter of centred training rows; a wider
     one takes them from its Gram matrix, formed once before the folds
-    (see :func:`_gram_scores`).  The scores are those of :func:`pca_fit`
+    from column blocks of the centred, weighted features, so that no
+    feature-sized copy is made (see :func:`_centred_gram` and
+    :func:`_gram_scores`).  The scores are those of :func:`pca_fit`
     and :func:`pca_apply` up to a rotation inside the top-P subspace,
     which leaves LDA unchanged.  A scaling with fewer nonzero columns
     than the capped P trains LDA on those columns' scores only; the
@@ -496,15 +521,7 @@ def _cross_validate_scaled(
     pca = any(p > 0 for _, p in jobs)
     fewest = min(int((~mask).sum()) for _, mask in folds)
     wide = [s for s, (cols, _) in enumerate(scalings) if pca and cols.size > fewest]
-    grams = {}
-    if wide:
-        # a common shift leaves a double-centred Gram unchanged; removing
-        # the mean first keeps its rounding error at the data's spread
-        shifted = X - X.mean(axis=0)
-        for s in wide:
-            z = _weighted(shifted, *live[s])
-            grams[s] = z @ z.T
-        del shifted, z
+    grams = {s: _centred_gram(X, *live[s]) for s in wide}
     for name, test_mask in folds:
         train = ~test_mask
         ytr, yte = y[train], y[test_mask]

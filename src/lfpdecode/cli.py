@@ -27,7 +27,13 @@ from .experiments import (
     phase_ablation,
     risk_curve_pinsker,
 )
-from .shrinkage import EllipsoidSpec, bjs_sampled_rows, pinsker_mu, pinsker_shrink
+from .shrinkage import (
+    EllipsoidSpec,
+    bjs_coefficient_count,
+    bjs_sampled_rows,
+    pinsker_mu,
+    pinsker_shrink,
+)
 from .synth import (
     ClassConstructionError,
     NoiseModel,
@@ -252,10 +258,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         observed = vector.coeffs
         shrunk = pinsker_shrink(vector, spec, mu).coeffs
     else:
-        observed, shrunk = bjs_sampled_rows(
+        shrunk = bjs_sampled_rows(
             signal.samples[None, :], cfg["estimate.block_limit"]
-        )
-        observed, shrunk = observed[0], shrunk[0]
+        )[0]
+        count = bjs_coefficient_count(n)
+        observed = np.zeros(shrunk.size)
+        observed[:count] = forward_transform(signal, (count - 1) // 2).coeffs
     rows = [(k + 1, observed[k], shrunk[k]) for k in range(shrunk.size)]
     fileio.write_table(
         f"{args.out}_coefficients.csv", ["k", "observed", "shrunk"], rows

@@ -428,7 +428,7 @@ def consistency_experiment(
             signals = thetas @ phi + noise.sigma * rng.standard_normal(
                 (trials_per_class, n)
             )
-            _, estimates = bjs_sampled_rows(signals, 2, noise.sigma)
+            estimates = bjs_sampled_rows(signals, 2, noise.sigma)
             picks = _decode_rows(estimates, model)
             class_errors[label - 1] = float(np.mean(picks != label))
             truth = np.zeros_like(estimates)

@@ -175,25 +175,33 @@ def stein_threshold(size: int) -> float:
     return (size - 2) * (1.0 + 2.0 / np.sqrt(size))
 
 
-def _bjs_rows(rows: np.ndarray, partition: BlockPartition, epsilon: float) -> np.ndarray:
+def _bjs_rows(
+    rows: np.ndarray, partition: BlockPartition, epsilon: float, out=None
+) -> np.ndarray:
     """Blockwise James-Stein applied to every row of a coefficient matrix.
 
     ``rows`` must be at least ``partition.width`` columns wide; columns
     beyond the partition are zeroed in the output.  Shrunk blocks use
     :func:`stein_threshold` at noise level ``epsilon``; blocks at or
     below the pass limit, and blocks of size <= 2 where James-Stein is
-    undefined, pass through unshrunk.
+    undefined, pass through unshrunk.  The result goes to a new array,
+    or to ``out`` when given; ``out=rows`` shrinks in place with the
+    same bits.
     """
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
     if rows.shape[1] < partition.width:
         raise ValueError("rows are narrower than the block partition")
-    out = np.zeros_like(rows)
+    if out is None:
+        out = np.zeros_like(rows)
+    else:
+        out[:, partition.width :] = 0.0
     for j, (first, last) in enumerate(partition.blocks):
         block = rows[:, first - 1 : last]
         size = last - first + 1
         if j <= partition.pass_limit or size <= 2:
-            out[:, first - 1 : last] = block
+            if out is not rows:
+                out[:, first - 1 : last] = block
             continue
         norms_sq = np.einsum("ij,ij->i", block, block)
         factors = np.zeros(rows.shape[0])
@@ -218,27 +226,25 @@ def bjs_coefficient_count(n_samples: int) -> int:
 
 def bjs_sampled_rows(
     samples: np.ndarray, pass_limit: int, sigma: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Blockwise James-Stein estimate of every row of an (m, N) sample matrix.
 
     Each row is expanded to the widest safe band
     (:func:`bjs_coefficient_count`), zero-padded to the width of the dyadic
     partition whose zero cutoff is floor(log2 N), and shrunk blockwise at
     the coefficient noise level sigma/sqrt(N), ``sigma`` being the sample
-    noise sd.  Returns the padded observed coefficients and their
-    estimate, both (m, 2^floor(log2 N) - 1).
+    noise sd.  Returns the estimate, (m, 2^floor(log2 N) - 1).
 
-    At most two arrays of that size are live at once: the transform and
-    the padded copy while it is filled, then the padded observed array
-    and the estimate while the blocks are shrunk.
+    The estimate is the only array of that size: the transform is written
+    into its leading columns (:func:`~lfpdecode.basis.transform_rows`
+    with ``out``) and the blocks are shrunk there in place.
     """
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a 2-D matrix of sampled channels")
     n = samples.shape[1]
     count = bjs_coefficient_count(n)
-    # transform before allocating the padded array and drop the transform
-    # once copied, so it is never live next to the estimate
-    coeffs = transform_rows(samples, (count - 1) // 2)
     partition = BlockPartition(pass_limit, int(np.floor(np.log2(n))))
-    observed = np.zeros((samples.shape[0], partition.width))
-    observed[:, :count] = coeffs
-    del coeffs
-    return observed, _bjs_rows(observed, partition, sigma / np.sqrt(n))
+    estimate = np.zeros((samples.shape[0], partition.width))
+    transform_rows(samples, (count - 1) // 2, out=estimate[:, :count])
+    return _bjs_rows(estimate, partition, sigma / np.sqrt(n), out=estimate)
