@@ -425,6 +425,138 @@ def test_experiment_consistency_matches_library(tmp_path):
                                rows[0].chebyshev_bound, rows[0].bound_se])
 
 
+def test_experiment_phase_matches_library(tmp_path):
+    from lfpdecode.classify import PipelineConfig, ShrinkageProfile
+    from lfpdecode.experiments import phase_ablation
+    from lfpdecode.synth import NoiseModel, generate_dataset, make_phase_class_model
+
+    out = tmp_path / "exp"
+    assert run("experiment", "--name", "phase", "--out", str(out),
+               "--classes", "3", "--trials-per-class", "4", "--channels", "2",
+               "--samples", "64", "--sessions", "2", "--truncation", "3",
+               "--pipeline-truncation", "3", "--seed", "2") == 0
+    assert sorted(os.listdir(out)) == ["phase.csv", "phase_summary.txt"]
+    model = make_phase_class_model(3, EllipsoidSpec(2.0, 10.0), 3, 0.6, 0.02, 2)
+    dataset = generate_dataset(model, 4, 2, 64, 2, NoiseModel(1.0, 0), 2)
+    profile = ShrinkageProfile(np.ones(7), 3, label="mask[1:7]")
+    result = phase_ablation(dataset, PipelineConfig(64, profile), scheme="loso")
+    rows = (out / "phase.csv").read_text().splitlines()
+    assert rows[0] == "variant,overall_accuracy,worst_class_error"
+    accuracy = {row.split(",")[0]: float(row.split(",")[1]) for row in rows[1:]}
+    assert accuracy == {"full": result.full.overall_accuracy,
+                        "magnitude": result.magnitude.overall_accuracy}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["synth", "--classes", "x"], "--classes"),
+        (["synth", "--sigma", "x"], "--sigma"),
+        (["experiment", "--name", "rates", "--epsilons", "0.5,x"], "--epsilons"),
+        (["benchmark", "--dataset", "ds.csv", "--truncations", "3,x"],
+         "--truncations"),
+        (["benchmark", "--dataset", "ds.csv", "--ridge", "xyz"], "--ridge"),
+    ],
+    ids=["int", "float", "float-list", "int-list", "float-or-auto"],
+)
+def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = str(tmp_path / "x")
+    assert run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "config key" not in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, key, raw",
+    [
+        ("synth", "synth.classes", "x"),
+        ("synth", "noise.sigma", "x"),
+        ("rates", "experiment.epsilons", "0.5,x"),
+        ("benchmark", "grid.truncations", "3,x"),
+        ("benchmark", "pipeline.ridge", "xyz"),
+        ("benchmark", "grid.low_pass_only", "maybe"),
+    ],
+    ids=["int", "float", "float-list", "int-list", "float-or-auto", "bool"],
+)
+def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, key,
+                                                 raw):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    out = str(tmp_path / "x")
+    argv = {
+        "synth": ["synth"],
+        "rates": ["experiment", "--name", "rates"],
+        "benchmark": ["benchmark", "--dataset", str(tmp_path / "ds.csv")],
+    }[command]
+    assert run(*argv, "--config", str(cfg), "--out", out) == 2
+    assert f"config key {key}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "flags, keys",
+    [
+        (["--ridge", "auto"], "pipeline.ridge = auto\n"),
+        (["--grid", "--truncations", "3", "--grid-components", "0",
+          "--low-pass-only"],
+         "grid.enabled = true\ngrid.truncations = 3\ngrid.components = 0\n"
+         "grid.low_pass_only = yes\n"),
+    ],
+    ids=["ridge-auto", "low-pass-only"],
+)
+def test_flag_and_config_key_give_the_same_bytes(tmp_path, flags, keys):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(keys)
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("benchmark", "--dataset", ds, "--out", a, *flags) == 0
+    assert run("benchmark", "--dataset", ds, "--out", b,
+               "--config", str(cfg)) == 0
+    for suffix in ("_report.csv", "_confusion.csv", "_summary.txt"):
+        assert read_bytes(a + suffix) == read_bytes(b + suffix)
+
+
+def test_benchmark_components_minus_one_alone_picks_the_default(tmp_path,
+                                                               capsys):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert run("benchmark", "--dataset", ds, "--out", a,
+               "--components", "-1") == 0
+    assert run("benchmark", "--dataset", ds, "--out", b,
+               "--components", "165") == 0
+    assert read_bytes(a + "_report.csv") == read_bytes(b + "_report.csv")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("benchmark.pipeline = bjs\npipeline.components = -7\n")
+    out = str(tmp_path / "x")
+    for source in (["--pipeline", "bjs", "--components", "-7"],
+                   ["--config", str(cfg)]):
+        assert run("benchmark", "--dataset", ds, "--out", out, *source) == 2
+        assert "--components" in capsys.readouterr().err
+        assert not os.path.exists(out + "_report.csv")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--name", "consistency", "--sample-grid", ""], "n_grid"),
+        (["--name", "consistency", "--classes", "3", "--sample-grid", "64",
+          "--trials", "1"], "trials_per_class"),
+        (["--name", "rates", "--epsilons", "0.5", "--trials", "100",
+          "--thetas", "-3"], "n_thetas"),
+    ],
+    ids=["empty-sample-grid", "one-trial", "negative-thetas"],
+)
+def test_experiment_inputs_the_library_rejects_exit_2(tmp_path, capsys, argv,
+                                                      named):
+    out = tmp_path / "exp"
+    assert run("experiment", *argv, "--out", str(out)) == 2
+    assert named in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert run() == 2
     capsys.readouterr()

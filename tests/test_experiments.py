@@ -60,6 +60,13 @@ def test_risk_curve_input_validation():
         risk_curve_pinsker(SPEC, [], 100)
 
 
+def test_risk_curve_takes_zero_random_thetas_but_not_fewer():
+    vertices_only = risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=0)
+    assert vertices_only.points[0].risk > 0.0
+    with pytest.raises(ValueError, match="n_thetas"):
+        risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=-1)
+
+
 def test_risk_curve_is_deterministic():
     a = risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=5)
     b = risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=5)
@@ -146,6 +153,18 @@ def test_consistency_grid_must_increase():
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=0)
     with pytest.raises(ValueError):
         consistency_experiment(model, [256, 64], 10, NoiseModel())
+
+
+@pytest.mark.parametrize(
+    "n_grid, trials, named",
+    [([], 10, "n_grid"), ([64], 1, "trials_per_class")],
+    ids=["empty-grid", "one-trial"],
+)
+def test_consistency_rejects_what_it_cannot_report(n_grid, trials, named):
+    # one trial has no standard error; an empty grid has no final row
+    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=0)
+    with pytest.raises(ValueError, match=named):
+        consistency_experiment(model, n_grid, trials, NoiseModel())
 
 
 def test_consistency_near_noiseless_decodes_perfectly():
