@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,16 +47,39 @@ from .synth import (
 __all__ = ["main", "build_parser"]
 
 
+def boolean(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered in {"true", "1", "yes", "on"}:
+        return True
+    if lowered in {"false", "0", "no", "off"}:
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+def float_or_auto(raw: str) -> float | None:
+    return None if raw == "auto" else float(raw)
+
+
+def int_list(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.split(",") if tok.strip()]
+
+
+def float_list(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.split(",") if tok.strip()]
+
+
 @dataclass(frozen=True)
 class Opt:
-    """One resolvable option: config-file key, flag, type and default.
+    """One resolvable option: config-file key, flag, parse function, default.
 
-    ``only`` names the pipeline, method or mode the option applies to;
-    setting it for another one is an error (see :func:`_reject_inapplicable`).
+    ``kind`` parses both the flag's and the config file's string; a
+    ``boolean`` option's flag takes no value and sets True.  ``only`` names
+    the pipeline, method or mode the option applies to; setting it for
+    another one is an error (see :func:`_reject_inapplicable`).
     """
 
     key: str
-    kind: str  # int | float | str | bool | float_or_auto | int_list | float_list
+    kind: Callable[[str], object]
     default: object
     help: str = ""
     choices: tuple = ()
@@ -73,42 +97,13 @@ class Opt:
         return "--" + self.key.rsplit(".", 1)[-1].replace("_", "-")
 
 
-def _parse_value(opt: Opt, raw: str):
-    kind = opt.kind
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "float_or_auto":
-            return None if raw == "auto" else float(raw)
-        if kind == "int_list":
-            return [int(tok) for tok in raw.split(",") if tok.strip()]
-        if kind == "float_list":
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in {"true", "1", "yes", "on"}:
-                return True
-            if lowered in {"false", "0", "no", "off"}:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return raw
-    except ValueError as exc:
-        raise ValueError(f"config key {opt.key}: {exc}") from None
-
-
 def _add_opts(parser: argparse.ArgumentParser, opts: list[Opt]) -> None:
     for opt in opts:
         kwargs: dict = {"dest": opt.dest, "default": None, "help": opt.help}
-        if opt.kind == "bool":
+        if opt.kind is boolean:
             kwargs.update(action="store_const", const=True)
-        elif opt.kind == "int":
-            kwargs.update(type=int)
-        elif opt.kind == "float":
-            kwargs.update(type=float)
         else:
-            kwargs.update(type=str)
+            kwargs.update(type=opt.kind)
         parser.add_argument(opt.flag_name, **kwargs)
 
 
@@ -134,15 +129,13 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> tuple[dict, set[str]]
         value = getattr(args, opt.dest, None)
         if value is not None or opt.key in file_cfg:
             explicit.add(opt.key)
-        if value is None:
-            if opt.key in file_cfg:
-                value = _parse_value(opt, file_cfg[opt.key])
-            else:
-                value = opt.default
-        elif opt.kind in {"int_list", "float_list", "float_or_auto"} and isinstance(
-            value, str
-        ):
-            value = _parse_value(opt, value)
+        if value is None and opt.key in file_cfg:
+            try:
+                value = opt.kind(file_cfg[opt.key])
+            except ValueError as exc:
+                raise ValueError(f"config key {opt.key}: {exc}") from None
+        elif value is None:
+            value = opt.default
         if opt.choices and value not in opt.choices:
             raise ValueError(
                 f"{opt.key} must be one of {', '.join(map(str, opt.choices))}"
@@ -168,20 +161,20 @@ def _reject_inapplicable(opts: list[Opt], explicit: set[str], active) -> None:
 _GEOMETRIES = ("random", "phase", "magnitude")
 
 SYNTH_OPTS = [
-    Opt("synth.classes", "int", 8, "number of classes"),
-    Opt("synth.trials_per_class", "int", 10, "trials per class"),
-    Opt("synth.channels", "int", 4, "channels per trial"),
-    Opt("synth.samples", "int", 500, "samples per channel (N)"),
-    Opt("synth.sessions", "int", 3, "number of recording sessions"),
-    Opt("synth.truncation", "int", 5, "harmonics per prototype (T)"),
-    Opt("synth.separation", "float", 0.5, "half the guaranteed class gap (s)"),
-    Opt("synth.spread", "float", 0.1, "within-class ball radius"),
-    Opt("synth.geometry", "str", "random", "prototype geometry", _GEOMETRIES),
-    Opt("ellipsoid.alpha", "float", 2.0, "smoothness exponent"),
-    Opt("ellipsoid.radius", "float", 10.0, "ellipsoid radius"),
-    Opt("noise.sigma", "float", 1.0, "sample noise sd"),
-    Opt("noise.seed", "int", 0, "noise stream id", flag="--noise-seed"),
-    Opt("seed", "int", 0, "master seed"),
+    Opt("synth.classes", int, 8, "number of classes"),
+    Opt("synth.trials_per_class", int, 10, "trials per class"),
+    Opt("synth.channels", int, 4, "channels per trial"),
+    Opt("synth.samples", int, 500, "samples per channel (N)"),
+    Opt("synth.sessions", int, 3, "number of recording sessions"),
+    Opt("synth.truncation", int, 5, "harmonics per prototype (T)"),
+    Opt("synth.separation", float, 0.5, "half the guaranteed class gap (s)"),
+    Opt("synth.spread", float, 0.1, "within-class ball radius"),
+    Opt("synth.geometry", str, "random", "prototype geometry", _GEOMETRIES),
+    Opt("ellipsoid.alpha", float, 2.0, "smoothness exponent"),
+    Opt("ellipsoid.radius", float, 10.0, "ellipsoid radius"),
+    Opt("noise.sigma", float, 1.0, "sample noise sd"),
+    Opt("noise.seed", int, 0, "noise stream id", flag="--noise-seed"),
+    Opt("seed", int, 0, "master seed"),
 ]
 
 
@@ -191,7 +184,7 @@ def _build_model(cfg: dict):
         "random": make_class_model,
         "phase": make_phase_class_model,
         "magnitude": make_magnitude_class_model,
-    }[cfg["synth.geometry"]]
+    }[cfg.get("synth.geometry", "random")]
     return maker(
         cfg["synth.classes"],
         spec,
@@ -234,14 +227,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # estimate
 
 ESTIMATE_OPTS = [
-    Opt("estimate.method", "str", "pinsker", "estimator", ("pinsker", "bjs")),
-    Opt("estimate.truncation", "int", 5, "harmonic truncation T (pinsker)",
+    Opt("estimate.method", str, "pinsker", "estimator", ("pinsker", "bjs")),
+    Opt("estimate.truncation", int, 5, "harmonic truncation T (pinsker)",
         only="pinsker"),
-    Opt("estimate.block_limit", "int", 2, "blocks passed through unshrunk (bjs)",
+    Opt("estimate.block_limit", int, 2, "blocks passed through unshrunk (bjs)",
         only="bjs"),
-    Opt("ellipsoid.alpha", "float", 2.0, "smoothness exponent (pinsker)",
+    Opt("ellipsoid.alpha", float, 2.0, "smoothness exponent (pinsker)",
         only="pinsker"),
-    Opt("ellipsoid.radius", "float", 10.0, "ellipsoid radius (pinsker)",
+    Opt("ellipsoid.radius", float, 10.0, "ellipsoid radius (pinsker)",
         only="pinsker"),
 ]
 
@@ -280,25 +273,25 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 _GRID = "a grid search (--grid)"
 
 BENCHMARK_OPTS = [
-    Opt("benchmark.pipeline", "str", "pinsker", "feature pipeline",
+    Opt("benchmark.pipeline", str, "pinsker", "feature pipeline",
         ("pinsker", "bjs"), flag="--pipeline"),
-    Opt("benchmark.scheme", "str", "loso", "loso or kfold:<k>", flag="--scheme"),
-    Opt("pipeline.truncation", "int", 5, "harmonic truncation T (pinsker)",
+    Opt("benchmark.scheme", str, "loso", "loso or kfold:<k>", flag="--scheme"),
+    Opt("pipeline.truncation", int, 5, "harmonic truncation T (pinsker)",
         only="pinsker"),
-    Opt("pipeline.components", "int", -1,
+    Opt("pipeline.components", int, -1,
         "PCA components; 0 skips PCA, -1 picks the pipeline default"),
-    Opt("pipeline.ridge", "float_or_auto", None, "LDA ridge or 'auto'"),
-    Opt("pipeline.block_limit", "int", 2, "blocks passed through unshrunk (bjs)",
+    Opt("pipeline.ridge", float_or_auto, None, "LDA ridge or 'auto'"),
+    Opt("pipeline.block_limit", int, 2, "blocks passed through unshrunk (bjs)",
         only="bjs"),
-    Opt("grid.enabled", "bool", False, "grid-search shrinkage profiles",
+    Opt("grid.enabled", boolean, False, "grid-search shrinkage profiles",
         flag="--grid"),
-    Opt("grid.truncations", "int_list", None, "grid of T values"),
+    Opt("grid.truncations", int_list, None, "grid of T values"),
     # these tune a search but do not by themselves request one
-    Opt("grid.components", "int_list", None, "grid of PCA sizes",
+    Opt("grid.components", int_list, None, "grid of PCA sizes",
         flag="--grid-components", only=_GRID),
-    Opt("grid.mu_values", "float_list", [], "water-filling levels to try",
+    Opt("grid.mu_values", float_list, [], "water-filling levels to try",
         only=_GRID),
-    Opt("grid.low_pass_only", "bool", False, "restrict masks to low-pass",
+    Opt("grid.low_pass_only", boolean, False, "restrict masks to low-pass",
         only=_GRID),
 ]
 
@@ -350,8 +343,13 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     pipeline = cfg["benchmark.pipeline"]
     scheme = cfg["benchmark.scheme"]
     components = cfg["pipeline.components"]
-    if components < 0:
+    if components == -1:
         components = _PIPELINE_DEFAULT_COMPONENTS[pipeline]
+    elif components < 0:
+        raise ValueError(
+            "--components (pipeline.components) must be at least 0, "
+            "or -1 for the pipeline default"
+        )
     ridge = cfg["pipeline.ridge"]
     grid_requested = cfg["grid.enabled"] or cfg["grid.truncations"] is not None
     _reject_inapplicable(
@@ -440,61 +438,61 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 # experiment
 
 RATES_OPTS = [
-    Opt("ellipsoid.alpha", "float", 2.0, "smoothness exponent"),
-    Opt("ellipsoid.radius", "float", 10.0, "ellipsoid radius"),
-    Opt("experiment.epsilons", "float_list", [0.5, 0.2, 0.1, 0.05],
+    Opt("ellipsoid.alpha", float, 2.0, "smoothness exponent"),
+    Opt("ellipsoid.radius", float, 10.0, "ellipsoid radius"),
+    Opt("experiment.epsilons", float_list, [0.5, 0.2, 0.1, 0.05],
         "decreasing noise levels"),
-    Opt("experiment.trials", "int", 200, "noise draws per parameter"),
-    Opt("experiment.thetas", "int", 50, "random boundary parameters"),
-    Opt("seed", "int", 0, "master seed"),
+    Opt("experiment.trials", int, 200, "noise draws per parameter"),
+    Opt("experiment.thetas", int, 50, "random boundary parameters"),
+    Opt("seed", int, 0, "master seed"),
 ]
 
 ADAPTIVITY_OPTS = [
-    Opt("experiment.alphas", "float_list", [1.0, 2.0, 3.0], "smoothness grid"),
-    Opt("experiment.radii", "float_list", [5.0, 10.0], "radius grid"),
-    Opt("experiment.epsilon", "float", 0.02, "noise level"),
+    Opt("experiment.alphas", float_list, [1.0, 2.0, 3.0], "smoothness grid"),
+    Opt("experiment.radii", float_list, [5.0, 10.0], "radius grid"),
+    Opt("experiment.epsilon", float, 0.02, "noise level"),
 ]
 
 CONSISTENCY_OPTS = [
-    Opt("synth.classes", "int", 8, "number of classes"),
-    Opt("synth.truncation", "int", 5, "harmonics per prototype"),
-    Opt("synth.separation", "float", 0.5, "half the guaranteed class gap"),
-    Opt("synth.spread", "float", 0.1, "within-class ball radius"),
-    Opt("ellipsoid.alpha", "float", 2.0, "smoothness exponent"),
-    Opt("ellipsoid.radius", "float", 10.0, "ellipsoid radius"),
-    Opt("experiment.samples", "int_list", [64, 256, 1024],
+    Opt("synth.classes", int, 8, "number of classes"),
+    Opt("synth.truncation", int, 5, "harmonics per prototype"),
+    Opt("synth.separation", float, 0.5, "half the guaranteed class gap"),
+    Opt("synth.spread", float, 0.1, "within-class ball radius"),
+    Opt("ellipsoid.alpha", float, 2.0, "smoothness exponent"),
+    Opt("ellipsoid.radius", float, 10.0, "ellipsoid radius"),
+    Opt("experiment.samples", int_list, [64, 256, 1024],
         "increasing sample counts", flag="--sample-grid"),
-    Opt("experiment.trials", "int", 500, "trials per class and sample count"),
-    Opt("noise.sigma", "float", 1.0, "sample noise sd"),
-    Opt("noise.seed", "int", 0, "noise stream id", flag="--noise-seed"),
-    Opt("seed", "int", 0, "master seed"),
+    Opt("experiment.trials", int, 500, "trials per class and sample count"),
+    Opt("noise.sigma", float, 1.0, "sample noise sd"),
+    Opt("noise.seed", int, 0, "noise stream id", flag="--noise-seed"),
+    Opt("seed", int, 0, "master seed"),
 ]
 
 PHASE_OPTS = [
-    Opt("synth.classes", "int", 8, "number of classes"),
-    Opt("synth.trials_per_class", "int", 40, "trials per class"),
-    Opt("synth.channels", "int", 8, "channels per trial"),
-    Opt("synth.samples", "int", 256, "samples per channel"),
-    Opt("synth.sessions", "int", 8, "number of sessions"),
-    Opt("synth.truncation", "int", 5, "harmonics per prototype"),
-    Opt("synth.separation", "float", 0.6, "half the guaranteed class gap"),
-    Opt("synth.spread", "float", 0.02, "within-class ball radius"),
-    Opt("synth.geometry", "str", "phase", "class geometry",
+    Opt("synth.classes", int, 8, "number of classes"),
+    Opt("synth.trials_per_class", int, 40, "trials per class"),
+    Opt("synth.channels", int, 8, "channels per trial"),
+    Opt("synth.samples", int, 256, "samples per channel"),
+    Opt("synth.sessions", int, 8, "number of sessions"),
+    Opt("synth.truncation", int, 5, "harmonics per prototype"),
+    Opt("synth.separation", float, 0.6, "half the guaranteed class gap"),
+    Opt("synth.spread", float, 0.02, "within-class ball radius"),
+    Opt("synth.geometry", str, "phase", "class geometry",
         ("phase", "magnitude")),
-    Opt("ellipsoid.alpha", "float", 2.0, "smoothness exponent"),
-    Opt("ellipsoid.radius", "float", 10.0, "ellipsoid radius"),
-    Opt("noise.sigma", "float", 1.0, "sample noise sd"),
-    Opt("noise.seed", "int", 0, "noise stream id", flag="--noise-seed"),
-    Opt("pipeline.truncation", "int", 5, "classifier truncation",
+    Opt("ellipsoid.alpha", float, 2.0, "smoothness exponent"),
+    Opt("ellipsoid.radius", float, 10.0, "ellipsoid radius"),
+    Opt("noise.sigma", float, 1.0, "sample noise sd"),
+    Opt("noise.seed", int, 0, "noise stream id", flag="--noise-seed"),
+    Opt("pipeline.truncation", int, 5, "classifier truncation",
         flag="--pipeline-truncation"),
-    Opt("pipeline.components", "int", 0, "PCA components (0 skips PCA)"),
-    Opt("pipeline.ridge", "float_or_auto", None, "LDA ridge or 'auto'"),
-    Opt("benchmark.scheme", "str", "loso", "loso or kfold:<k>", flag="--scheme"),
-    Opt("seed", "int", 0, "master seed"),
+    Opt("pipeline.components", int, 0, "PCA components (0 skips PCA)"),
+    Opt("pipeline.ridge", float_or_auto, None, "LDA ridge or 'auto'"),
+    Opt("benchmark.scheme", str, "loso", "loso or kfold:<k>", flag="--scheme"),
+    Opt("seed", int, 0, "master seed"),
 ]
 
 
-def _experiment_rates(cfg: dict, out_dir: str) -> int:
+def _experiment_rates(cfg: dict):
     spec = EllipsoidSpec(cfg["ellipsoid.alpha"], cfg["ellipsoid.radius"])
     curve = risk_curve_pinsker(
         spec,
@@ -504,32 +502,22 @@ def _experiment_rates(cfg: dict, out_dir: str) -> int:
         n_thetas=cfg["experiment.thetas"],
     )
     rows = [(p.epsilon, p.risk, p.std_error, p.trials) for p in curve.points]
-    fileio.write_table(
-        os.path.join(out_dir, "rates.csv"),
-        ["epsilon", "risk", "std_error", "trials"],
-        rows,
-    )
     eps = np.array([p.epsilon for p in curve.points])
     risk = np.array([p.risk for p in curve.points])
     lines = [
-        f"alpha: {fileio.fmt_float(spec.alpha)}",
-        f"radius: {fileio.fmt_float(spec.radius)}",
-        f"first risk (eps={fileio.fmt_float(eps[0])}): {fileio.fmt_float(risk[0])}",
-        f"last risk (eps={fileio.fmt_float(eps[-1])}): {fileio.fmt_float(risk[-1])}",
+        f"alpha: {spec.alpha:.17g}",
+        f"radius: {spec.radius:.17g}",
+        f"first risk (eps={eps[0]:.17g}): {risk[0]:.17g}",
+        f"last risk (eps={eps[-1]:.17g}): {risk[-1]:.17g}",
     ]
     if eps.size >= 2:
         slope = float(np.polyfit(np.log(eps), np.log(risk), 1)[0])
-        lines.append(
-            f"log-log slope (informational): {fileio.fmt_float(slope)}"
-        )
-    fileio.atomic_write_text(
-        os.path.join(out_dir, "rates_summary.txt"), "\n".join(lines) + "\n"
-    )
-    print(f"rates: risk {fileio.fmt_float(risk[0])} -> {fileio.fmt_float(risk[-1])}")
-    return 0
+        lines.append(f"log-log slope (informational): {slope:.17g}")
+    header = ["epsilon", "risk", "std_error", "trials"]
+    return header, rows, lines, f"risk {risk[0]:.17g} -> {risk[-1]:.17g}"
 
 
-def _experiment_adaptivity(cfg: dict, out_dir: str) -> int:
+def _experiment_adaptivity(cfg: dict):
     specs = [
         EllipsoidSpec(alpha, radius)
         for alpha in cfg["experiment.alphas"]
@@ -540,36 +528,19 @@ def _experiment_adaptivity(cfg: dict, out_dir: str) -> int:
         (r.alpha, r.radius, r.bjs_lower, r.bjs_risk, r.pinsker_risk, r.ratio)
         for r in rows
     ]
-    fileio.write_table(
-        os.path.join(out_dir, "adaptivity.csv"),
-        ["alpha", "radius", "bjs_lower", "bjs_upper", "pinsker_risk", "ratio"],
-        table,
-    )
     worst = max(r.ratio for r in rows)
     lines = [
-        f"epsilon: {fileio.fmt_float(cfg['experiment.epsilon'])}",
+        f"epsilon: {cfg['experiment.epsilon']:.17g}",
         f"specs: {len(specs)}",
-        f"max risk ratio: {fileio.fmt_float(worst)}",
+        f"max risk ratio: {worst:.17g}",
     ]
-    fileio.atomic_write_text(
-        os.path.join(out_dir, "adaptivity_summary.txt"), "\n".join(lines) + "\n"
-    )
-    print(f"adaptivity: max ratio {fileio.fmt_float(worst)}")
-    return 0
+    header = ["alpha", "radius", "bjs_lower", "bjs_upper", "pinsker_risk", "ratio"]
+    return header, table, lines, f"max ratio {worst:.17g}"
 
 
-def _experiment_consistency(cfg: dict, out_dir: str) -> int:
-    spec = EllipsoidSpec(cfg["ellipsoid.alpha"], cfg["ellipsoid.radius"])
-    model = make_class_model(
-        cfg["synth.classes"],
-        spec,
-        cfg["synth.truncation"],
-        cfg["synth.separation"],
-        cfg["synth.spread"],
-        cfg["seed"],
-    )
+def _experiment_consistency(cfg: dict):
     rows = consistency_experiment(
-        model,
+        _build_model(cfg),
         cfg["experiment.samples"],
         cfg["experiment.trials"],
         NoiseModel(sigma=cfg["noise.sigma"], seed=cfg["noise.seed"]),
@@ -580,61 +551,43 @@ def _experiment_consistency(cfg: dict, out_dir: str) -> int:
          r.bound_se)
         for r in rows
     ]
-    fileio.write_table(
-        os.path.join(out_dir, "consistency.csv"),
-        ["n_samples", "worst_class_error", "error_se", "chebyshev_bound",
-         "bound_se"],
-        table,
-    )
+    final = rows[-1].worst_class_error
     lines = [
         f"classes: {cfg['synth.classes']}",
         f"trials per class: {cfg['experiment.trials']}",
-        f"final worst-class error (N={rows[-1].n_samples}): "
-        f"{fileio.fmt_float(rows[-1].worst_class_error)}",
+        f"final worst-class error (N={rows[-1].n_samples}): {final:.17g}",
     ]
-    fileio.atomic_write_text(
-        os.path.join(out_dir, "consistency_summary.txt"), "\n".join(lines) + "\n"
-    )
-    print(
-        "consistency: final worst-class error "
-        f"{fileio.fmt_float(rows[-1].worst_class_error)}"
-    )
-    return 0
+    header = ["n_samples", "worst_class_error", "error_se", "chebyshev_bound",
+              "bound_se"]
+    return header, table, lines, f"final worst-class error {final:.17g}"
 
 
-def _experiment_phase(cfg: dict, out_dir: str) -> int:
+def _experiment_phase(cfg: dict):
     dataset = _build_dataset(cfg)
-    profile = _full_band_profile(cfg["pipeline.truncation"])
     config = PipelineConfig(
         dataset.n_samples,
-        profile,
+        _full_band_profile(cfg["pipeline.truncation"]),
         components=cfg["pipeline.components"],
         ridge=cfg["pipeline.ridge"],
     )
     result = phase_ablation(dataset, config, scheme=cfg["benchmark.scheme"])
+    full, magnitude = result.full, result.magnitude
     table = [
-        ("full", result.full.overall_accuracy, result.full.worst_class_error),
-        ("magnitude", result.magnitude.overall_accuracy,
-         result.magnitude.worst_class_error),
+        ("full", full.overall_accuracy, full.worst_class_error),
+        ("magnitude", magnitude.overall_accuracy, magnitude.worst_class_error),
     ]
-    fileio.write_table(
-        os.path.join(out_dir, "phase.csv"),
-        ["variant", "overall_accuracy", "worst_class_error"],
-        table,
-    )
     lines = [
         f"geometry: {cfg['synth.geometry']}",
-        f"full accuracy: {fileio.fmt_float(result.full.overall_accuracy)}",
-        f"magnitude accuracy: {fileio.fmt_float(result.magnitude.overall_accuracy)}",
-        f"accuracy drop: {fileio.fmt_float(result.accuracy_drop)}",
+        f"full accuracy: {full.overall_accuracy:.17g}",
+        f"magnitude accuracy: {magnitude.overall_accuracy:.17g}",
+        f"accuracy drop: {result.accuracy_drop:.17g}",
     ]
-    fileio.atomic_write_text(
-        os.path.join(out_dir, "phase_summary.txt"), "\n".join(lines) + "\n"
-    )
-    print(f"phase: accuracy drop {fileio.fmt_float(result.accuracy_drop)}")
-    return 0
+    header = ["variant", "overall_accuracy", "worst_class_error"]
+    return header, table, lines, f"accuracy drop {result.accuracy_drop:.17g}"
 
 
+# name -> (options, runner); a runner returns the csv header and rows, the
+# summary lines and the stdout message, and cmd_experiment writes them
 _EXPERIMENTS = {
     "rates": (RATES_OPTS, _experiment_rates),
     "adaptivity": (ADAPTIVITY_OPTS, _experiment_adaptivity),
@@ -666,7 +619,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     cfg, _ = _resolve(args, opts)
     os.makedirs(args.out, exist_ok=True)
-    return runner(cfg, args.out)
+    header, rows, lines, message = runner(cfg)
+    path = os.path.join(args.out, args.name)
+    fileio.write_table(f"{path}.csv", header, rows)
+    fileio.atomic_write_text(f"{path}_summary.txt", "\n".join(lines) + "\n")
+    print(f"{args.name}: {message}")
+    return 0
 
 
 # ---------------------------------------------------------------------------

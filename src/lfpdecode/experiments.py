@@ -144,6 +144,8 @@ def risk_curve_pinsker(
         raise ValueError("epsilons must be strictly decreasing")
     if trials < 100:
         raise ValueError("trials must be at least 100")
+    if n_thetas < 0:
+        raise ValueError("n_thetas must be nonnegative")
     points = []
     for i, eps in enumerate(eps_list):
         mu = pinsker_mu(spec, eps)
@@ -406,10 +408,10 @@ def consistency_experiment(
     (empirical sup MSE) / separation^2, both with standard errors.
     """
     ns = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_grid must be strictly increasing")
-    if trials_per_class < 1:
-        raise ValueError("trials_per_class must be at least 1")
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n_grid must be nonempty and strictly increasing")
+    if trials_per_class < 2:
+        raise ValueError("trials_per_class must be at least 2")
     model_count = 2 * model.truncation + 1
     rows = []
     for ni, n in enumerate(ns):
