@@ -47,6 +47,7 @@ from .synth import (
 __all__ = ["main", "build_parser"]
 
 
+# Option parse functions; argparse names them in "invalid <name> value" errors.
 def boolean(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in {"true", "1", "yes", "on"}:
