@@ -315,6 +315,26 @@ def test_dataset_feature_matrix_makes_no_copy_of_the_cube():
     assert peak < ds.cube.nbytes / 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(64, ShrinkageProfile(np.ones(7), 3, label="mask[1:7]")),
+        PipelineConfig.bjs(100),
+        PipelineConfig.bjs(256),
+    ],
+    ids=["profile-64", "bjs-100", "bjs-256"],
+)
+def test_config_sample_count_must_equal_the_dataset_s(config):
+    # a shorter config would decode the first samples of each trial as if
+    # they were one full period
+    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=6)
+    ds = generate_dataset(model, 4, 2, 128, 2, NoiseModel(0.3), seed=7)
+    with pytest.raises(ValueError, match="n_samples"):
+        dataset_feature_matrix(ds, config)
+    with pytest.raises(ValueError, match="n_samples"):
+        cross_validate(ds, config)
+
+
 def _blob_features(rng, n_per_class=12, k=3, d=4, sep=6.0):
     xs, ys, gs = [], [], []
     for c in range(k):

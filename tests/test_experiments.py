@@ -3,10 +3,18 @@ runs the full-size versions)."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from lfpdecode import classify, shrinkage
 from lfpdecode.basis import CoefficientVector, basis_matrix
-from lfpdecode.classify import PipelineConfig, ShrinkageProfile, cross_validate
+from lfpdecode.classify import (
+    PipelineConfig,
+    ShrinkageProfile,
+    cross_validate,
+    cross_validate_features,
+    dataset_feature_matrix,
+    magnitude_features,
+)
 from lfpdecode.experiments import (
     adaptivity_ratio_bjs,
     benchmark_classifiers,
@@ -203,3 +211,38 @@ def test_phase_ablation_rejects_magnitude_only_config():
     config = PipelineConfig(64, profile, components=0, magnitude_only=True)
     with pytest.raises(ValueError):
         phase_ablation(ds, config)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig(64, ShrinkageProfile(np.ones(7), 3, label="mask[1:7]"),
+                       components=3),
+        PipelineConfig.bjs(64, components=3),
+    ],
+    ids=["profile", "bjs"],
+)
+def test_phase_ablation_transforms_once(monkeypatch, config):
+    # the magnitude run collapses the full run's feature matrix, on the
+    # same folds, instead of extracting the features a second time
+    model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=4)
+    ds = generate_dataset(model, 4, 2, 64, 2, NoiseModel(sigma=0.4), seed=5)
+    calls = []
+    original = classify.transform_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    for module in (classify, shrinkage):
+        monkeypatch.setattr(module, "transform_rows", counted)
+    result = phase_ablation(ds, config)
+    assert calls == [(ds.n_trials * ds.n_channels, 64)]
+    feats = dataset_feature_matrix(ds, config)
+    folds = (ds.labels, ds.session_ids, ds.n_classes)
+    full = cross_validate_features(feats, *folds, components=3)
+    magnitude = cross_validate_features(
+        magnitude_features(feats, config.channel_width), *folds, components=3
+    )
+    assert_array_equal(result.full.confusion, full.confusion)
+    assert_array_equal(result.magnitude.confusion, magnitude.confusion)
