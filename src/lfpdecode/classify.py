@@ -299,7 +299,6 @@ class PipelineConfig:
     shrinkage: ShrinkageProfile | BlockPartition
     components: int = 0
     ridge: float | None = None
-    magnitude_only: bool = False
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
@@ -346,10 +345,7 @@ class PipelineConfig:
             head = (
                 f"bjs[L={self.shrinkage.pass_limit},J={self.shrinkage.zero_limit}]"
             )
-        tail = f" P={self.components}" if self.components else ""
-        if self.magnitude_only:
-            tail += " magnitude-only"
-        return head + tail
+        return head + (f" P={self.components}" if self.components else "")
 
 
 def magnitude_features(features, channel_width: int) -> np.ndarray:
@@ -376,27 +372,21 @@ def magnitude_features(features, channel_width: int) -> np.ndarray:
     return out.reshape(X.shape[0], -1)
 
 
-def _channel_feature_rows(rows: np.ndarray, config: PipelineConfig) -> np.ndarray:
-    """Shrunken coefficients for a stack of raw channel rows, (m, width)."""
-    if rows.shape[1] < config.n_samples:
-        raise ValueError("trials are shorter than the configured n_samples")
-    rows = rows[:, : config.n_samples]
-    if isinstance(config.shrinkage, ShrinkageProfile):
-        profile = config.shrinkage
-        coeffs = transform_rows(rows, profile.truncation)
-        return coeffs[:, : profile.factors.size] * profile.factors
-    return bjs_sampled_rows(rows, config.shrinkage.pass_limit)
-
-
 def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> np.ndarray:
-    """Pre-PCA feature matrix for a whole dataset, (n_trials, dim)."""
-    # one row per channel of every trial; a view of a C-ordered cube
+    """Pre-PCA (n_trials, dim) features; trials must be config.n_samples long."""
+    if config.n_samples != dataset.n_samples:
+        raise ValueError(
+            f"config n_samples {config.n_samples} != dataset's {dataset.n_samples}"
+        )
+    # one full period per channel of every trial; a view of a C-ordered cube
     rows = dataset.cube.reshape(-1, dataset.n_samples)
-    per_channel = _channel_feature_rows(rows, config)
-    feats = per_channel.reshape(dataset.n_trials, -1)
-    if config.magnitude_only:
-        feats = magnitude_features(feats, config.channel_width)
-    return feats
+    shrink = config.shrinkage
+    if isinstance(shrink, BlockPartition):
+        per_channel = bjs_sampled_rows(rows, shrink.pass_limit)
+    else:
+        coeffs = transform_rows(rows, shrink.truncation)
+        per_channel = coeffs[:, : shrink.factors.size] * shrink.factors
+    return per_channel.reshape(dataset.n_trials, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -726,10 +716,8 @@ def grid_search(
         if not configs:
             continue
         count = 2 * truncation + 1
-        raw = PipelineConfig(
-            dataset.n_samples, ShrinkageProfile(np.ones(count), truncation, "raw")
-        )
-        coeffs = dataset_feature_matrix(dataset, raw)
+        channels = dataset.cube.reshape(-1, dataset.n_samples)
+        coeffs = transform_rows(channels, truncation).reshape(dataset.n_trials, -1)
         offsets = np.arange(dataset.n_channels)[:, None] * count
         scalings = [
             (

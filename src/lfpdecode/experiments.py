@@ -10,12 +10,20 @@ experiment is a pure function of its arguments, including the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import CoefficientVector, basis_matrix, coeff_l2_distance
-from .classify import CrossValReport, PipelineConfig, _decode_rows, cross_validate
+from .classify import (
+    CrossValReport,
+    PipelineConfig,
+    _decode_rows,
+    cross_validate,
+    cross_validate_features,
+    dataset_feature_matrix,
+    magnitude_features,
+)
 from .shrinkage import (
     BlockPartition,
     EllipsoidSpec,
@@ -478,14 +486,13 @@ def phase_ablation(
 ) -> PhaseAblationResult:
     """Rerun one pipeline with harmonic pairs collapsed to magnitudes.
 
-    Both runs use identical folds, so the accuracy difference isolates the
-    contribution of phase information to the classifier.
+    Both runs use one feature matrix and identical folds, so the accuracy
+    difference isolates the contribution of phase information.
     """
-    if config.magnitude_only:
-        raise ValueError("pass the full-feature config; the ablation derives the other")
-    return PhaseAblationResult(
-        full=cross_validate(dataset, config, scheme=scheme),
-        magnitude=cross_validate(
-            dataset, replace(config, magnitude_only=True), scheme=scheme
-        ),
+    features = dataset_feature_matrix(dataset, config)
+    folds = (dataset.labels, dataset.session_ids, dataset.n_classes, scheme)
+    full, magnitude = (
+        cross_validate_features(feats, *folds, config.components, config.ridge)
+        for feats in (features, magnitude_features(features, config.channel_width))
     )
+    return PhaseAblationResult(full=full, magnitude=magnitude)

@@ -204,15 +204,6 @@ def test_benchmark_reports_match_direct_cross_validation():
         assert rep.confusion.sum() == ds.n_trials
 
 
-def test_phase_ablation_rejects_magnitude_only_config():
-    model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=4)
-    ds = generate_dataset(model, 3, 2, 64, 2, NoiseModel(sigma=0.4), seed=5)
-    profile = ShrinkageProfile(np.ones(7), 3, label="mask[1:7]")
-    config = PipelineConfig(64, profile, components=0, magnitude_only=True)
-    with pytest.raises(ValueError):
-        phase_ablation(ds, config)
-
-
 @pytest.mark.parametrize(
     "config",
     [
