@@ -704,12 +704,7 @@ def grid_search(
             truncation, spec=spec, mu_values=mu_values, low_pass_only=low_pass_only
         )
         configs = [
-            PipelineConfig(
-                n_samples=dataset.n_samples,
-                shrinkage=profile,
-                components=int(n_comp),
-                ridge=ridge,
-            )
+            PipelineConfig(dataset.n_samples, profile, int(n_comp), ridge)
             for profile in candidates
             for n_comp in components
         ]

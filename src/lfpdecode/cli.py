@@ -61,12 +61,19 @@ def float_or_auto(raw: str) -> float | None:
     return None if raw == "auto" else float(raw)
 
 
+def _items(raw: str) -> list[str]:
+    items = [tok for tok in raw.split(",") if tok.strip()]
+    if not items:
+        raise ValueError("a list needs at least one item")
+    return items
+
+
 def int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    return [int(tok) for tok in _items(raw)]
 
 
 def float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    return [float(tok) for tok in _items(raw)]
 
 
 @dataclass(frozen=True)
@@ -619,7 +626,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"experiment {args.name} does not take {', '.join(foreign)}"
         )
     cfg, _ = _resolve(args, opts)
-    os.makedirs(args.out, exist_ok=True)
     header, rows, lines, message = runner(cfg)
     path = os.path.join(args.out, args.name)
     fileio.write_table(f"{path}.csv", header, rows)

@@ -385,6 +385,8 @@ def adaptivity_ratio_bjs(specs, epsilon: float) -> list[AdaptivityRow]:
                 pinsker_risk=_pinsker_sup_risk(spec, epsilon),
             )
         )
+    if not rows:
+        raise ValueError("specs must name at least one ellipsoid")
     return rows
 
 
@@ -428,7 +430,7 @@ def consistency_experiment(
         class_mses = np.empty(model.n_classes)
         class_mse_ses = np.empty(model.n_classes)
         for label in range(1, model.n_classes + 1):
-            rng = stream_rng(seed, key=(ni, label))
+            rng = stream_rng(seed, noise.seed, key=(ni, label))
             thetas = np.vstack(
                 [
                     perturb_within_class(model, label, rng)

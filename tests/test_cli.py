@@ -4,6 +4,7 @@ Each test drives ``main`` in-process and checks exit codes and output
 files.  Determinism is asserted byte for byte.
 """
 
+import glob
 import hashlib
 import math
 import os
@@ -13,13 +14,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfpdecode import fileio
+from lfpdecode import cli, fileio
 from lfpdecode.cli import main
 from lfpdecode.shrinkage import EllipsoidSpec, pinsker_mu
 
 
+def _at(out):
+    """The paths at an --out path or prefix: itself and every suffixed name."""
+    return set(glob.glob(glob.escape(out) + "*")) if out else set()
+
+
 def run(*argv):
-    return main(list(argv))
+    # a rejected run (exit 2) must leave nothing new at its --out
+    argv = list(argv)
+    out = argv[argv.index("--out") + 1] if "--out" in argv else ""
+    before = _at(out)
+    code = main(argv)
+    if code == 2:
+        assert _at(out) == before
+    return code
 
 
 def read_bytes(path):
@@ -541,7 +554,7 @@ def test_benchmark_components_minus_one_alone_picks_the_default(tmp_path,
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["--name", "consistency", "--sample-grid", ""], "n_grid"),
+        (["--name", "consistency", "--sample-grid", ""], "--sample-grid"),
         (["--name", "consistency", "--classes", "3", "--sample-grid", "64",
           "--trials", "1"], "trials_per_class"),
         (["--name", "rates", "--epsilons", "0.5", "--trials", "100",
@@ -554,7 +567,43 @@ def test_experiment_inputs_the_library_rejects_exit_2(tmp_path, capsys, argv,
     out = tmp_path / "exp"
     assert run("experiment", *argv, "--out", str(out)) == 2
     assert named in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+# (name, the arguments it needs, its options) for every command and experiment
+_COMMANDS = [
+    ("synth", ["synth"], cli.SYNTH_OPTS),
+    ("estimate", ["estimate", "--input", "sig.csv"], cli.ESTIMATE_OPTS),
+    ("benchmark", ["benchmark", "--dataset", "ds.csv"], cli.BENCHMARK_OPTS),
+] + [
+    (name, ["experiment", "--name", name], opts)
+    for name, (opts, _) in sorted(cli._EXPERIMENTS.items())
+]
+LIST_OPTIONS = [
+    pytest.param(argv, opt, id=f"{name}-{opt.key}")
+    for name, argv, opts in _COMMANDS
+    for opt in opts
+    if opt.kind in (cli.int_list, cli.float_list)
+]
+
+
+@pytest.mark.parametrize("argv, opt", LIST_OPTIONS)
+@pytest.mark.parametrize("raw", ["", " , "], ids=["empty", "blank-items"])
+def test_empty_list_value_exits_2_naming_the_option(tmp_path, capsys, argv,
+                                                    opt, raw):
+    # an empty list would fall back to a default or fail later with a
+    # message that names neither the flag nor the config key
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{opt.key} = {raw}\n")
+    out = str(tmp_path / "x")
+    for source, named in (
+        ([f"{opt.flag_name}={raw}"], f"argument {opt.flag_name}"),
+        (["--config", str(cfg)], f"config key {opt.key}"),
+    ):
+        assert run(*argv, *source, "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert _at(out) == set()
 
 
 def test_missing_subcommand_exits_2(capsys):

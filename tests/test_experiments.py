@@ -102,6 +102,12 @@ def test_adaptivity_epsilon_range_checked():
         adaptivity_ratio_bjs([SPEC], -0.1)
 
 
+def test_adaptivity_rejects_an_empty_spec_list():
+    # with no rows there is no worst ratio to report
+    with pytest.raises(ValueError, match="at least one"):
+        adaptivity_ratio_bjs([], 0.05)
+
+
 def _bjs_sq_errors(theta, partition, eps, trials, seed):
     rng = np.random.default_rng(seed)
     y = theta + eps * rng.standard_normal((trials, theta.size))
@@ -173,6 +179,27 @@ def test_consistency_rejects_what_it_cannot_report(n_grid, trials, named):
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=0)
     with pytest.raises(ValueError, match=named):
         consistency_experiment(model, n_grid, trials, NoiseModel())
+
+
+def test_consistency_draws_from_the_noise_seed():
+    # noise seed 0 keeps the rows of the draws made before the noise seed
+    # was read: SeedSequence pads its entropy with zero words
+    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=5)
+    rows = {
+        noise_seed: [
+            (r.n_samples, r.worst_class_error, r.error_se, r.chebyshev_bound,
+             r.bound_se)
+            for r in consistency_experiment(
+                model, [64, 128], 30, NoiseModel(2.0, noise_seed), seed=5
+            )
+        ]
+        for noise_seed in (0, 7)
+    }
+    assert rows[0] == [
+        (64, 0.0, 0.0, 1.8985596304960515, 0.19294499678813942),
+        (128, 0.0, 0.0, 1.1452535563364583, 0.10225267381011037),
+    ]
+    assert rows[7] != rows[0]
 
 
 def test_consistency_near_noiseless_decodes_perfectly():
