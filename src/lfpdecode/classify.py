@@ -380,12 +380,12 @@ def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> n
         )
     # one full period per channel of every trial; a view of a C-ordered cube
     rows = dataset.cube.reshape(-1, dataset.n_samples)
-    shrink = config.shrinkage
-    if isinstance(shrink, BlockPartition):
-        per_channel = bjs_sampled_rows(rows, shrink.pass_limit)
+    if isinstance(config.shrinkage, ShrinkageProfile):
+        profile = config.shrinkage
+        coeffs = transform_rows(rows, profile.truncation)
+        per_channel = coeffs[:, : profile.factors.size] * profile.factors
     else:
-        coeffs = transform_rows(rows, shrink.truncation)
-        per_channel = coeffs[:, : shrink.factors.size] * shrink.factors
+        per_channel = bjs_sampled_rows(rows, config.shrinkage.pass_limit)
     return per_channel.reshape(dataset.n_trials, -1)
 
 
@@ -704,7 +704,12 @@ def grid_search(
             truncation, spec=spec, mu_values=mu_values, low_pass_only=low_pass_only
         )
         configs = [
-            PipelineConfig(dataset.n_samples, profile, int(n_comp), ridge)
+            PipelineConfig(
+                n_samples=dataset.n_samples,
+                shrinkage=profile,
+                components=int(n_comp),
+                ridge=ridge,
+            )
             for profile in candidates
             for n_comp in components
         ]

@@ -61,19 +61,13 @@ def float_or_auto(raw: str) -> float | None:
     return None if raw == "auto" else float(raw)
 
 
-def _items(raw: str) -> list[str]:
-    items = [tok for tok in raw.split(",") if tok.strip()]
-    if not items:
-        raise ValueError("a list needs at least one item")
-    return items
-
-
+# every comma-separated item must parse, so an empty value or item is an error
 def int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in _items(raw)]
+    return [int(tok) for tok in raw.split(",")]
 
 
 def float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in _items(raw)]
+    return [float(tok) for tok in raw.split(",")]
 
 
 @dataclass(frozen=True)

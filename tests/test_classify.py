@@ -324,9 +324,9 @@ def test_dataset_feature_matrix_makes_no_copy_of_the_cube():
     ],
     ids=["profile-64", "bjs-100", "bjs-256"],
 )
-def test_config_sample_count_must_equal_the_dataset_s(config):
+def test_feature_matrix_rejects_a_config_for_another_sample_count(config):
     # a shorter config would decode the first samples of each trial as if
-    # they were one full period
+    # they were one full period; a longer one has no samples to read
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=6)
     ds = generate_dataset(model, 4, 2, 128, 2, NoiseModel(0.3), seed=7)
     with pytest.raises(ValueError, match="n_samples"):

@@ -19,7 +19,7 @@ from lfpdecode.cli import main
 from lfpdecode.shrinkage import EllipsoidSpec, pinsker_mu
 
 
-def _at(out):
+def _paths_at(out):
     """The paths at an --out path or prefix: itself and every suffixed name."""
     return set(glob.glob(glob.escape(out) + "*")) if out else set()
 
@@ -28,10 +28,10 @@ def run(*argv):
     # a rejected run (exit 2) must leave nothing new at its --out
     argv = list(argv)
     out = argv[argv.index("--out") + 1] if "--out" in argv else ""
-    before = _at(out)
+    before = _paths_at(out)
     code = main(argv)
     if code == 2:
-        assert _at(out) == before
+        assert _paths_at(out) == before
     return code
 
 
@@ -588,11 +588,13 @@ LIST_OPTIONS = [
 
 
 @pytest.mark.parametrize("argv, opt", LIST_OPTIONS)
-@pytest.mark.parametrize("raw", ["", " , "], ids=["empty", "blank-items"])
+@pytest.mark.parametrize("raw", ["", " , ", "1,,2"],
+                         ids=["empty", "blank-items", "empty-item"])
 def test_empty_list_value_exits_2_naming_the_option(tmp_path, capsys, argv,
                                                     opt, raw):
     # an empty list would fall back to a default or fail later with a
-    # message that names neither the flag nor the config key
+    # message that names neither the flag nor the config key, and an empty
+    # item would be dropped silently
     argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{opt.key} = {raw}\n")
@@ -603,7 +605,7 @@ def test_empty_list_value_exits_2_naming_the_option(tmp_path, capsys, argv,
     ):
         assert run(*argv, *source, "--out", out) == 2
         assert named in capsys.readouterr().err
-        assert _at(out) == set()
+        assert _paths_at(out) == set()
 
 
 def test_missing_subcommand_exits_2(capsys):
