@@ -10,6 +10,7 @@ search complete the module.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,23 +218,47 @@ def pca_apply(projection: PCAProjection, features) -> np.ndarray:
 # LDA
 
 
-def _pooled_covariance(X: np.ndarray, y: np.ndarray):
-    """Class ids, counts, class means and pooled within-class covariance.
-
-    Requires at least 2 classes and at least 2 samples in each.
-    """
+def _class_counts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class ids and counts; at least 2 classes with 2 samples in each."""
     class_ids, counts = np.unique(y, return_counts=True)
     if class_ids.size < 2:
         raise ValueError("LDA needs at least 2 classes")
     if np.any(counts < 2):
         raise ValueError("every class needs at least 2 training samples")
-    members = [y == c for c in class_ids]
-    means = np.vstack([X[mask].mean(axis=0) for mask in members])
-    scatter = np.zeros((X.shape[1], X.shape[1]))
-    for mask, m in zip(members, means):
-        centered = X[mask] - m
-        scatter += centered.T @ centered
-    return class_ids, counts, means, scatter / (y.size - class_ids.size)
+    return class_ids, counts
+
+
+def _lda_solve(class_ids, counts, means, pooled, ridge, dim: int) -> LDAModel:
+    """LDA from class counts, class means and pooled covariance.
+
+    ``means`` (K, d) and ``pooled`` (d, d) cover the leading d of ``dim``
+    components; the rest score zero, so they add zero rows to the
+    covariance and nothing to the discriminants.  ``ridge`` = None adds
+    1e-6 * trace / dim to the diagonal.  This is the one LDA solver:
+    :func:`lda_train` calls it with d = dim, the cross-validation fold
+    loop with dim the capped PCA size.
+    """
+    if ridge is None:
+        lam = 1e-6 * float(np.trace(pooled)) / dim
+    else:
+        if ridge < 0.0 or not np.isfinite(ridge):
+            raise ValueError("ridge must be finite and nonnegative")
+        lam = float(ridge)
+    cov = pooled + lam * np.eye(pooled.shape[0])
+    try:
+        if lam == 0.0 and dim > pooled.shape[0]:
+            raise np.linalg.LinAlgError  # a zero row left out of ``pooled``
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "pooled covariance is singular; pass a positive ridge or reduce "
+            "the feature dimension with PCA"
+        ) from None
+    coef = np.linalg.solve(cov, means.T)
+    intercept = -0.5 * np.einsum("kd,dk->k", means, coef) + np.log(
+        counts / counts.sum()
+    )
+    return LDAModel(class_ids=class_ids, coef=coef, intercept=intercept)
 
 
 def lda_train(features, labels, ridge: float | None = None) -> LDAModel:
@@ -249,25 +274,15 @@ def lda_train(features, labels, ridge: float | None = None) -> LDAModel:
     y = np.asarray(labels, dtype=int)
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("features must be (n_samples, dim) matching labels")
-    n, dim = X.shape
-    class_ids, counts, means, pooled = _pooled_covariance(X, y)
-    if ridge is None:
-        lam = 1e-6 * float(np.trace(pooled)) / dim
-    else:
-        if ridge < 0.0 or not np.isfinite(ridge):
-            raise ValueError("ridge must be finite and nonnegative")
-        lam = float(ridge)
-    cov = pooled + lam * np.eye(dim)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "pooled covariance is singular; pass a positive ridge or reduce "
-            "the feature dimension with PCA"
-        ) from None
-    coef = np.linalg.solve(cov, means.T)
-    intercept = -0.5 * np.einsum("kd,dk->k", means, coef) + np.log(counts / n)
-    return LDAModel(class_ids=class_ids, coef=coef, intercept=intercept)
+    class_ids, counts = _class_counts(y)
+    members = [y == c for c in class_ids]
+    means = np.vstack([X[mask].mean(axis=0) for mask in members])
+    scatter = np.zeros((X.shape[1], X.shape[1]))
+    for mask, m in zip(members, means):
+        centered = X[mask] - m
+        scatter += centered.T @ centered
+    pooled = scatter / (y.size - class_ids.size)
+    return _lda_solve(class_ids, counts, means, pooled, ridge, X.shape[1])
 
 
 def lda_predict(model: LDAModel, features):
@@ -451,13 +466,13 @@ def _centred_gram(X: np.ndarray, cols: np.ndarray, weights: np.ndarray):
 
 
 def _gram_scores(gram: np.ndarray, train, test, count: int):
-    """Principal scores of a fold from the Gram matrix of all rows.
+    """Eigenvalues and principal scores of a fold from the Gram of all rows.
 
     The training block is double-centred with the training mean and the
     test block centred against it, so the top eigenpairs (lam, U) give
     training scores U sqrt(lam) and test scores K_te U / sqrt(lam).
     Components at the rounding level of the matrix (rank below ``count``)
-    score zero.
+    keep eigenvalue zero and score zero.
     """
     k_train = gram[np.ix_(train, train)]
     k_test = gram[np.ix_(test, train)]
@@ -470,7 +485,7 @@ def _gram_scores(gram: np.ndarray, train, test, count: int):
     root = np.sqrt(np.where(alive, evals, 1.0))
     train_scores = vecs * np.where(alive, root, 0.0)
     test_scores = cross @ (vecs * np.where(alive, 1.0 / root, 0.0))
-    return train_scores, test_scores
+    return np.where(alive, evals, 0.0), train_scores, test_scores
 
 
 def _cross_validate_scaled(
@@ -490,17 +505,24 @@ def _cross_validate_scaled(
     cross-validated at every PCA size in ``components`` and the reports
     come scaling-major.  The folds share their moments and no component
     matrix is formed.  A scaling no wider than the training rows takes
-    the top eigenpairs of diag(w) S diag(w) over its nonzero columns,
-    where S is the fold's one scatter of centred training rows; a wider
-    one takes them from its Gram matrix, formed once before the folds
-    from column blocks of the centred, weighted features, so that no
-    feature-sized copy is made (see :func:`_centred_gram` and
+    the top eigenpairs (lam, V) of diag(w) S diag(w) over its nonzero
+    columns, where S is the fold's one scatter of centred training rows;
+    a wider one takes them from its Gram matrix, formed once before the
+    folds from column blocks of the centred, weighted features, so that
+    no feature-sized copy is made (see :func:`_centred_gram` and
     :func:`_gram_scores`).  The scores are those of :func:`pca_fit`
     and :func:`pca_apply` up to a rotation inside the top-P subspace,
-    which leaves LDA unchanged.  A scaling with fewer nonzero columns
-    than the capped P trains LDA on those columns' scores only; the
-    components it leaves out would score zero, so the default ridge is
-    1e-6 * trace / P, the capped P, as on the zero-padded scores.
+    which leaves LDA unchanged.
+
+    LDA is trained from moments, not from training scores: the centred
+    training scores F satisfy F'F = diag(lam), so the pooled within-class
+    scatter is diag(lam) - sum_k n_k m_k m_k'.  The class means m_k are
+    the class means of the centred, weighted training rows times V, or
+    on the Gram path those of the rows of U sqrt(lam).  Only the test
+    rows are projected.  A scaling with fewer nonzero columns than the
+    capped P has only that many components; the ones it leaves out would
+    score zero, so, as on the zero-padded scores, the default ridge is
+    1e-6 * trace / P, the capped P, and a ridge of 0 is singular.
     """
     y = np.asarray(labels, dtype=int)
     folds = _parse_scheme(scheme, y.size, np.asarray(sessions, dtype=int))
@@ -517,6 +539,9 @@ def _cross_validate_scaled(
         ytr, yte = y[train], y[test_mask]
         ntr = ytr.size
         missing = sorted(set(range(1, n_classes + 1)) - set(ytr.tolist()))
+        if pca:
+            class_ids, counts = _class_counts(ytr)
+            averages = (ytr == class_ids[:, None]) / counts[:, None]
         narrow = [s for s, (cols, _) in enumerate(scalings) if cols.size <= ntr]
         if pca and narrow:
             used = np.unique(np.concatenate([live[s][0] for s in narrow]))
@@ -524,7 +549,10 @@ def _cross_validate_scaled(
             mean = block[train].mean(axis=0)
             centred_train, centred_test = block[train] - mean, block[test_mask] - mean
             scatter = centred_train.T @ centred_train
-        scores = {}
+            centred_means = averages @ centred_train
+        # per scaling: pooled covariance, class means and test scores of
+        # its top components
+        moments = {}
         for s, (cols, _) in enumerate(scalings):
             top = max((min(p, ntr - 1, cols.size) for _, p in jobs if p > 0), default=0)
             if top == 0:
@@ -532,36 +560,41 @@ def _cross_validate_scaled(
             if cols.size <= ntr:
                 at = np.searchsorted(used, live[s][0])
                 w = live[s][1]
-                _, vecs = _top_eigenpairs(scatter[np.ix_(at, at)] * np.outer(w, w), top)
-                scores[s] = tuple(
-                    (rows[:, at] * w) @ vecs for rows in (centred_train, centred_test)
-                )
+                evals, vecs = _top_eigenpairs(scatter[np.ix_(at, at)] * np.outer(w, w), top)
+                means = (centred_means[:, at] * w) @ vecs
+                test_scores = (centred_test[:, at] * w) @ vecs
             else:
-                scores[s] = _gram_scores(grams[s], train, test_mask, top)
+                evals, train_scores, test_scores = _gram_scores(
+                    grams[s], train, test_mask, top
+                )
+                means = averages @ train_scores
+            between = means * np.sqrt(counts)[:, None]
+            pooled = (np.diag(evals) - between.T @ between) / (ntr - class_ids.size)
+            moments[s] = pooled, means, test_scores
         for j, (s, p) in enumerate(jobs):
             if missing:
                 notes[j].append(
                     f"{name}: classes {missing} absent from training; skipped there"
                 )
-            lam = ridge
             if p > 0:
                 cap = min(p, ntr - 1, scalings[s][0].size)
                 if cap < p:
                     notes[j].append(f"{name}: components capped at {cap} (rank limit)")
-                f_train, f_test = (z[:, :cap] for z in scores[s])
-                if lam is None and f_train.shape[1] < cap:
-                    pooled = _pooled_covariance(f_train, ytr)[3]
-                    lam = 1e-6 * float(np.trace(pooled)) / cap
+                pooled, means, test_scores = moments[s]
+                model = _lda_solve(
+                    class_ids, counts, means[:, :cap], pooled[:cap, :cap], ridge, cap
+                )
+                f_test = test_scores[:, :cap]
             else:
                 feats = _weighted(X, *scalings[s])
-                f_train, f_test = feats[train], feats[test_mask]
-            model = lda_train(f_train, ytr, lam)
+                model, f_test = lda_train(feats[train], ytr, ridge), feats[test_mask]
             picks, _ = lda_predict(model, f_test)
             np.add.at(confusions[j], (yte - 1, picks - 1), 1)
+    # each distinct note once, with the number of jobs it applies to
+    for msg, count in Counter(msg for job_notes in notes for msg in job_notes).items():
+        logger.warning("%s [%d of %d jobs]", msg, count, len(jobs))
     reports = []
     for confusion, job_notes in zip(confusions, notes):
-        for msg in job_notes:
-            logger.warning(msg)
         row_sums = confusion.sum(axis=1)
         per_class = np.divide(
             np.diag(confusion),

@@ -61,13 +61,23 @@ def float_or_auto(raw: str) -> float | None:
     return None if raw == "auto" else float(raw)
 
 
-# every comma-separated item must parse, so an empty value or item is an error
+# every comma-separated item must parse, so an empty value or item is an
+# error; argparse prints an ArgumentTypeError's own message, naming the rule
+def _parse_items(raw: str, parse, what: str) -> list:
+    try:
+        return [parse(tok) for tok in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"every comma-separated item must be {what}: {raw!r}"
+        ) from None
+
+
 def int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",")]
+    return _parse_items(raw, int, "an integer")
 
 
 def float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",")]
+    return _parse_items(raw, float, "a number")
 
 
 @dataclass(frozen=True)
@@ -134,7 +144,7 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> tuple[dict, set[str]]
         if value is None and opt.key in file_cfg:
             try:
                 value = opt.kind(file_cfg[opt.key])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"config key {opt.key}: {exc}") from None
         elif value is None:
             value = opt.default

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lfpdecode import classify
 from lfpdecode.basis import basis_matrix, transform_rows
 from lfpdecode.classify import (
     PipelineConfig,
@@ -577,6 +578,120 @@ def test_fold_loop_zero_ridge_on_singular_covariance_raises():
         with pytest.raises(ValueError, match="singular"):
             cross_validate_features(features, y, g, 3, components=components,
                                     ridge=0.0)
+
+
+def _ridge_sensitive_theta(seed):
+    # coefficient 2 separates the classes with a within-class variance near
+    # the default ridge, so its LDA weight moves with the ridge
+    rng = np.random.default_rng(seed)
+    y = np.repeat([1, 2], 30)
+    g = np.tile([1, 2, 3], 20)
+    theta = np.zeros((60, 5))
+    theta[:, 0] = np.where(y == 1, 0.5, -0.5) + rng.normal(size=60)
+    theta[:, 1] = np.where(y == 1, -4e-4, 4e-4) + 3e-4 * rng.normal(size=60)
+    theta[:, 2:] = rng.normal(size=(60, 3))
+    return theta, y, g
+
+
+def _assert_scaling_matches_reference(x, cols, weights, y, g, n_classes, **kwargs):
+    # one weighted column scaling through the fold loop, against the
+    # reference chain on the weighted columns themselves
+    report = classify._cross_validate_scaled(
+        x, [(cols, weights)], y, g, n_classes, kwargs.get("scheme", "loso"),
+        [kwargs.get("components", 0)], kwargs.get("ridge"),
+    )[0]
+    confusion, notes = _reference_cross_validate(x[:, cols] * weights, y, g,
+                                                 n_classes, **kwargs)
+    assert_array_equal(report.confusion, confusion)
+    assert report.notes == notes
+    return report
+
+
+def test_moments_match_reference_with_fewer_live_columns_than_p():
+    # weights zero 3 of the 5 columns, so P = 4 keeps 2 components and the
+    # default ridge divides by 4
+    theta, y, g = _ridge_sensitive_theta(37)
+    cols, weights = np.arange(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    report = _assert_scaling_matches_reference(theta, cols, weights, y, g, 2,
+                                               components=4)
+    assert 0 < np.trace(report.confusion) < y.size
+    # the same on the Gram path: 200 columns over 40 training rows, 2 live
+    wide = np.hstack([theta, np.random.default_rng(38).normal(size=(60, 195))])
+    cols, weights = np.arange(200), np.r_[1.0, 1.0, np.zeros(198)]
+    _assert_scaling_matches_reference(wide, cols, weights, y, g, 2, components=4)
+
+
+@pytest.mark.parametrize("d", [8, 60], ids=["narrow", "wide"])
+def test_moments_match_reference_on_a_fold_missing_a_class(d):
+    x, y, g = _hard_blobs(39, 12, d)
+    # class 2 only in session 3: that fold trains on classes 1 and 3
+    g = np.where(y == 2, 3, g)
+    report = _assert_matches_reference(x, y, g, 3, components=5)
+    assert report.notes == [
+        "session 3: classes [2] absent from training; skipped there"
+    ]
+
+
+def test_moments_match_reference_on_a_rank_deficient_wide_gram():
+    # 60 columns spanned by 4 directions: P = 20 leaves 16 or more dead
+    # components on every fold, with zero eigenvalue and zero score
+    x, y, g = _hard_blobs(40, 12, 4)
+    wide = x @ np.random.default_rng(41).normal(size=(4, 60))
+    report = _assert_matches_reference(wide, y, g, 3, components=20)
+    assert 0 < np.trace(report.confusion) < y.size
+    _assert_matches_reference(wide, y, g, 3, components=20, scheme="kfold:4")
+
+
+def test_moments_zero_ridge_with_fewer_live_columns_than_p_raises():
+    # the 2 components the zero weights leave out make the covariance of
+    # P = 4 singular, as on the zero-padded reference scores
+    theta, y, g = _ridge_sensitive_theta(37)
+    cols, weights = np.arange(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="singular"):
+        _reference_cross_validate(theta * weights, y, g, 2, components=4,
+                                  ridge=0.0)
+    with pytest.raises(ValueError, match="singular"):
+        classify._cross_validate_scaled(theta, [(cols, weights)], y, g, 2, "loso",
+                                        [4], 0.0)
+    # with every column live, ridge 0 is not singular and nothing raises
+    _assert_scaling_matches_reference(theta, cols, np.ones(5), y, g, 2,
+                                      components=4, ridge=0.0)
+
+
+def test_pca_jobs_train_lda_from_moments(monkeypatch):
+    calls = []
+    real = classify.lda_train
+    monkeypatch.setattr(classify, "lda_train",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    for d in (6, 60):
+        x, y, g = _hard_blobs(42, 12, d)
+        cross_validate_features(x, y, g, 3, components=4)
+        assert calls == []
+        cross_validate_features(x, y, g, 3, components=0)
+        assert len(calls) == 3  # one per fold
+        calls.clear()
+    model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=43)
+    ds = generate_dataset(model, 6, 2, 64, 3, NoiseModel(sigma=1.0), seed=44)
+    grid_search(ds, truncations=(2,), components=(0, 3), low_pass_only=True)
+    assert len(calls) == 5 * 3  # the 5 masks at P = 0, one per fold
+
+
+def test_grid_logs_each_distinct_note_once(caplog):
+    # 3 classes, 2 sessions of 6 trials: a full T = 5 grid caps P = 10 at 5
+    # on both folds of each of its 66 masks
+    model = make_class_model(3, SPEC, 5, 0.6, 0.05, seed=45)
+    ds = generate_dataset(model, 4, 2, 64, 2, NoiseModel(sigma=0.5), seed=46)
+    with caplog.at_level("WARNING", logger="lfpdecode.classify"):
+        result = grid_search(ds, truncations=(5,), components=(0, 10))
+    assert len(result.rows) == 132
+    assert [r.getMessage() for r in caplog.records] == [
+        "session 1: components capped at 5 (rank limit) [66 of 132 jobs]",
+        "session 2: components capped at 5 (rank limit) [66 of 132 jobs]",
+    ]
+    assert result.best_report.notes in ([], [
+        "session 1: components capped at 5 (rank limit)",
+        "session 2: components capped at 5 (rank limit)",
+    ])
 
 
 def test_grid_rows_equal_per_profile_cross_validation():

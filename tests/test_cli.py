@@ -608,6 +608,33 @@ def test_empty_list_value_exits_2_naming_the_option(tmp_path, capsys, argv,
         assert _paths_at(out) == set()
 
 
+@pytest.mark.parametrize(
+    "argv, opt, raw, rule",
+    [
+        (["benchmark", "--dataset", "ds.csv"], "grid.truncations", "3,x",
+         "every comma-separated item must be an integer"),
+        (["experiment", "--name", "rates"], "experiment.epsilons", "0.5,",
+         "every comma-separated item must be a number"),
+    ],
+    ids=["int_list", "float_list"],
+)
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_list_value_error_names_the_rule(tmp_path, capsys, argv, opt, raw, rule,
+                                         route):
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    flag = "--" + opt.rsplit(".", 1)[1]
+    if route == "flag":
+        source, named = [f"{flag}={raw}"], f"argument {flag}: {rule}"
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{opt} = {raw}\n")
+        source, named = ["--config", str(cfg)], f"config key {opt}: {rule}"
+    assert run(*argv, *source, "--out", str(tmp_path / "x")) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert repr(raw) in err
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert run() == 2
     capsys.readouterr()
