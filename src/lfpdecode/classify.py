@@ -234,9 +234,10 @@ def _lda_solve(class_ids, counts, means, pooled, ridge, dim: int) -> LDAModel:
     ``means`` (K, d) and ``pooled`` (d, d) cover the leading d of ``dim``
     components; the rest score zero, so they add zero rows to the
     covariance and nothing to the discriminants.  ``ridge`` = None adds
-    1e-6 * trace / dim to the diagonal.  This is the one LDA solver:
-    :func:`lda_train` calls it with d = dim, the cross-validation fold
-    loop with dim the capped PCA size.
+    1e-6 * trace / dim to the diagonal; a ridge of 0 with d < dim is
+    singular.  This is the one LDA solver: :func:`lda_train` calls it with
+    d = dim, the cross-validation fold loop with dim the capped PCA size,
+    or the feature width at P = 0, which keeps every component.
     """
     if ridge is None:
         lam = 1e-6 * float(np.trace(pooled)) / dim
@@ -268,7 +269,8 @@ def lda_train(features, labels, ridge: float | None = None) -> LDAModel:
     1e-6 * trace/dim.  An explicit ridge of 0 on a singular covariance
     raises instead of silently producing garbage.
 
-    Requires at least 2 classes and at least 2 samples in each.
+    Requires at least 2 classes and at least 2 samples in each.  No fold
+    calls it: the fold loop fits this LDA from moments, at P = 0 too.
     """
     X = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int)
@@ -307,7 +309,8 @@ class PipelineConfig:
     :class:`BlockPartition` runs the blockwise James-Stein pipeline on the
     widest safe band, its zero cutoff at floor(log2 N) as
     :func:`~lfpdecode.shrinkage.bjs_sampled_rows` sets it.  ``components``
-    = 0 skips PCA.  ``ridge`` = None uses the LDA default.
+    = 0 keeps every component, which is LDA on the features themselves.
+    ``ridge`` = None uses the LDA default.
     """
 
     n_samples: int
@@ -319,7 +322,7 @@ class PipelineConfig:
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
         if self.components < 0:
-            raise ValueError("components must be nonnegative (0 skips PCA)")
+            raise ValueError("components must be nonnegative (0 keeps all)")
         if isinstance(self.shrinkage, ShrinkageProfile):
             if 2 * (2 * self.shrinkage.truncation + 1) >= self.n_samples:
                 raise ValueError("2T+1 must stay below n_samples/2")
@@ -438,13 +441,6 @@ def _parse_scheme(scheme: str, n_trials: int, sessions: np.ndarray):
     raise ValueError(f"unknown scheme {scheme!r}; use 'loso' or 'kfold:<k>'")
 
 
-def _weighted(X: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """X[:, cols] * weights, without a copy when that is X itself."""
-    if cols.size == X.shape[1] and np.all(weights == 1.0):
-        return X
-    return X[:, cols] * weights
-
-
 def _centred_gram(X: np.ndarray, cols: np.ndarray, weights: np.ndarray):
     """Gram matrix Z Z' of Z = (X[:, cols] - column means) * weights.
 
@@ -502,7 +498,7 @@ def _cross_validate_scaled(
 
     Each scaling is a (cols, weights) pair naming the features
     X[:, cols] * weights, with ``cols`` increasing; each is
-    cross-validated at every PCA size in ``components`` and the reports
+    cross-validated at every PCA size P in ``components`` and the reports
     come scaling-major.  The folds share their moments and no component
     matrix is formed.  A scaling no wider than the training rows takes
     the top eigenpairs (lam, V) of diag(w) S diag(w) over its nonzero
@@ -523,6 +519,15 @@ def _cross_validate_scaled(
     capped P has only that many components; the ones it leaves out would
     score zero, so, as on the zero-padded scores, the default ridge is
     1e-6 * trace / P, the capped P, and a ridge of 0 is singular.
+
+    P = 0 keeps min(width, training rows - 1) components, the width being
+    cols.size, and its default ridge divides by the width: this is
+    :func:`lda_train` on the weighted columns.  Centring, an orthogonal
+    change of coordinates and a ridge lam * I leave LDA's discriminant
+    differences unchanged.  The class-mean differences lie in the span of
+    the centred training rows, so a direction outside it (the null one
+    dropped when the width equals the training rows, or past the Gram's
+    rank) changes no decision, and its zero eigenvalue leaves the trace.
     """
     y = np.asarray(labels, dtype=int)
     folds = _parse_scheme(scheme, y.size, np.asarray(sessions, dtype=int))
@@ -530,20 +535,18 @@ def _cross_validate_scaled(
     confusions = [np.zeros((n_classes, n_classes), dtype=int) for _ in jobs]
     notes: list[list[str]] = [[] for _ in jobs]
     live = [(cols[w != 0.0], w[w != 0.0]) for cols, w in scalings]
-    pca = any(p > 0 for _, p in jobs)
     fewest = min(int((~mask).sum()) for _, mask in folds)
-    wide = [s for s, (cols, _) in enumerate(scalings) if pca and cols.size > fewest]
+    wide = [s for s, (cols, _) in enumerate(scalings) if cols.size > fewest]
     grams = {s: _centred_gram(X, *live[s]) for s in wide}
     for name, test_mask in folds:
         train = ~test_mask
         ytr, yte = y[train], y[test_mask]
         ntr = ytr.size
         missing = sorted(set(range(1, n_classes + 1)) - set(ytr.tolist()))
-        if pca:
-            class_ids, counts = _class_counts(ytr)
-            averages = (ytr == class_ids[:, None]) / counts[:, None]
+        class_ids, counts = _class_counts(ytr)
+        averages = (ytr == class_ids[:, None]) / counts[:, None]
         narrow = [s for s, (cols, _) in enumerate(scalings) if cols.size <= ntr]
-        if pca and narrow:
+        if narrow:
             used = np.unique(np.concatenate([live[s][0] for s in narrow]))
             block = X[:, used]
             mean = block[train].mean(axis=0)
@@ -554,9 +557,7 @@ def _cross_validate_scaled(
         # its top components
         moments = {}
         for s, (cols, _) in enumerate(scalings):
-            top = max((min(p, ntr - 1, cols.size) for _, p in jobs if p > 0), default=0)
-            if top == 0:
-                continue
+            top = min(max(p or cols.size for _, p in jobs), ntr - 1, cols.size)
             if cols.size <= ntr:
                 at = np.searchsorted(used, live[s][0])
                 w = live[s][1]
@@ -576,19 +577,15 @@ def _cross_validate_scaled(
                 notes[j].append(
                     f"{name}: classes {missing} absent from training; skipped there"
                 )
-            if p > 0:
-                cap = min(p, ntr - 1, scalings[s][0].size)
-                if cap < p:
-                    notes[j].append(f"{name}: components capped at {cap} (rank limit)")
-                pooled, means, test_scores = moments[s]
-                model = _lda_solve(
-                    class_ids, counts, means[:, :cap], pooled[:cap, :cap], ridge, cap
-                )
-                f_test = test_scores[:, :cap]
-            else:
-                feats = _weighted(X, *scalings[s])
-                model, f_test = lda_train(feats[train], ytr, ridge), feats[test_mask]
-            picks, _ = lda_predict(model, f_test)
+            # P = 0 keeps every component, and its ridge divides by the width
+            width = scalings[s][0].size
+            cap = min(p or width, ntr - 1, width)
+            if cap < p:
+                notes[j].append(f"{name}: components capped at {cap} (rank limit)")
+            pooled, means, test_scores = moments[s]
+            model = _lda_solve(class_ids, counts, means[:, :cap], pooled[:cap, :cap],
+                               ridge, cap if p else width)
+            picks, _ = lda_predict(model, test_scores[:, :cap])
             np.add.at(confusions[j], (yte - 1, picks - 1), 1)
     # each distinct note once, with the number of jobs it applies to
     for msg, count in Counter(msg for job_notes in notes for msg in job_notes).items():
@@ -624,7 +621,8 @@ def cross_validate_features(
 ) -> CrossValReport:
     """Cross-validate PCA + LDA on precomputed features.
 
-    PCA and LDA are fit on the training folds only.  The requested
+    PCA and LDA are fit on the training folds only; ``components`` = 0
+    keeps every component, which is LDA on the features.  The requested
     component count is capped at the training-fold rank (with a note) and
     a fold whose training part misses a class trains on the remaining
     classes, again with a note.  The folds share one scatter (dim <=

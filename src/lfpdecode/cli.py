@@ -291,7 +291,7 @@ BENCHMARK_OPTS = [
     Opt("pipeline.truncation", int, 5, "harmonic truncation T (pinsker)",
         only="pinsker"),
     Opt("pipeline.components", int, -1,
-        "PCA components; 0 skips PCA, -1 picks the pipeline default"),
+        "PCA components; 0 keeps all, -1 picks the pipeline default"),
     Opt("pipeline.ridge", float_or_auto, None, "LDA ridge or 'auto'"),
     Opt("pipeline.block_limit", int, 2, "blocks passed through unshrunk (bjs)",
         only="bjs"),
@@ -497,7 +497,7 @@ PHASE_OPTS = [
     Opt("noise.seed", int, 0, "noise stream id", flag="--noise-seed"),
     Opt("pipeline.truncation", int, 5, "classifier truncation",
         flag="--pipeline-truncation"),
-    Opt("pipeline.components", int, 0, "PCA components (0 skips PCA)"),
+    Opt("pipeline.components", int, 0, "PCA components (0 keeps all)"),
     Opt("pipeline.ridge", float_or_auto, None, "LDA ridge or 'auto'"),
     Opt("benchmark.scheme", str, "loso", "loso or kfold:<k>", flag="--scheme"),
     Opt("seed", int, 0, "master seed"),

@@ -423,6 +423,8 @@ def consistency_experiment(
     if trials_per_class < 2:
         raise ValueError("trials_per_class must be at least 2")
     model_count = 2 * model.truncation + 1
+    # the seed as two 32-bit words, so the noise seed always starts at word 2
+    high, low = divmod(int(seed) % 2**64, 2**32)
     rows = []
     for ni, n in enumerate(ns):
         phi = basis_matrix(model_count, np.arange(n) / n)
@@ -430,7 +432,7 @@ def consistency_experiment(
         class_mses = np.empty(model.n_classes)
         class_mse_ses = np.empty(model.n_classes)
         for label in range(1, model.n_classes + 1):
-            rng = stream_rng(seed, noise.seed, key=(ni, label))
+            rng = stream_rng(low, high, noise.seed, key=(ni, label))
             thetas = np.vstack(
                 [
                     perturb_within_class(model, label, rng)

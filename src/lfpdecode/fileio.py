@@ -271,9 +271,7 @@ def read_dataset(path: str) -> LabeledDataset:
 def write_signal(samples, path: str) -> None:
     """Write one channel as sample_index,value rows."""
     samples = np.asarray(samples, dtype=float)
-    lines = [SIGNAL_HEADER]
-    lines.extend(f"{i},{fmt_float(v)}" for i, v in enumerate(samples))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_table(path, SIGNAL_HEADER.split(","), enumerate(samples))
 
 
 def read_signal(path: str) -> np.ndarray:

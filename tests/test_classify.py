@@ -609,16 +609,18 @@ def _assert_scaling_matches_reference(x, cols, weights, y, g, n_classes, **kwarg
 
 def test_moments_match_reference_with_fewer_live_columns_than_p():
     # weights zero 3 of the 5 columns, so P = 4 keeps 2 components and the
-    # default ridge divides by 4
+    # default ridge divides by 4; P = 0 keeps the same 2 and divides by 5
     theta, y, g = _ridge_sensitive_theta(37)
-    cols, weights = np.arange(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    report = _assert_scaling_matches_reference(theta, cols, weights, y, g, 2,
-                                               components=4)
-    assert 0 < np.trace(report.confusion) < y.size
-    # the same on the Gram path: 200 columns over 40 training rows, 2 live
     wide = np.hstack([theta, np.random.default_rng(38).normal(size=(60, 195))])
-    cols, weights = np.arange(200), np.r_[1.0, 1.0, np.zeros(198)]
-    _assert_scaling_matches_reference(wide, cols, weights, y, g, 2, components=4)
+    for components in (4, 0):
+        cols, weights = np.arange(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        report = _assert_scaling_matches_reference(theta, cols, weights, y, g, 2,
+                                                   components=components)
+        assert 0 < np.trace(report.confusion) < y.size
+        # the same on the Gram path: 200 columns over 40 training rows, 2 live
+        cols, weights = np.arange(200), np.r_[1.0, 1.0, np.zeros(198)]
+        _assert_scaling_matches_reference(wide, cols, weights, y, g, 2,
+                                          components=components)
 
 
 @pytest.mark.parametrize("d", [8, 60], ids=["narrow", "wide"])
@@ -626,10 +628,11 @@ def test_moments_match_reference_on_a_fold_missing_a_class(d):
     x, y, g = _hard_blobs(39, 12, d)
     # class 2 only in session 3: that fold trains on classes 1 and 3
     g = np.where(y == 2, 3, g)
-    report = _assert_matches_reference(x, y, g, 3, components=5)
-    assert report.notes == [
-        "session 3: classes [2] absent from training; skipped there"
-    ]
+    for components in (5, 0):
+        report = _assert_matches_reference(x, y, g, 3, components=components)
+        assert report.notes == [
+            "session 3: classes [2] absent from training; skipped there"
+        ]
 
 
 def test_moments_match_reference_on_a_rank_deficient_wide_gram():
@@ -640,40 +643,58 @@ def test_moments_match_reference_on_a_rank_deficient_wide_gram():
     report = _assert_matches_reference(wide, y, g, 3, components=20)
     assert 0 < np.trace(report.confusion) < y.size
     _assert_matches_reference(wide, y, g, 3, components=20, scheme="kfold:4")
+    # P = 0 keeps every component the Gram has, live or dead
+    for scheme in ("loso", "kfold:4"):
+        _assert_matches_reference(wide, y, g, 3, components=0, scheme=scheme)
 
 
 def test_moments_zero_ridge_with_fewer_live_columns_than_p_raises():
-    # the 2 components the zero weights leave out make the covariance of
-    # P = 4 singular, as on the zero-padded reference scores
+    # the components the zero weights leave out make the covariance of
+    # P = 4, and of all 5 columns at P = 0, singular, as on the zero-padded
+    # reference scores
     theta, y, g = _ridge_sensitive_theta(37)
     cols, weights = np.arange(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="singular"):
-        _reference_cross_validate(theta * weights, y, g, 2, components=4,
-                                  ridge=0.0)
-    with pytest.raises(ValueError, match="singular"):
-        classify._cross_validate_scaled(theta, [(cols, weights)], y, g, 2, "loso",
-                                        [4], 0.0)
+    for components in (4, 0):
+        with pytest.raises(ValueError, match="singular"):
+            _reference_cross_validate(theta * weights, y, g, 2,
+                                      components=components, ridge=0.0)
+        with pytest.raises(ValueError, match="singular"):
+            classify._cross_validate_scaled(theta, [(cols, weights)], y, g, 2,
+                                            "loso", [components], 0.0)
     # with every column live, ridge 0 is not singular and nothing raises
     _assert_scaling_matches_reference(theta, cols, np.ones(5), y, g, 2,
                                       components=4, ridge=0.0)
 
 
-def test_pca_jobs_train_lda_from_moments(monkeypatch):
+def test_fold_jobs_train_lda_from_moments(monkeypatch):
+    # P = 0 is the every-component case of the moments route, so no fold
+    # job trains on feature rows, narrow or wide, with or without PCA
     calls = []
     real = classify.lda_train
     monkeypatch.setattr(classify, "lda_train",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     for d in (6, 60):
         x, y, g = _hard_blobs(42, 12, d)
-        cross_validate_features(x, y, g, 3, components=4)
-        assert calls == []
-        cross_validate_features(x, y, g, 3, components=0)
-        assert len(calls) == 3  # one per fold
-        calls.clear()
+        for components in (0, 4):
+            cross_validate_features(x, y, g, 3, components=components)
     model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=43)
     ds = generate_dataset(model, 6, 2, 64, 3, NoiseModel(sigma=1.0), seed=44)
     grid_search(ds, truncations=(2,), components=(0, 3), low_pass_only=True)
-    assert len(calls) == 5 * 3  # the 5 masks at P = 0, one per fold
+    assert calls == []
+
+
+def test_wide_cross_validation_without_pca_forms_no_dim_by_dim_matrix():
+    # 3,000 columns over 120 rows at P = 0: LDA comes from the Gram matrix's
+    # eigenpairs, so the peak stays far below one 72 MB 3,000 x 3,000 matrix
+    x, y, g = _wide_blobs(18, 40, 3_000)
+    tracemalloc.start()
+    try:
+        report = cross_validate_features(x, y, g, 3, components=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.overall_accuracy == 1.0
+    assert peak < 0.1 * x.shape[1] ** 2 * x.itemsize
 
 
 def test_grid_logs_each_distinct_note_once(caplog):

@@ -202,6 +202,18 @@ def test_consistency_draws_from_the_noise_seed():
     assert rows[7] != rows[0]
 
 
+def test_consistency_seed_pairs_do_not_alias():
+    # seed 5 with noise seed 7 once drew the stream of seed 5 + 7 * 2**32
+    # with noise seed 0, as SeedSequence joins its entropy's 32-bit words
+    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=5)
+    rows = [
+        consistency_experiment(model, [64], 30, NoiseModel(2.0, noise_seed),
+                               seed=seed)
+        for seed, noise_seed in ((5, 7), (5 + 7 * 2**32, 0))
+    ]
+    assert rows[0] != rows[1]
+
+
 def test_consistency_near_noiseless_decodes_perfectly():
     model = make_class_model(3, SPEC, 3, 0.5, 0.0, seed=1)
     rows = consistency_experiment(
