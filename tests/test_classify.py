@@ -697,6 +697,25 @@ def test_wide_cross_validation_without_pca_forms_no_dim_by_dim_matrix():
     assert peak < 0.1 * x.shape[1] ** 2 * x.itemsize
 
 
+def test_wide_dataset_cross_validation_never_holds_the_feature_matrix():
+    # 32 channels of 255 BJS coefficients over 64 trials: 8,160 columns
+    # over 32 training rows, so the Gram matrix is built a few channels at
+    # a time and the 4.2 MB trials x width matrix is never allocated
+    model = make_class_model(4, SPEC, 3, 0.6, 0.05, seed=47)
+    ds = generate_dataset(model, 16, 32, 256, 2, NoiseModel(sigma=1.0), seed=48)
+    config = PipelineConfig.bjs(256, components=5)
+    width = ds.n_channels * config.channel_width
+    assert width == 8_160
+    tracemalloc.start()
+    try:
+        report = cross_validate(ds, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.confusion.sum() == ds.n_trials
+    assert peak < 0.5 * ds.n_trials * width * 8
+
+
 def test_grid_logs_each_distinct_note_once(caplog):
     # 3 classes, 2 sessions of 6 trials: a full T = 5 grid caps P = 10 at 5
     # on both folds of each of its 66 masks
