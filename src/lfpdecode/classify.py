@@ -390,14 +390,20 @@ def magnitude_features(features, channel_width: int) -> np.ndarray:
     return out.reshape(X.shape[0], -1)
 
 
-def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> np.ndarray:
-    """Pre-PCA (n_trials, dim) features; trials must be config.n_samples long."""
+def _channel_features(
+    dataset: LabeledDataset, config: PipelineConfig, channels: slice = slice(None)
+) -> np.ndarray:
+    """Features of a range of channels, (n_trials, channels x channel width).
+
+    Each row of the transform is one channel of one trial, a full period;
+    for all channels the rows are a view of the C-ordered cube, for fewer
+    they are a copy of that slice of it.
+    """
     if config.n_samples != dataset.n_samples:
         raise ValueError(
             f"config n_samples {config.n_samples} != dataset's {dataset.n_samples}"
         )
-    # one full period per channel of every trial; a view of a C-ordered cube
-    rows = dataset.cube.reshape(-1, dataset.n_samples)
+    rows = dataset.cube[:, channels].reshape(-1, dataset.n_samples)
     if isinstance(config.shrinkage, ShrinkageProfile):
         profile = config.shrinkage
         coeffs = transform_rows(rows, profile.truncation)
@@ -405,6 +411,11 @@ def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> n
     else:
         per_channel = bjs_sampled_rows(rows, config.shrinkage.pass_limit)
     return per_channel.reshape(dataset.n_trials, -1)
+
+
+def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> np.ndarray:
+    """Pre-PCA (n_trials, dim) features; trials must be config.n_samples long."""
+    return _channel_features(dataset, config)
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +452,35 @@ def _parse_scheme(scheme: str, n_trials: int, sessions: np.ndarray):
     raise ValueError(f"unknown scheme {scheme!r}; use 'loso' or 'kfold:<k>'")
 
 
-def _centred_gram(X: np.ndarray, cols: np.ndarray, weights: np.ndarray):
-    """Gram matrix Z Z' of Z = (X[:, cols] - column means) * weights.
-
-    Z is formed ``_COL_BLOCK`` columns at a time and the blocks' products
-    are summed, so no copy of X is made.  A common shift leaves a
-    double-centred Gram unchanged; removing the mean first keeps its
-    rounding error at the data's spread.
-    """
-    mean = X.mean(axis=0)
-    gram = np.zeros((X.shape[0], X.shape[0]))
+def _column_blocks(X: np.ndarray, cols: np.ndarray, weights: np.ndarray):
+    """The features X[:, cols] * weights, ``_COL_BLOCK`` columns at a time."""
     for start in range(0, cols.size, _COL_BLOCK):
-        block = cols[start : start + _COL_BLOCK]
-        z = np.take(X, block, axis=1)
-        z -= mean[block]
+        z = np.take(X, cols[start : start + _COL_BLOCK], axis=1)
         z *= weights[start : start + _COL_BLOCK]
+        yield z
+        del z  # one block live at a time
+
+
+def _channel_blocks(dataset: LabeledDataset, config: PipelineConfig):
+    """A dataset's features, floor(``_COL_BLOCK`` / channel width) channels
+    at a time, each group transformed and shrunk or scaled on its own."""
+    group = max(1, _COL_BLOCK // config.channel_width)
+    for first in range(0, dataset.n_channels, group):
+        yield _channel_features(dataset, config, slice(first, first + group))
+
+
+def _centred_gram(blocks, n_rows: int) -> np.ndarray:
+    """Gram matrix Z Z' of features Z given as column blocks.
+
+    Each block is centred in place by its column means over all rows and
+    its product added, so Z itself is never formed; the sources are
+    :func:`_column_blocks` of a feature matrix and :func:`_channel_blocks`
+    of a dataset.  A common shift leaves a double-centred Gram unchanged;
+    removing the mean first keeps its rounding error at the data's spread.
+    """
+    gram = np.zeros((n_rows, n_rows))
+    for z in blocks:
+        z -= z.mean(axis=0)
         gram += z @ z.T
         del z  # one block live at a time
     return gram
@@ -470,11 +495,14 @@ def _gram_scores(gram: np.ndarray, train, test, count: int):
     Components at the rounding level of the matrix (rank below ``count``)
     keep eigenvalue zero and score zero.
     """
-    k_train = gram[np.ix_(train, train)]
+    centred = gram[np.ix_(train, train)]
     k_test = gram[np.ix_(test, train)]
-    col_mean = k_train.mean(axis=0)
+    col_mean = centred.mean(axis=0)
     grand = col_mean.mean()
-    centred = k_train - col_mean[:, None] - col_mean[None, :] + grand
+    # in place, in the order of k - a - b + g
+    centred -= col_mean[:, None]
+    centred -= col_mean[None, :]
+    centred += grand
     cross = k_test - k_test.mean(axis=1)[:, None] - col_mean[None, :] + grand
     evals, vecs = _top_eigenpairs(centred, count)
     alive = evals > max(evals[0], 0.0) * centred.shape[0] * np.finfo(float).eps
@@ -484,8 +512,12 @@ def _gram_scores(gram: np.ndarray, train, test, count: int):
     return np.where(alive, evals, 0.0), train_scores, test_scores
 
 
+def _fewest_training_rows(folds) -> int:
+    return min(int((~mask).sum()) for _, mask in folds)
+
+
 def _cross_validate_scaled(
-    X: np.ndarray,
+    X: np.ndarray | None,
     scalings,
     labels,
     sessions,
@@ -493,6 +525,7 @@ def _cross_validate_scaled(
     scheme: str,
     components,
     ridge: float | None,
+    grams: dict | None = None,
 ) -> list[CrossValReport]:
     """Cross-validate PCA + LDA on column scalings of one feature matrix.
 
@@ -500,15 +533,20 @@ def _cross_validate_scaled(
     X[:, cols] * weights, with ``cols`` increasing; each is
     cross-validated at every PCA size P in ``components`` and the reports
     come scaling-major.  The folds share their moments and no component
-    matrix is formed.  A scaling no wider than the training rows takes
-    the top eigenpairs (lam, V) of diag(w) S diag(w) over its nonzero
-    columns, where S is the fold's one scatter of centred training rows;
-    a wider one takes them from its Gram matrix, formed once before the
-    folds from column blocks of the centred, weighted features, so that
-    no feature-sized copy is made (see :func:`_centred_gram` and
-    :func:`_gram_scores`).  The scores are those of :func:`pca_fit`
-    and :func:`pca_apply` up to a rotation inside the top-P subspace,
-    which leaves LDA unchanged.
+    matrix is formed.  ``grams`` maps the wide scalings to the Gram
+    matrices of their centred features (:func:`_centred_gram`); when it is
+    None, every scaling wider than the fewest training rows of a fold is
+    wide and its Gram is summed from column blocks of X.  X is read only
+    for the other, narrow, scalings, so it may be None when every scaling
+    has a Gram.  A narrow scaling takes the top eigenpairs (lam, V) of
+    diag(w) S diag(w) over its nonzero columns, where S is the fold's one
+    scatter of centred training rows; a wide one takes them from its
+    Gram matrix (see :func:`_gram_scores`).  The scores are those of
+    :func:`pca_fit` and :func:`pca_apply` up to a rotation inside the
+    top-P subspace, which leaves LDA unchanged.  When no job of a narrow
+    scaling drops a component (every capped P is at least its number of
+    nonzero columns) the rotation is skipped: V = I and lam is replaced
+    by the whole scaled scatter.
 
     LDA is trained from moments, not from training scores: the centred
     training scores F satisfy F'F = diag(lam), so the pooled within-class
@@ -535,9 +573,17 @@ def _cross_validate_scaled(
     confusions = [np.zeros((n_classes, n_classes), dtype=int) for _ in jobs]
     notes: list[list[str]] = [[] for _ in jobs]
     live = [(cols[w != 0.0], w[w != 0.0]) for cols, w in scalings]
-    fewest = min(int((~mask).sum()) for _, mask in folds)
-    wide = [s for s, (cols, _) in enumerate(scalings) if cols.size > fewest]
-    grams = {s: _centred_gram(X, *live[s]) for s in wide}
+    if grams is None:
+        fewest = _fewest_training_rows(folds)
+        grams = {
+            s: _centred_gram(_column_blocks(X, *live[s]), y.size)
+            for s, (cols, _) in enumerate(scalings)
+            if cols.size > fewest
+        }
+    narrow = [s for s in range(len(scalings)) if s not in grams]
+    if narrow:
+        used = np.unique(np.concatenate([live[s][0] for s in narrow]))
+        block = X[:, used]
     for name, test_mask in folds:
         train = ~test_mask
         ytr, yte = y[train], y[test_mask]
@@ -545,10 +591,7 @@ def _cross_validate_scaled(
         missing = sorted(set(range(1, n_classes + 1)) - set(ytr.tolist()))
         class_ids, counts = _class_counts(ytr)
         averages = (ytr == class_ids[:, None]) / counts[:, None]
-        narrow = [s for s, (cols, _) in enumerate(scalings) if cols.size <= ntr]
         if narrow:
-            used = np.unique(np.concatenate([live[s][0] for s in narrow]))
-            block = X[:, used]
             mean = block[train].mean(axis=0)
             centred_train, centred_test = block[train] - mean, block[test_mask] - mean
             scatter = centred_train.T @ centred_train
@@ -557,20 +600,26 @@ def _cross_validate_scaled(
         # its top components
         moments = {}
         for s, (cols, _) in enumerate(scalings):
-            top = min(max(p or cols.size for _, p in jobs), ntr - 1, cols.size)
-            if cols.size <= ntr:
-                at = np.searchsorted(used, live[s][0])
-                w = live[s][1]
-                evals, vecs = _top_eigenpairs(scatter[np.ix_(at, at)] * np.outer(w, w), top)
-                means = (centred_means[:, at] * w) @ vecs
-                test_scores = (centred_test[:, at] * w) @ vecs
-            else:
+            caps = [min(p or cols.size, ntr - 1, cols.size) for p in components]
+            if s in grams:
                 evals, train_scores, test_scores = _gram_scores(
-                    grams[s], train, test_mask, top
+                    grams[s], train, test_mask, max(caps)
                 )
                 means = averages @ train_scores
+                spread = np.diag(evals)
+            else:
+                at = np.searchsorted(used, live[s][0])
+                w = live[s][1]
+                spread = scatter[np.ix_(at, at)] * np.outer(w, w)
+                means = centred_means[:, at] * w
+                test_scores = centred_test[:, at] * w
+                # when every job keeps all live columns, LDA needs no rotation
+                if min(caps) < at.size:
+                    evals, vecs = _top_eigenpairs(spread, max(caps))
+                    means, test_scores = means @ vecs, test_scores @ vecs
+                    spread = np.diag(evals)
             between = means * np.sqrt(counts)[:, None]
-            pooled = (np.diag(evals) - between.T @ between) / (ntr - class_ids.size)
+            pooled = (spread - between.T @ between) / (ntr - class_ids.size)
             moments[s] = pooled, means, test_scores
         for j, (s, p) in enumerate(jobs):
             if missing:
@@ -640,17 +689,27 @@ def cross_validate_features(
 def cross_validate(
     dataset: LabeledDataset, config: PipelineConfig, scheme: str = "loso"
 ) -> CrossValReport:
-    """Feature extraction plus :func:`cross_validate_features` on a dataset."""
-    features = dataset_feature_matrix(dataset, config)
-    return cross_validate_features(
-        features,
-        dataset.labels,
-        dataset.session_ids,
-        dataset.n_classes,
-        scheme=scheme,
-        components=config.components,
-        ridge=config.ridge,
-    )
+    """Cross-validate a pipeline on a dataset: the report of
+    :func:`cross_validate_features` on :func:`dataset_feature_matrix`.
+
+    Features wider than the fewest training rows of a fold are read only
+    through their Gram matrix, which is summed over groups of
+    floor(``_COL_BLOCK`` / channel width) channels, each transformed and
+    shrunk or scaled on its own (:func:`_channel_blocks`); so the
+    (trials, width) feature matrix is never formed.  Narrower features
+    are built whole by :func:`dataset_feature_matrix`.
+    """
+    cols = np.arange(dataset.n_channels * config.channel_width)
+    folds = _parse_scheme(scheme, dataset.n_trials, dataset.session_ids)
+    if cols.size > _fewest_training_rows(folds):
+        features = None
+        grams = {0: _centred_gram(_channel_blocks(dataset, config), dataset.n_trials)}
+    else:
+        features, grams = dataset_feature_matrix(dataset, config), {}
+    return _cross_validate_scaled(
+        features, [(cols, np.ones(cols.size))], dataset.labels, dataset.session_ids,
+        dataset.n_classes, scheme, [config.components], config.ridge, grams,
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,62 @@ def test_wide_dataset_cross_validation_never_holds_the_feature_matrix():
     assert peak < 0.5 * ds.n_trials * width * 8
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig.bjs(128, components=0),
+        PipelineConfig.bjs(128, components=5),
+        PipelineConfig(128, ShrinkageProfile(np.array([1, 0.7, 0.7, 0.3, 0.3, 0, 0]),
+                                             3, "custom"), components=5),
+    ],
+    ids=["bjs-P0", "bjs-P5", "profile-P5"],
+)
+@pytest.mark.parametrize("scheme", ["loso", "kfold:4"])
+def test_wide_dataset_cross_validation_equals_the_feature_matrix_route(config, scheme):
+    # 12 channels: BJS takes 8 channels of 127 coefficients, then 4, and
+    # every width exceeds the 16 or 24 training rows of a fold; the noise
+    # leaves errors in every confusion
+    model = make_class_model(4, SPEC, 3, 0.4, 0.05, seed=49)
+    ds = generate_dataset(model, 8, 12, 128, 2, NoiseModel(sigma=16.0), seed=50)
+    features = dataset_feature_matrix(ds, config)
+    report = cross_validate(ds, config, scheme=scheme)
+    reference = cross_validate_features(
+        features, ds.labels, ds.session_ids, ds.n_classes, scheme=scheme,
+        components=config.components, ridge=config.ridge,
+    )
+    assert_array_equal(report.confusion, reference.confusion)
+    assert report.notes == reference.notes
+    assert 0 < np.trace(report.confusion) < ds.n_trials
+    cols = np.arange(features.shape[1])
+    streamed = classify._centred_gram(classify._channel_blocks(ds, config), ds.n_trials)
+    whole = classify._centred_gram(
+        classify._column_blocks(features, cols, np.ones(cols.size)), ds.n_trials
+    )
+    assert np.abs(streamed - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_narrow_jobs_that_keep_every_live_column_run_no_eigen_solve(monkeypatch):
+    # 6 columns over 24 training rows: P = 0, P = 6 and P = 30 keep all 6,
+    # so LDA needs no rotation; P = 2 drops 4 and needs the solve
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    x, y, g = _hard_blobs(48, 12, 6)
+    cols = np.arange(6)
+    reports = classify._cross_validate_scaled(
+        x, [(cols, np.ones(6))], y, g, 3, "loso", [0, 6, 30], None
+    )
+    assert calls == []
+    reports += classify._cross_validate_scaled(
+        x, [(cols, np.ones(6))], y, g, 3, "loso", [2, 165], None
+    )
+    assert calls == [(6, 6)] * 3
+    for report, components in zip(reports, [0, 6, 30, 2, 165]):
+        confusion, _ = _reference_cross_validate(x, y, g, 3, components=components)
+        assert_array_equal(report.confusion, confusion)
+    assert 0 < np.trace(reports[0].confusion) < y.size
+
+
 def test_grid_logs_each_distinct_note_once(caplog):
     # 3 classes, 2 sessions of 6 trials: a full T = 5 grid caps P = 10 at 5
     # on both folds of each of its 66 masks
