@@ -146,11 +146,9 @@ def forward_transform(signal: SampledSignal, truncation: int) -> CoefficientVect
     Raises
     ------
     ValueError
-        If 2T+1 >= N/2, i.e. the requested band exceeds what the sample
-        grid can represent safely.
+        If T < 1, or if 2T+1 >= N/2, i.e. the requested band exceeds what
+        the sample grid can represent safely.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
     coeffs = transform_rows(signal.samples[None, :], truncation)[0]
     return CoefficientVector(coeffs, epsilon=1.0 / np.sqrt(signal.n_samples))
 

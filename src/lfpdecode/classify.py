@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -444,7 +445,11 @@ def _parse_scheme(scheme: str, n_trials: int, sessions: np.ndarray):
             raise ValueError("leave-one-session-out needs at least 2 sessions")
         return [(f"session {s}", sessions == s) for s in ids]
     if scheme.startswith("kfold:"):
-        k = int(scheme.split(":", 1)[1])
+        raw = scheme.split(":", 1)[1]
+        try:
+            k = int(raw)
+        except ValueError:
+            raise ValueError(f"kfold:<k> needs an integer k, got {raw!r}") from None
         if not 2 <= k <= n_trials:
             raise ValueError("kfold needs 2 <= k <= n_trials")
         idx = np.arange(n_trials)
@@ -461,9 +466,13 @@ def _column_blocks(X: np.ndarray, cols: np.ndarray, weights: np.ndarray):
         del z  # one block live at a time
 
 
-def _channel_blocks(dataset: LabeledDataset, config: PipelineConfig):
+def _channel_blocks(dataset: LabeledDataset, config: PipelineConfig, cols, weights):
     """A dataset's features, floor(``_COL_BLOCK`` / channel width) channels
-    at a time, each group transformed and shrunk or scaled on its own."""
+    at a time, each group transformed and shrunk or scaled on its own.
+
+    It serves only the identity scaling, every feature column at weight 1,
+    so ``cols`` and ``weights`` are not read.
+    """
     group = max(1, _COL_BLOCK // config.channel_width)
     for first in range(0, dataset.n_channels, group):
         yield _channel_features(dataset, config, slice(first, first + group))
@@ -512,12 +521,8 @@ def _gram_scores(gram: np.ndarray, train, test, count: int):
     return np.where(alive, evals, 0.0), train_scores, test_scores
 
 
-def _fewest_training_rows(folds) -> int:
-    return min(int((~mask).sum()) for _, mask in folds)
-
-
 def _cross_validate_scaled(
-    X: np.ndarray | None,
+    columns,
     scalings,
     labels,
     sessions,
@@ -525,28 +530,29 @@ def _cross_validate_scaled(
     scheme: str,
     components,
     ridge: float | None,
-    grams: dict | None = None,
 ) -> list[CrossValReport]:
-    """Cross-validate PCA + LDA on column scalings of one feature matrix.
+    """Cross-validate PCA + LDA on column scalings of one set of features.
 
-    Each scaling is a (cols, weights) pair naming the features
-    X[:, cols] * weights, with ``cols`` increasing; each is
-    cross-validated at every PCA size P in ``components`` and the reports
-    come scaling-major.  The folds share their moments and no component
-    matrix is formed.  ``grams`` maps the wide scalings to the Gram
-    matrices of their centred features (:func:`_centred_gram`); when it is
-    None, every scaling wider than the fewest training rows of a fold is
-    wide and its Gram is summed from column blocks of X.  X is read only
-    for the other, narrow, scalings, so it may be None when every scaling
-    has a Gram.  A narrow scaling takes the top eigenpairs (lam, V) of
-    diag(w) S diag(w) over its nonzero columns, where S is the fold's one
-    scatter of centred training rows; a wide one takes them from its
-    Gram matrix (see :func:`_gram_scores`).  The scores are those of
-    :func:`pca_fit` and :func:`pca_apply` up to a rotation inside the
-    top-P subspace, which leaves LDA unchanged.  When no job of a narrow
-    scaling drops a component (every capped P is at least its number of
-    nonzero columns) the rotation is skipped: V = I and lam is replaced
-    by the whole scaled scatter.
+    ``columns(cols, weights)`` yields the features X[:, cols] * weights as
+    column blocks: :func:`_column_blocks` of a feature matrix, or
+    :func:`_channel_blocks` of a dataset.  Each scaling is a (cols,
+    weights) pair with ``cols`` increasing; each is cross-validated at
+    every PCA size P in ``components`` and the reports come
+    scaling-major.  The folds share their moments and no component matrix
+    is formed.  A scaling wider than the fewest training rows of a fold is
+    wide: its features are read once, through the Gram matrix of their
+    centred nonzero-weight columns, summed block by block
+    (:func:`_centred_gram`).  The narrow scalings share one unweighted
+    copy of the union of their nonzero-weight columns.  A narrow scaling
+    takes the top eigenpairs (lam, V) of diag(w) S diag(w) over its
+    nonzero columns, where S is the fold's one scatter of centred training
+    rows; a wide one takes them from its Gram matrix (see
+    :func:`_gram_scores`).  The scores are those of :func:`pca_fit` and
+    :func:`pca_apply` up to a rotation inside the top-P subspace, which
+    leaves LDA unchanged.  When no job of a narrow scaling drops a
+    component (every capped P is at least its number of nonzero columns)
+    the rotation is skipped: V = I and lam is replaced by the whole scaled
+    scatter.
 
     LDA is trained from moments, not from training scores: the centred
     training scores F satisfy F'F = diag(lam), so the pooled within-class
@@ -569,21 +575,23 @@ def _cross_validate_scaled(
     """
     y = np.asarray(labels, dtype=int)
     folds = _parse_scheme(scheme, y.size, np.asarray(sessions, dtype=int))
-    jobs = [(s, int(p)) for s in range(len(scalings)) for p in components]
-    confusions = [np.zeros((n_classes, n_classes), dtype=int) for _ in jobs]
-    notes: list[list[str]] = [[] for _ in jobs]
+    n_jobs = len(scalings) * len(components)
+    confusions = [np.zeros((n_classes, n_classes), dtype=int) for _ in range(n_jobs)]
+    notes: list[list[str]] = [[] for _ in range(n_jobs)]
     live = [(cols[w != 0.0], w[w != 0.0]) for cols, w in scalings]
-    if grams is None:
-        fewest = _fewest_training_rows(folds)
-        grams = {
-            s: _centred_gram(_column_blocks(X, *live[s]), y.size)
-            for s, (cols, _) in enumerate(scalings)
-            if cols.size > fewest
-        }
+    fewest = min(int((~mask).sum()) for _, mask in folds)
+    grams = {
+        s: _centred_gram(columns(*live[s]), y.size)
+        for s, (cols, _) in enumerate(scalings)
+        if cols.size > fewest
+    }
     narrow = [s for s in range(len(scalings)) if s not in grams]
     if narrow:
         used = np.unique(np.concatenate([live[s][0] for s in narrow]))
-        block = X[:, used]
+        # one copy of the union: a single block is taken as it is
+        blocks = list(columns(used, np.ones(used.size)))
+        block = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        del blocks
     for name, test_mask in folds:
         train = ~test_mask
         ytr, yte = y[train], y[test_mask]
@@ -596,10 +604,9 @@ def _cross_validate_scaled(
             centred_train, centred_test = block[train] - mean, block[test_mask] - mean
             scatter = centred_train.T @ centred_train
             centred_means = averages @ centred_train
-        # per scaling: pooled covariance, class means and test scores of
-        # its top components
-        moments = {}
         for s, (cols, _) in enumerate(scalings):
+            # pooled covariance, class means and test scores of the
+            # scaling's top components
             caps = [min(p or cols.size, ntr - 1, cols.size) for p in components]
             if s in grams:
                 evals, train_scores, test_scores = _gram_scores(
@@ -620,25 +627,22 @@ def _cross_validate_scaled(
                     spread = np.diag(evals)
             between = means * np.sqrt(counts)[:, None]
             pooled = (spread - between.T @ between) / (ntr - class_ids.size)
-            moments[s] = pooled, means, test_scores
-        for j, (s, p) in enumerate(jobs):
-            if missing:
-                notes[j].append(
-                    f"{name}: classes {missing} absent from training; skipped there"
-                )
-            # P = 0 keeps every component, and its ridge divides by the width
-            width = scalings[s][0].size
-            cap = min(p or width, ntr - 1, width)
-            if cap < p:
-                notes[j].append(f"{name}: components capped at {cap} (rank limit)")
-            pooled, means, test_scores = moments[s]
-            model = _lda_solve(class_ids, counts, means[:, :cap], pooled[:cap, :cap],
-                               ridge, cap if p else width)
-            picks, _ = lda_predict(model, test_scores[:, :cap])
-            np.add.at(confusions[j], (yte - 1, picks - 1), 1)
+            for k, (p, cap) in enumerate(zip(components, caps)):
+                j = s * len(components) + k
+                if missing:
+                    notes[j].append(
+                        f"{name}: classes {missing} absent from training; skipped there"
+                    )
+                if cap < p:
+                    notes[j].append(f"{name}: components capped at {cap} (rank limit)")
+                # P = 0 keeps every component, and its ridge divides by the width
+                model = _lda_solve(class_ids, counts, means[:, :cap],
+                                   pooled[:cap, :cap], ridge, cap if p else cols.size)
+                picks, _ = lda_predict(model, test_scores[:, :cap])
+                np.add.at(confusions[j], (yte - 1, picks - 1), 1)
     # each distinct note once, with the number of jobs it applies to
     for msg, count in Counter(msg for job_notes in notes for msg in job_notes).items():
-        logger.warning("%s [%d of %d jobs]", msg, count, len(jobs))
+        logger.warning("%s [%d of %d jobs]", msg, count, n_jobs)
     reports = []
     for confusion, job_notes in zip(confusions, notes):
         row_sums = confusion.sum(axis=1)
@@ -681,8 +685,8 @@ def cross_validate_features(
     X = np.asarray(features, dtype=float)
     cols = np.arange(X.shape[1])
     return _cross_validate_scaled(
-        X, [(cols, np.ones(cols.size))], labels, sessions, n_classes, scheme,
-        [components], ridge,
+        partial(_column_blocks, X), [(cols, np.ones(cols.size))], labels, sessions,
+        n_classes, scheme, [components], ridge,
     )[0]
 
 
@@ -692,23 +696,17 @@ def cross_validate(
     """Cross-validate a pipeline on a dataset: the report of
     :func:`cross_validate_features` on :func:`dataset_feature_matrix`.
 
-    Features wider than the fewest training rows of a fold are read only
-    through their Gram matrix, which is summed over groups of
-    floor(``_COL_BLOCK`` / channel width) channels, each transformed and
-    shrunk or scaled on its own (:func:`_channel_blocks`); so the
-    (trials, width) feature matrix is never formed.  Narrower features
-    are built whole by :func:`dataset_feature_matrix`.
+    The fold loop reads the features from :func:`_channel_blocks`, groups
+    of floor(``_COL_BLOCK`` / channel width) channels, each transformed
+    and shrunk or scaled on its own; so features wider than the fewest
+    training rows of a fold, read only through their Gram matrix, never
+    form the (trials, width) feature matrix.
     """
     cols = np.arange(dataset.n_channels * config.channel_width)
-    folds = _parse_scheme(scheme, dataset.n_trials, dataset.session_ids)
-    if cols.size > _fewest_training_rows(folds):
-        features = None
-        grams = {0: _centred_gram(_channel_blocks(dataset, config), dataset.n_trials)}
-    else:
-        features, grams = dataset_feature_matrix(dataset, config), {}
     return _cross_validate_scaled(
-        features, [(cols, np.ones(cols.size))], dataset.labels, dataset.session_ids,
-        dataset.n_classes, scheme, [config.components], config.ridge, grams,
+        partial(_channel_blocks, dataset, config), [(cols, np.ones(cols.size))],
+        dataset.labels, dataset.session_ids, dataset.n_classes, scheme,
+        [config.components], config.ridge,
     )[0]
 
 
@@ -817,7 +815,7 @@ def grid_search(
             for profile in candidates
         ]
         reports = _cross_validate_scaled(
-            coeffs,
+            partial(_column_blocks, coeffs),
             scalings,
             dataset.labels,
             dataset.session_ids,

@@ -155,6 +155,11 @@ def test_frequency_overflow_rejected():
         forward_transform(SampledSignal(np.zeros(18)), 4)
 
 
+def test_truncation_below_one_rejected():
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        forward_transform(SampledSignal(np.zeros(16)), 0)
+
+
 def test_transform_rows_matches_single_transform():
     rng = np.random.default_rng(14)
     rows = rng.normal(size=(4, 80))

@@ -6,6 +6,7 @@ own internals.
 """
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -377,6 +378,10 @@ def test_unknown_scheme_rejected():
         cross_validate_features(x, y, g, 3, scheme="bootstrap")
     with pytest.raises(ValueError):
         cross_validate_features(x, y, g, 3, scheme="kfold:1")
+    for raw in ("abc", "2.5", ""):
+        message = f"kfold:<k> needs an integer k, got '{raw}'"
+        with pytest.raises(ValueError, match=message):
+            cross_validate_features(x, y, g, 3, scheme=f"kfold:{raw}")
 
 
 def test_separable_blobs_reach_full_accuracy():
@@ -597,8 +602,9 @@ def _assert_scaling_matches_reference(x, cols, weights, y, g, n_classes, **kwarg
     # one weighted column scaling through the fold loop, against the
     # reference chain on the weighted columns themselves
     report = classify._cross_validate_scaled(
-        x, [(cols, weights)], y, g, n_classes, kwargs.get("scheme", "loso"),
-        [kwargs.get("components", 0)], kwargs.get("ridge"),
+        partial(classify._column_blocks, x), [(cols, weights)], y, g, n_classes,
+        kwargs.get("scheme", "loso"), [kwargs.get("components", 0)],
+        kwargs.get("ridge"),
     )[0]
     confusion, notes = _reference_cross_validate(x[:, cols] * weights, y, g,
                                                  n_classes, **kwargs)
@@ -659,8 +665,9 @@ def test_moments_zero_ridge_with_fewer_live_columns_than_p_raises():
             _reference_cross_validate(theta * weights, y, g, 2,
                                       components=components, ridge=0.0)
         with pytest.raises(ValueError, match="singular"):
-            classify._cross_validate_scaled(theta, [(cols, weights)], y, g, 2,
-                                            "loso", [components], 0.0)
+            classify._cross_validate_scaled(partial(classify._column_blocks, theta),
+                                            [(cols, weights)], y, g, 2, "loso",
+                                            [components], 0.0)
     # with every column live, ridge 0 is not singular and nothing raises
     _assert_scaling_matches_reference(theta, cols, np.ones(5), y, g, 2,
                                       components=4, ridge=0.0)
@@ -723,31 +730,41 @@ def test_wide_dataset_cross_validation_never_holds_the_feature_matrix():
         PipelineConfig.bjs(128, components=5),
         PipelineConfig(128, ShrinkageProfile(np.array([1, 0.7, 0.7, 0.3, 0.3, 0, 0]),
                                              3, "custom"), components=5),
+        PipelineConfig(128, ShrinkageProfile(np.ones(1), 3, "dc"), components=0),
+        PipelineConfig(128, ShrinkageProfile(np.ones(1), 3, "dc"), components=5),
     ],
-    ids=["bjs-P0", "bjs-P5", "profile-P5"],
+    ids=["bjs-P0", "bjs-P5", "profile-P5", "narrow-P0", "narrow-P5"],
 )
 @pytest.mark.parametrize("scheme", ["loso", "kfold:4"])
-def test_wide_dataset_cross_validation_equals_the_feature_matrix_route(config, scheme):
-    # 12 channels: BJS takes 8 channels of 127 coefficients, then 4, and
-    # every width exceeds the 16 or 24 training rows of a fold; the noise
+def test_wide_dataset_cross_validation_equals_the_feature_matrix_route(
+    config, scheme, monkeypatch
+):
+    # 12 channels: BJS (127 coefficients a channel) and the 7-coefficient
+    # profile exceed the 16 or 24 training rows of a fold, the narrow
+    # 1-coefficient profile does not.  At the default _COL_BLOCK BJS takes
+    # 8 channels, then 4; at 7 columns every pipeline splits into groups of
+    # at most 7 channels, on the wide and the narrow route.  The noise
     # leaves errors in every confusion
     model = make_class_model(4, SPEC, 3, 0.4, 0.05, seed=49)
     ds = generate_dataset(model, 8, 12, 128, 2, NoiseModel(sigma=16.0), seed=50)
     features = dataset_feature_matrix(ds, config)
-    report = cross_validate(ds, config, scheme=scheme)
-    reference = cross_validate_features(
-        features, ds.labels, ds.session_ids, ds.n_classes, scheme=scheme,
-        components=config.components, ridge=config.ridge,
-    )
-    assert_array_equal(report.confusion, reference.confusion)
-    assert report.notes == reference.notes
-    assert 0 < np.trace(report.confusion) < ds.n_trials
     cols = np.arange(features.shape[1])
-    streamed = classify._centred_gram(classify._channel_blocks(ds, config), ds.n_trials)
-    whole = classify._centred_gram(
-        classify._column_blocks(features, cols, np.ones(cols.size)), ds.n_trials
-    )
-    assert np.abs(streamed - whole).max() <= 1e-12 * np.abs(whole).max()
+    for col_block in (classify._COL_BLOCK, 7):
+        monkeypatch.setattr(classify, "_COL_BLOCK", col_block)
+        report = cross_validate(ds, config, scheme=scheme)
+        reference = cross_validate_features(
+            features, ds.labels, ds.session_ids, ds.n_classes, scheme=scheme,
+            components=config.components, ridge=config.ridge,
+        )
+        assert_array_equal(report.confusion, reference.confusion)
+        assert report.notes == reference.notes
+        assert 0 < np.trace(report.confusion) < ds.n_trials
+        streamed, whole = (
+            classify._centred_gram(blocks(cols, np.ones(cols.size)), ds.n_trials)
+            for blocks in (partial(classify._channel_blocks, ds, config),
+                           partial(classify._column_blocks, features))
+        )
+        assert np.abs(streamed - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
 def test_narrow_jobs_that_keep_every_live_column_run_no_eigen_solve(monkeypatch):
@@ -758,12 +775,13 @@ def test_narrow_jobs_that_keep_every_live_column_run_no_eigen_solve(monkeypatch)
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
     x, y, g = _hard_blobs(48, 12, 6)
     cols = np.arange(6)
+    columns = partial(classify._column_blocks, x)
     reports = classify._cross_validate_scaled(
-        x, [(cols, np.ones(6))], y, g, 3, "loso", [0, 6, 30], None
+        columns, [(cols, np.ones(6))], y, g, 3, "loso", [0, 6, 30], None
     )
     assert calls == []
     reports += classify._cross_validate_scaled(
-        x, [(cols, np.ones(6))], y, g, 3, "loso", [2, 165], None
+        columns, [(cols, np.ones(6))], y, g, 3, "loso", [2, 165], None
     )
     assert calls == [(6, 6)] * 3
     for report, components in zip(reports, [0, 6, 30, 2, 165]):

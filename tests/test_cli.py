@@ -251,6 +251,17 @@ def test_benchmark_grid_rows_cover_masks(tmp_path):
     assert len(rows) == 1 + 7  # header + masks [1:1]..[1:7]
 
 
+@pytest.mark.parametrize("raw", ["abc", "2.5", ""])
+def test_benchmark_non_integer_kfold_exits_2(tmp_path, capsys, raw):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    out = str(tmp_path / "x")
+    assert run("benchmark", "--dataset", ds, "--out", out,
+               "--scheme", f"kfold:{raw}") == 2
+    assert f"kfold:<k> needs an integer k, got {raw!r}" in capsys.readouterr().err
+    assert not os.path.exists(out + "_report.csv")
+
+
 def test_benchmark_grid_with_bjs_exits_2(tmp_path, capsys):
     ds = str(tmp_path / "ds.csv")
     assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
