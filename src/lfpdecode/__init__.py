@@ -16,6 +16,7 @@ from .basis import (
     reconstruct,
     transform_rows,
     trig_basis_eval,
+    uniform_basis,
 )
 from .shrinkage import (
     BlockPartition,

@@ -4,6 +4,7 @@ signals and sequence-space coefficient vectors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,6 +13,7 @@ __all__ = [
     "CoefficientVector",
     "trig_basis_eval",
     "basis_matrix",
+    "uniform_basis",
     "forward_transform",
     "transform_rows",
     "reconstruct",
@@ -23,6 +25,8 @@ _SQRT2 = np.sqrt(2.0)
 # rows per product in transform_rows: bounds the operand OpenBLAS packs,
 # whose buffers otherwise stay resident after a tall transform
 _ROW_BLOCK = 2048
+# uniform_basis caches bases of at most this many entries (1 MiB)
+_CACHED_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,25 @@ def basis_matrix(count: int, grid) -> np.ndarray:
     return phi
 
 
+def uniform_basis(count: int, n: int) -> np.ndarray:
+    """Read-only ``basis_matrix(count, l/n for l = 0..n-1)``.
+
+    Bases of at most ``_CACHED_ENTRIES`` entries come from a cache of the
+    last four shapes, so repeated transforms and syntheses of one shape
+    build it once; larger ones are built on every call.
+    """
+    if count * n > _CACHED_ENTRIES:
+        return _read_only_basis.__wrapped__(count, n)
+    return _read_only_basis(count, n)
+
+
+@lru_cache(maxsize=4)
+def _read_only_basis(count: int, n: int) -> np.ndarray:
+    phi = basis_matrix(count, np.arange(n) / n)
+    phi.flags.writeable = False
+    return phi
+
+
 def forward_transform(signal: SampledSignal, truncation: int) -> CoefficientVector:
     """Project a sampled signal onto the first 2T+1 basis functions.
 
@@ -179,7 +202,7 @@ def transform_rows(rows, truncation: int, *, out=None) -> np.ndarray:
         out = np.empty((m, count))
     elif out.shape != (m, count):
         raise ValueError(f"out must have shape {(m, count)}, got {out.shape}")
-    phi = basis_matrix(count, np.arange(n) / n)
+    phi = uniform_basis(count, n)
     for start in range(0, m, _ROW_BLOCK):
         block = out[start : start + _ROW_BLOCK]
         np.matmul(rows[start : start + _ROW_BLOCK], phi.T, out=block)

@@ -117,29 +117,23 @@ class LDAModel:
 
 
 def _class_distances(rows: np.ndarray, model: ClassModel) -> np.ndarray:
-    """Distance from each row to each class set, (n, n_classes).
+    """Distance from each row to each class ball, (n, n_classes).
 
-    Distance to a class is the smallest distance to one of its prototypes
-    minus within_spread, floored at zero; vectors are zero-padded to a
-    common width.
+    Distance to a class is the distance to its prototype minus
+    within_spread, floored at zero; rows and prototypes are zero-padded to
+    a common width.
     """
-    width = rows.shape[1]
-    for protos in model.prototypes:
-        width = max(width, protos.shape[1])
+    width = max(rows.shape[1], model.prototypes.shape[1])
     padded = np.zeros((rows.shape[0], width))
     padded[:, : rows.shape[1]] = rows
-    out = np.empty((rows.shape[0], model.n_classes))
-    for k, protos in enumerate(model.prototypes):
-        p = np.zeros((protos.shape[0], width))
-        p[:, : protos.shape[1]] = protos
-        d2 = (
-            (padded**2).sum(axis=1)[:, None]
-            - 2.0 * padded @ p.T
-            + (p**2).sum(axis=1)[None, :]
-        )
-        nearest = np.sqrt(np.clip(d2, 0.0, None)).min(axis=1)
-        out[:, k] = np.clip(nearest - model.within_spread, 0.0, None)
-    return out
+    protos = np.zeros((model.n_classes, width))
+    protos[:, : model.prototypes.shape[1]] = model.prototypes
+    sq = (padded**2).sum(axis=1)[:, None]
+    # one product per class: a product over all classes rounds differently
+    d2 = np.hstack(
+        [sq - 2.0 * padded @ p.T + (p**2).sum(axis=1) for p in protos[:, None]]
+    )
+    return np.clip(np.sqrt(np.clip(d2, 0.0, None)) - model.within_spread, 0.0, None)
 
 
 def _decode_rows(rows: np.ndarray, model: ClassModel) -> np.ndarray:
@@ -359,7 +353,7 @@ class PipelineConfig:
     @property
     def label(self) -> str:
         if isinstance(self.shrinkage, ShrinkageProfile):
-            head = f"pinsker[{self.shrinkage.label}] T={self.shrinkage.truncation}"
+            head = f"{self.shrinkage.label} T={self.shrinkage.truncation}"
         else:
             head = (
                 f"bjs[L={self.shrinkage.pass_limit},J={self.shrinkage.zero_limit}]"

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import CoefficientVector, basis_matrix
+from .basis import CoefficientVector, uniform_basis
 from .shrinkage import EllipsoidSpec, ellipsoid_weights
 
 __all__ = [
@@ -189,36 +189,28 @@ class ClassModel:
     """A finite family of well-separated function classes.
 
     Class k is the ball of radius ``within_spread`` (in coefficient L2
-    distance) around its prototypes, intersected with the ellipsoid.  The
-    construction keeps distinct class sets more than 2 * separation apart,
-    which drives both the decoder and its Chebyshev error bound.
+    distance) around its prototype, row k-1 of the (n_classes, 2T+1)
+    ``prototypes``, intersected with the ellipsoid.  The construction
+    keeps distinct class balls more than 2 * separation apart, which
+    drives both the decoder and its Chebyshev error bound.
     """
 
-    prototypes: tuple[np.ndarray, ...]
+    prototypes: np.ndarray
     separation: float
     within_spread: float
     spec: EllipsoidSpec
-    truncation: int
 
     def __post_init__(self) -> None:
-        protos = tuple(
-            np.atleast_2d(np.asarray(p, dtype=float)) for p in self.prototypes
-        )
+        protos = np.asarray(self.prototypes, dtype=float)
         object.__setattr__(self, "prototypes", protos)
-        if len(protos) < 2:
-            raise ValueError("a class model needs at least 2 classes")
+        if protos.ndim != 2 or len(protos) < 2 or protos.shape[1] % 2 == 0:
+            raise ValueError("prototypes must be a (n_classes >= 2, odd 2T+1) matrix")
         if not np.isfinite(self.separation) or self.separation <= 0.0:
             raise ValueError("separation must be positive")
         if self.within_spread < 0.0 or not self.within_spread < self.separation / 2.0:
             raise ValueError("within_spread must lie in [0, separation/2)")
-        count = 2 * self.truncation + 1
-        a2 = self._weights_sq
-        budget = self.spec.radius**2 + 1e-12
-        for p in protos:
-            if p.shape[1] != count:
-                raise ValueError("prototype length must equal 2*truncation+1")
-            if np.any(p**2 @ a2 > budget):
-                raise ValueError("prototypes must lie inside the ellipsoid")
+        if np.any(protos**2 @ self._weights_sq > self.spec.radius**2 + 1e-12):
+            raise ValueError("prototypes must lie inside the ellipsoid")
         floor = 2.0 * self.separation + 2.0 * self.within_spread
         if _min_interclass_distance(protos) <= floor:
             raise ValueError(
@@ -229,19 +221,21 @@ class ClassModel:
     def n_classes(self) -> int:
         return len(self.prototypes)
 
+    @property
+    def truncation(self) -> int:
+        """Harmonic truncation T of the 2T+1 prototype coordinates."""
+        return self.prototypes.shape[1] // 2
+
     @cached_property
     def _weights_sq(self) -> np.ndarray:
         """Squared semiaxis weights of the 2T+1 prototype coordinates."""
-        return ellipsoid_weights(self.spec, 2 * self.truncation + 1) ** 2
+        return ellipsoid_weights(self.spec, self.prototypes.shape[1]) ** 2
 
 
-def _min_interclass_distance(prototypes) -> float:
-    best = np.inf
-    for i in range(len(prototypes)):
-        for j in range(i + 1, len(prototypes)):
-            diffs = prototypes[i][:, None, :] - prototypes[j][None, :, :]
-            best = min(best, float(np.sqrt((diffs**2).sum(axis=2).min())))
-    return best
+def _min_interclass_distance(prototypes: np.ndarray) -> float:
+    diffs = prototypes[:, None, :] - prototypes[None, :, :]
+    dists = np.sqrt((diffs**2).sum(axis=2))
+    return float(dists[np.triu_indices(len(prototypes), 1)].min())
 
 
 def make_class_model(
@@ -278,11 +272,10 @@ def make_class_model(
             accepted.append(cand)
             if len(accepted) == n_classes:
                 return ClassModel(
-                    prototypes=tuple(p[None, :] for p in accepted),
+                    prototypes=np.array(accepted),
                     separation=separation,
                     within_spread=within_spread,
                     spec=spec,
-                    truncation=truncation,
                 )
         else:
             best_floor = max(best_floor, min(dists))
@@ -336,19 +329,16 @@ def make_phase_class_model(
             f"{achievable:.6g} is achievable",
             achievable_separation=float(achievable),
         )
-    protos = []
-    for k in range(n_classes):
+    protos = np.zeros((n_classes, 2 * truncation + 1))
+    for k, theta in enumerate(protos):
         angle = base_phase + 2.0 * np.pi * k / n_classes
-        theta = np.zeros(2 * truncation + 1)
         theta[1::2] = mags * np.cos(angle)
         theta[2::2] = mags * np.sin(angle)
-        protos.append(theta[None, :])
     return ClassModel(
-        prototypes=tuple(protos),
+        prototypes=protos,
         separation=separation,
         within_spread=within_spread,
         spec=spec,
-        truncation=truncation,
     )
 
 
@@ -394,13 +384,11 @@ def make_magnitude_class_model(
             f"{achievable:.6g} is achievable",
             achievable_separation=float(achievable),
         )
-    protos = [(scale * template)[None, :] for scale in scales]
     return ClassModel(
-        prototypes=tuple(protos),
+        prototypes=scales[:, None] * template,
         separation=separation,
         within_spread=within_spread,
         spec=spec,
-        truncation=truncation,
     )
 
 
@@ -430,7 +418,8 @@ class LabeledDataset:
         self.session_ids = np.asarray(self.session_ids, dtype=int)
         if self.cube.ndim != 3 or self.cube.size == 0:
             raise ValueError("cube must be a nonempty (trial, channel, sample) array")
-        if not np.isfinite(self.cube).all():
+        # one trial at a time, so no bool array of the cube's size is made
+        if not all(np.isfinite(trial).all() for trial in self.cube):
             raise ValueError("channel samples must be finite")
         per_trial = self.cube.shape[:1]
         if self.labels.shape != per_trial or self.session_ids.shape != per_trial:
@@ -475,25 +464,22 @@ def perturb_within_class(
     """
     if not 1 <= label <= model.n_classes:
         raise ValueError("label out of range")
-    direction = np.zeros(2 * model.truncation + 1)
-    index, norm_sq, u = _draw_member(model, label, rng, direction)
-    base = model.prototypes[label - 1][index]
+    base = model.prototypes[label - 1]
+    direction = np.zeros(base.size)
+    norm_sq, u = _draw_member(model, rng, direction)
     return _perturb_rows(model, base[None], direction[None], [norm_sq], [u])[0]
 
 
-def _draw_member(model: ClassModel, label: int, rng, direction: np.ndarray):
-    """Make one class member's draws, in stream order: the prototype index
-    (only if the class has several prototypes), then, unless within_spread
+def _draw_member(model: ClassModel, rng, direction: np.ndarray):
+    """Make one class member's draws, in stream order: unless within_spread
     is 0, a standard normal ``direction`` (written in place) and, if that
-    is nonzero, the radius uniform.  Returns (index, |direction|^2, uniform).
+    is nonzero, the radius uniform.  Returns (|direction|^2, uniform).
     """
-    protos = model.prototypes[label - 1]
-    index = int(rng.integers(len(protos))) if len(protos) > 1 else 0
     if model.within_spread == 0.0:
-        return index, 0.0, 0.0
+        return 0.0, 0.0
     rng.standard_normal(out=direction)
     norm_sq = float(direction.dot(direction))
-    return index, norm_sq, rng.uniform() if norm_sq > 0.0 else 0.0
+    return norm_sq, rng.uniform() if norm_sq > 0.0 else 0.0
 
 
 def _perturb_rows(model: ClassModel, bases, directions, norms_sq, uniforms):
@@ -546,8 +532,7 @@ def generate_dataset(
     ``default_rng(SeedSequence([trial_seed, noise.seed % 2**64],
     spawn_key=(c,)))``, where the trial seeds are
     ``SeedSequence(seed % 2**64).generate_state(n_trials, np.uint64)``.  Its
-    draws come in this order: the prototype index (only if the class has
-    more than one prototype), the perturbation direction (2T+1 standard
+    draws come in this order: the perturbation direction (2T+1 standard
     normals) and the radius uniform (both skipped when within_spread is
     0), then the n_samples noise values.  All channel states are derived
     in one batched pass and the perturbations are applied in one batch;
@@ -560,7 +545,7 @@ def generate_dataset(
     total = model.n_classes * trials_per_class
     if n_sessions > total:
         raise ValueError("more sessions than trials")
-    count = 2 * model.truncation + 1
+    count = model.prototypes.shape[1]
     if n_channels < 1:
         raise ValueError("n_channels must be at least 1")
     if n_samples <= count:
@@ -568,11 +553,10 @@ def generate_dataset(
     trial_seeds = np.random.SeedSequence(int(seed) % _U64).generate_state(
         total, dtype=np.uint64
     )
-    phi = basis_matrix(count, np.arange(n_samples) / n_samples)
+    phi = uniform_basis(count, n_samples)
     labels = np.repeat(np.arange(1, model.n_classes + 1), trials_per_class)
     cube = np.empty((total, n_channels, n_samples))
     rows = cube.reshape(-1, n_samples)
-    row_labels = np.repeat(labels, n_channels)
     # one stream per (trial, channel): entropy [trial seed, noise seed], key (c,)
     words = np.empty((len(rows), _POOL + 1), dtype=np.uint32)
     run = [_entropy_words((t, noise.seed)) for t in trial_seeds.tolist()]
@@ -584,15 +568,12 @@ def generate_dataset(
     directions = np.zeros((len(rows), count))
     draws = []
     # only the draws run per channel; the noise goes straight into its row
-    for state, inc, label, direction, row in zip(
-        states, incs, row_labels.tolist(), directions, rows
-    ):
+    for state, inc, direction, row in zip(states, incs, directions, rows):
         _set_pcg64(bitgen, state, inc)
-        draws.append(_draw_member(model, label, rng, direction))
+        draws.append(_draw_member(model, rng, direction))
         rng.standard_normal(out=row)
-    index, norms_sq, uniforms = zip(*draws)
-    first_row = np.cumsum([0] + [len(p) for p in model.prototypes])
-    bases = np.vstack(model.prototypes)[first_row[row_labels - 1] + index]
+    norms_sq, uniforms = zip(*draws)
+    bases = model.prototypes[np.repeat(labels, n_channels) - 1]
     thetas = _perturb_rows(model, bases, directions, norms_sq, uniforms)
     rows *= noise.sigma
     # a per-row product: one matrix product over all rows rounds differently

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lfpdecode import basis
 from lfpdecode.basis import (
     _ROW_BLOCK,
     CoefficientVector,
@@ -22,6 +23,7 @@ from lfpdecode.basis import (
     reconstruct,
     transform_rows,
     trig_basis_eval,
+    uniform_basis,
 )
 
 
@@ -97,6 +99,34 @@ def test_basis_matrix_is_built_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * phi.nbytes
+
+
+def test_uniform_basis_is_the_read_only_basis_matrix():
+    # 301 x 1000 is above the cache's entry limit, so it is built each call
+    for count, n in ((11, 500), (249, 500), (301, 1000)):
+        phi = uniform_basis(count, n)
+        assert np.array_equal(phi, basis_matrix(count, np.arange(n) / n))
+        with pytest.raises(ValueError, match="read-only"):
+            phi[0, 0] = 1.0
+    assert uniform_basis(249, 500) is uniform_basis(249, 500)
+    assert uniform_basis(301, 1000) is not uniform_basis(301, 1000)
+    assert basis_matrix(11, np.arange(500) / 500).flags.writeable
+
+
+def test_transform_rows_builds_each_basis_once_per_shape(monkeypatch):
+    built = []
+
+    def counted(count, grid):
+        built.append((count, len(grid)))
+        return basis_matrix(count, grid)
+
+    monkeypatch.setattr(basis, "basis_matrix", counted)
+    basis._read_only_basis.cache_clear()
+    rows = np.random.default_rng(9).standard_normal((6, 500))
+    for truncation in (124, 5, 124, 5, 124):
+        transform_rows(rows, truncation)
+    basis._read_only_basis.cache_clear()
+    assert built == [(249, 500), (11, 500)]
 
 
 def test_discrete_gram_is_identity():

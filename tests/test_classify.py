@@ -29,6 +29,7 @@ from lfpdecode.classify import (
     pca_fit,
     shrinkage_patterns,
 )
+from lfpdecode.cli import _full_band_profile
 from lfpdecode.shrinkage import BlockPartition, EllipsoidSpec, bjs_coefficient_count
 from lfpdecode.synth import (
     ClassModel,
@@ -42,14 +43,13 @@ SPEC = EllipsoidSpec(2.0, 10.0)
 
 
 def _toy_model(spread=0.3):
-    # two prototypes per class, placed far apart by hand
-    base = np.zeros(5)
-    protos = (
-        np.stack([base + [4.0, 0, 0, 0, 0], base + [4.0, 0.5, 0, 0, 0]]),
-        np.stack([base - [4.0, 0, 0, 0, 0], base - [4.0, 0.5, 0, 0, 0]]),
-        np.stack([base + [0, 2.0, 0, 0, 0], base + [0, 2.2, 0, 0, 0]]),
-    )
-    return ClassModel(protos, 1.0, spread, EllipsoidSpec(2.0, 50.0), 2)
+    # one prototype per class, placed far apart by hand
+    protos = np.array([
+        [4.0, 0.0, 0.0, 0.0, 0.0],
+        [-4.0, 0.5, 0.0, 0.0, 0.0],
+        [0.0, 2.2, 0.0, 0.0, 0.0],
+    ])
+    return ClassModel(protos, 1.0, spread, EllipsoidSpec(2.0, 50.0))
 
 
 def test_decoder_matches_brute_force():
@@ -58,20 +58,20 @@ def test_decoder_matches_brute_force():
     rows = rng.normal(scale=3.0, size=(100, 5))
     got = _decode_rows(rows, model)
     for fhat, pick in zip(rows, got):
-        dists = []
-        for protos in model.prototypes:
-            nearest = min(np.linalg.norm(fhat - p) for p in protos)
-            dists.append(max(nearest - model.within_spread, 0.0))
+        dists = [
+            max(np.linalg.norm(fhat - proto) - model.within_spread, 0.0)
+            for proto in model.prototypes
+        ]
         assert pick == int(np.argmin(dists)) + 1
 
 
 def test_decoder_breaks_ties_toward_lowest_label():
-    protos = (
-        np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]),
-        np.array([[-1.0, 0.0, 0.0, 0.0, 0.0]]),
-        np.array([[0.0, 9.0, 0.0, 0.0, 0.0]]),
-    )
-    model = ClassModel(protos, 0.4, 0.0, EllipsoidSpec(2.0, 50.0), 2)
+    protos = np.array([
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 9.0, 0.0, 0.0, 0.0],
+    ])
+    model = ClassModel(protos, 0.4, 0.0, EllipsoidSpec(2.0, 50.0))
     # the origin ties classes 1 and 2 and is far from class 3
     assert_array_equal(_decode_rows(np.zeros((1, 5)), model), [1])
 
@@ -80,6 +80,11 @@ def test_decoder_pads_shorter_estimates():
     model = _toy_model()
     short = np.array([[4.0, 0.0], [-4.0, 0.0]])
     assert_array_equal(_decode_rows(short, model), [1, 2])
+    # estimates wider than the prototypes meet zero-padded prototypes
+    wide = np.hstack([short, np.zeros((2, 6))])
+    wide[:, -1] = 3.0
+    assert_array_equal(_decode_rows(wide, model), [1, 2])
+    assert_allclose(classify._class_distances(wide, model)[0, 0], 3.0 - 0.3)
 
 
 def test_pca_matches_eigendecomposition():
@@ -855,22 +860,37 @@ def test_shrinkage_pattern_enumeration():
         shrinkage_patterns(2, mu_values=(30.0,))
 
 
+def test_no_zero_one_profile_carries_a_pinsker_label():
+    # a label names the profile that runs: masks and the unshrunk full band
+    # are not Pinsker's rule
+    profiles = [_full_band_profile(5)] + [
+        profile
+        for truncation in (1, 3, 5)
+        for profile in shrinkage_patterns(truncation, spec=SPEC, mu_values=(14.85,))
+    ]
+    labels = {
+        PipelineConfig(500, profile).label: np.isin(profile.factors, (0, 1)).all()
+        for profile in profiles
+    }
+    assert "pinsker(mu=14.85) T=5" in labels and not labels["pinsker(mu=14.85) T=5"]
+    assert labels["mask[1:11] T=5"]
+    assert [label for label, zero_one in labels.items()
+            if zero_one and "pinsker" in label] == []
+
+
 def test_grid_search_prefers_separating_band():
     # classes differ only in the first harmonic pair; masks that include
     # it should win over the pure-constant mask
     rng = np.random.default_rng(16)
-    protos = []
-    for k in range(3):
-        theta = np.zeros(7)
-        ang = 2.0 * np.pi * k / 3.0
-        theta[1], theta[2] = 1.8 * np.cos(ang), 1.8 * np.sin(ang)
-        protos.append(theta[None, :])
-    model = ClassModel(tuple(protos), 1.0, 0.05, EllipsoidSpec(2.0, 60.0), 3)
+    protos = np.zeros((3, 7))
+    angles = 2.0 * np.pi * np.arange(3) / 3.0
+    protos[:, 1], protos[:, 2] = 1.8 * np.cos(angles), 1.8 * np.sin(angles)
+    model = ClassModel(protos, 1.0, 0.05, EllipsoidSpec(2.0, 60.0))
     ds = generate_dataset(model, 6, 2, 64, 3, NoiseModel(sigma=0.5), seed=17)
     result = grid_search(ds, scheme="loso", truncations=(3,), components=(0,),
                          low_pass_only=True)
     assert result.best_accuracy >= 0.9
-    assert result.best_config.label.startswith("pinsker[mask[1:")
+    assert result.best_config.label.startswith("mask[1:")
     assert "mask[1:1]" not in result.best_config.label
     # rows cover the whole grid and the winner's accuracy matches its row
     assert len(result.rows) == 7

@@ -66,12 +66,31 @@ def test_class_model_reports_achievable_separation():
 
 
 def test_class_model_rejects_bad_geometry():
-    proto = np.zeros((1, 7))
+    proto = np.zeros(7)
     with pytest.raises(ValueError):
-        ClassModel((proto, proto), 0.5, 0.1, SPEC, 3)  # coincident classes
-    big = np.full((1, 7), 100.0)
+        ClassModel(np.stack([proto, proto]), 0.5, 0.1, SPEC)  # coincident classes
+    big = np.full(7, 100.0)
     with pytest.raises(ValueError):
-        ClassModel((proto, big), 0.5, 0.1, SPEC, 3)  # outside ellipsoid
+        ClassModel(np.stack([proto, big]), 0.5, 0.1, SPEC)  # outside ellipsoid
+
+
+@pytest.mark.parametrize("protos", [
+    np.zeros((1, 7)),
+    np.zeros(7),
+    np.zeros((2, 1, 7)),
+    np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]]),
+], ids=["one-row", "1-d", "3-d", "even-width"])
+def test_class_model_needs_one_odd_width_row_per_class(protos):
+    with pytest.raises(ValueError, match="n_classes >= 2, odd 2T"):
+        ClassModel(protos, 0.4, 0.0, SPEC)
+
+
+def test_class_model_derives_truncation_from_the_width():
+    protos = make_class_model(3, SPEC, 4, 0.5, 0.1, seed=5).prototypes
+    assert protos.shape == (3, 9)
+    model = ClassModel(protos, 0.5, 0.1, SPEC)
+    assert model.truncation == 4
+    assert ClassModel(protos[:, :3], 0.2, 0.0, SPEC).truncation == 1
 
 
 def test_trial_noise_moments():
@@ -91,7 +110,7 @@ def test_perturbation_stays_in_ball_and_ellipsoid():
     for _ in range(200):
         label = int(rng.integers(1, 5))
         theta = perturb_within_class(model, label, rng)
-        d = np.linalg.norm(theta - model.prototypes[label - 1][0])
+        d = np.linalg.norm(theta - model.prototypes[label - 1])
         assert d <= 0.1 + 1e-12
         assert weighted_norm_sq(SPEC, theta) <= SPEC.radius**2 + 1e-9
 
@@ -100,7 +119,7 @@ def test_perturbation_zero_spread_returns_prototype():
     model = make_class_model(3, SPEC, 4, 0.5, 0.0, seed=2)
     rng = np.random.default_rng(1)
     theta = perturb_within_class(model, 2, rng)
-    assert_allclose(theta, model.prototypes[1][0])
+    assert_allclose(theta, model.prototypes[1])
 
 
 def test_generate_trial_shape_and_determinism():
@@ -157,8 +176,7 @@ def test_dataset_generation_is_deterministic():
 def test_phase_classes_share_magnitudes():
     model = make_phase_class_model(8, SPEC, 5, 0.5, 0.02, seed=10)
     mags = []
-    for proto in model.prototypes:
-        theta = proto[0]
+    for theta in model.prototypes:
         assert abs(theta[0]) < 1e-12  # constant coordinate stays zero
         mags.append(np.hypot(theta[1::2], theta[2::2]))
     for m in mags[1:]:
@@ -169,8 +187,7 @@ def test_phase_classes_share_magnitudes():
 
 def test_phase_classes_rotate_by_equal_angles():
     model = make_phase_class_model(4, SPEC, 3, 0.5, 0.02, seed=11)
-    t0 = model.prototypes[0][0]
-    t1 = model.prototypes[1][0]
+    t0, t1 = model.prototypes[:2]
     ang0 = np.arctan2(t0[2::2], t0[1::2])
     ang1 = np.arctan2(t1[2::2], t1[1::2])
     delta = np.angle(np.exp(1j * (ang1 - ang0)))
@@ -184,14 +201,13 @@ def test_phase_model_too_wide_raises():
 
 def test_magnitude_classes_are_cosine_ladder():
     model = make_magnitude_class_model(8, SPEC, 5, 0.5, 0.02, seed=12)
-    for proto in model.prototypes:
-        theta = proto[0]
+    for theta in model.prototypes:
         assert_allclose(theta[2::2], np.zeros(5), atol=1e-15)  # no sine part
         assert np.all(theta[1::2] >= 0.0)
         assert theta[0] > 0.0
     floor = 2.0 * 0.5 + 2.0 * 0.02
     assert _min_interclass_distance(model.prototypes) > floor
-    assert weighted_norm_sq(SPEC, model.prototypes[-1][0]) < SPEC.radius**2
+    assert weighted_norm_sq(SPEC, model.prototypes[-1]) < SPEC.radius**2
 
 
 def test_magnitude_model_too_wide_raises():
@@ -255,11 +271,7 @@ def _per_channel_reference(model, trials_per_class, n_channels, n_samples, noise
                 [trial_seed, noise.seed % 2**64], spawn_key=(c,)
             )
             rng = np.random.default_rng(seq)
-            protos = model.prototypes[label - 1]
-            if len(protos) == 1:
-                base = protos[0]
-            else:
-                base = protos[rng.integers(len(protos))]
+            base = model.prototypes[label - 1]
             theta = base.copy()
             if model.within_spread > 0.0:
                 direction = rng.standard_normal(count)
@@ -277,17 +289,9 @@ def _per_channel_reference(model, trials_per_class, n_channels, n_samples, noise
     return cube, halvings
 
 
-def _two_prototype_model():
-    # four well-separated prototypes, two per class
-    protos = make_class_model(4, SPEC, 3, 0.5, 0.1, seed=13).prototypes
-    return ClassModel(
-        (np.vstack(protos[:2]), np.vstack(protos[2:])), 0.5, 0.1, SPEC, 3
-    )
-
-
 @pytest.mark.parametrize("case", [
     "loso-geometry", "zero-spread", "noise-seed-0", "noise-seed-2**40",
-    "noise-seed-negative", "two-prototypes",
+    "noise-seed-negative",
 ])
 def test_generate_dataset_matches_per_channel_streams(case):
     sizes = dict(trials_per_class=2, n_channels=3, n_samples=64)
@@ -301,8 +305,6 @@ def test_generate_dataset_matches_per_channel_streams(case):
         noise = NoiseModel(sigma=24.0, seed=2)
     elif case == "zero-spread":
         model = make_class_model(3, SPEC, 3, 0.5, 0.0, seed=4)
-    elif case == "two-prototypes":
-        model = _two_prototype_model()
     elif case == "noise-seed-2**40":
         noise = NoiseModel(sigma=0.5, seed=2**40)
     elif case == "noise-seed-negative":
