@@ -218,8 +218,7 @@ def reconstruct(coeffs: CoefficientVector, grid_size: int) -> SampledSignal:
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    phi = basis_matrix(len(coeffs), np.arange(grid_size) / grid_size)
-    return SampledSignal(coeffs.coeffs @ phi)
+    return SampledSignal(coeffs.coeffs @ uniform_basis(len(coeffs), grid_size))
 
 
 def coeff_l2_distance(a: CoefficientVector, b: CoefficientVector) -> float:

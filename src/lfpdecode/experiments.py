@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, basis_matrix, coeff_l2_distance
+from .basis import CoefficientVector, coeff_l2_distance, uniform_basis
 from .classify import (
     CrossValReport,
     PipelineConfig,
@@ -427,7 +427,7 @@ def consistency_experiment(
     high, low = divmod(int(seed) % 2**64, 2**32)
     rows = []
     for ni, n in enumerate(ns):
-        phi = basis_matrix(model_count, np.arange(n) / n)
+        phi = uniform_basis(model_count, n)
         class_errors = np.empty(model.n_classes)
         class_mses = np.empty(model.n_classes)
         class_mse_ses = np.empty(model.n_classes)

@@ -44,6 +44,8 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MAX_ATTEMPTS = 4000
 # the phase and magnitude geometries clear the separation floor by 5%
 _MARGIN = 1.05
+# rows per block of generate_dataset's signal products (1 MB at 500 samples)
+_SIGNAL_ROWS = 256
 
 
 class ClassConstructionError(RuntimeError):
@@ -465,24 +467,25 @@ def perturb_within_class(
     if not 1 <= label <= model.n_classes:
         raise ValueError("label out of range")
     base = model.prototypes[label - 1]
-    direction = np.zeros(base.size)
-    norm_sq, u = _draw_member(model, rng, direction)
-    return _perturb_rows(model, base[None], direction[None], [norm_sq], [u])[0]
+    directions, uniforms = np.zeros((1, base.size)), np.zeros(1)
+    _draw_member(model, rng, directions, uniforms, 0)
+    return _perturb_rows(model, base[None], directions, uniforms)[0]
 
 
-def _draw_member(model: ClassModel, rng, direction: np.ndarray):
-    """Make one class member's draws, in stream order: unless within_spread
-    is 0, a standard normal ``direction`` (written in place) and, if that
-    is nonzero, the radius uniform.  Returns (|direction|^2, uniform).
-    """
+def _draw_member(model: ClassModel, rng, directions, uniforms, i: int) -> None:
+    """Make member ``i``'s draws, in stream order: unless within_spread is
+    0, the 2T+1 standard normals of ``directions[i]`` and, if they are not
+    all zero, the radius uniform ``uniforms[i]``, each written in place."""
     if model.within_spread == 0.0:
-        return 0.0, 0.0
+        return
+    direction = directions[i]
     rng.standard_normal(out=direction)
-    norm_sq = float(direction.dot(direction))
-    return norm_sq, rng.uniform() if norm_sq > 0.0 else 0.0
+    if np.count_nonzero(direction):
+        # the same double rng.uniform() returns (0 + 1 * u), at half its cost
+        uniforms[i] = rng.random()
 
 
-def _perturb_rows(model: ClassModel, bases, directions, norms_sq, uniforms):
+def _perturb_rows(model: ClassModel, bases, directions, uniforms):
     """Class members for many draws at once: each base row moved along its
     direction by within_spread * u**(1/dim), the move halved until the row
     lies inside the ellipsoid (at most 200 times, else the base is kept).
@@ -491,11 +494,13 @@ def _perturb_rows(model: ClassModel, bases, directions, norms_sq, uniforms):
     if model.within_spread == 0.0:
         return thetas
     dim = thetas.shape[1]
-    norms_sq = np.asarray(norms_sq)
+    # one ddot per row, the product direction.dot(direction) makes
+    norms_sq = np.matmul(directions[:, None, :], directions[:, :, None])[:, 0, 0]
     moving = np.flatnonzero(norms_sq > 0.0)
     # a Python float power: numpy's vectorised power rounds some values
     # differently from the libm pow of a per-draw radius
-    radii = [model.within_spread * uniforms[i] ** (1.0 / dim) for i in moving]
+    spread = model.within_spread
+    radii = [spread * u ** (1.0 / dim) for u in uniforms[moving].tolist()]
     delta = directions[moving] * (radii / np.sqrt(norms_sq[moving]))[:, None]
     a2 = model._weights_sq
     budget = model.spec.radius**2 + 1e-12
@@ -535,8 +540,11 @@ def generate_dataset(
     draws come in this order: the perturbation direction (2T+1 standard
     normals) and the radius uniform (both skipped when within_spread is
     0), then the n_samples noise values.  All channel states are derived
-    in one batched pass and the perturbations are applied in one batch;
-    the data are the same as one stream and one perturbation at a time.
+    in one batched pass and only the draws run per stream.  The
+    perturbations are then applied in one batch, and the signal is added
+    in blocks of rows through the same per-row BLAS product that
+    ``theta @ phi`` makes, so the data are the same as one stream and one
+    perturbation at a time.
     """
     if trials_per_class < 1:
         raise ValueError("trials_per_class must be at least 1")
@@ -566,19 +574,24 @@ def generate_dataset(
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
     directions = np.zeros((len(rows), count))
-    draws = []
+    uniforms = np.zeros(len(rows))
     # only the draws run per channel; the noise goes straight into its row
-    for state, inc, direction, row in zip(states, incs, directions, rows):
+    for i, (state, inc, row) in enumerate(zip(states, incs, rows)):
         _set_pcg64(bitgen, state, inc)
-        draws.append(_draw_member(model, rng, direction))
+        _draw_member(model, rng, directions, uniforms, i)
         rng.standard_normal(out=row)
-    norms_sq, uniforms = zip(*draws)
     bases = model.prototypes[np.repeat(labels, n_channels) - 1]
-    thetas = _perturb_rows(model, bases, directions, norms_sq, uniforms)
-    rows *= noise.sigma
-    # a per-row product: one matrix product over all rows rounds differently
-    for row, theta in zip(rows, thetas):
-        row += theta @ phi
+    thetas = _perturb_rows(model, bases, directions, uniforms)
+    # numpy sends each stacked (1, 2T+1) @ (2T+1, N) product to the gemv
+    # that a per-row theta @ phi calls; one (rows, 2T+1) @ (2T+1, N)
+    # product over all rows would round differently
+    signal = np.empty((min(_SIGNAL_ROWS, len(rows)), 1, n_samples))
+    for start in range(0, len(rows), _SIGNAL_ROWS):
+        block = rows[start : start + _SIGNAL_ROWS]
+        out = signal[: len(block)]
+        np.matmul(thetas[start : start + len(block), None], phi, out=out)
+        block *= noise.sigma
+        block += out[:, 0]
     params = {
         "alpha": model.spec.alpha,
         "radius": model.spec.radius,

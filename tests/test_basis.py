@@ -125,6 +125,8 @@ def test_transform_rows_builds_each_basis_once_per_shape(monkeypatch):
     rows = np.random.default_rng(9).standard_normal((6, 500))
     for truncation in (124, 5, 124, 5, 124):
         transform_rows(rows, truncation)
+    # reconstruction on the same grid reads the same cached basis
+    reconstruct(CoefficientVector(np.ones(11)), 500)
     basis._read_only_basis.cache_clear()
     assert built == [(249, 500), (11, 500)]
 

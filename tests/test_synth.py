@@ -1,9 +1,12 @@
 """Synthetic data generator tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lfpdecode import synth
 from lfpdecode.basis import basis_matrix
 from lfpdecode.shrinkage import EllipsoidSpec, ellipsoid_weights
 from lfpdecode.synth import (
@@ -314,6 +317,29 @@ def test_generate_dataset_matches_per_channel_streams(case):
     assert np.array_equal(ds.cube, expected)
     if case == "loso-geometry":
         assert halvings > 0
+
+
+@pytest.mark.parametrize("case", ["loso-geometry", "zero-spread"])
+def test_generate_dataset_keeps_the_bits_across_signal_blocks(case, monkeypatch):
+    # 7-row blocks: the 768 loso-geometry rows span 110 blocks and the 18
+    # zero-spread rows 3, each ending on a short block
+    monkeypatch.setattr(synth, "_SIGNAL_ROWS", 7)
+    test_generate_dataset_matches_per_channel_streams(case)
+
+
+def test_generate_dataset_holds_little_beside_its_cube():
+    # the signal goes in through one row block at a time; one product over
+    # all rows would hold a second cube-sized array
+    model = make_class_model(8, SPEC, 5, 0.5, 0.1, seed=2)
+    args = (model, 8, 32, 500, 2, NoiseModel(sigma=24.0, seed=2))
+    generate_dataset(*args, seed=3)
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(*args, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.cube.nbytes
 
 
 # entropy of 1, 2, 3 and 4 assembled words: trial seeds below and above
