@@ -61,7 +61,6 @@ from .experiments import (
     AdaptivityRow,
     ConsistencyRow,
     PhaseAblationResult,
-    RiskCurve,
     RiskPoint,
     adaptivity_ratio_bjs,
     benchmark_classifiers,

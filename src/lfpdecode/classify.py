@@ -451,21 +451,23 @@ def _parse_scheme(scheme: str, n_trials: int, sessions: np.ndarray):
     raise ValueError(f"unknown scheme {scheme!r}; use 'loso' or 'kfold:<k>'")
 
 
-def _column_blocks(X: np.ndarray, cols: np.ndarray, weights: np.ndarray):
-    """The features X[:, cols] * weights, ``_COL_BLOCK`` columns at a time."""
+def _column_blocks(X: np.ndarray, weights: np.ndarray):
+    """X's nonzero-weight columns times their weights, ``_COL_BLOCK`` at a time."""
+    cols = np.flatnonzero(weights)
     for start in range(0, cols.size, _COL_BLOCK):
-        z = np.take(X, cols[start : start + _COL_BLOCK], axis=1)
-        z *= weights[start : start + _COL_BLOCK]
+        at = cols[start : start + _COL_BLOCK]
+        z = np.take(X, at, axis=1)
+        z *= weights[at]
         yield z
         del z  # one block live at a time
 
 
-def _channel_blocks(dataset: LabeledDataset, config: PipelineConfig, cols, weights):
+def _channel_blocks(dataset: LabeledDataset, config: PipelineConfig, weights):
     """A dataset's features, floor(``_COL_BLOCK`` / channel width) channels
     at a time, each group transformed and shrunk or scaled on its own.
 
     It serves only the identity scaling, every feature column at weight 1,
-    so ``cols`` and ``weights`` are not read.
+    so ``weights`` is not read.
     """
     group = max(1, _COL_BLOCK // config.channel_width)
     for first in range(0, dataset.n_channels, group):
@@ -527,20 +529,20 @@ def _cross_validate_scaled(
 ) -> list[CrossValReport]:
     """Cross-validate PCA + LDA on column scalings of one set of features.
 
-    ``columns(cols, weights)`` yields the features X[:, cols] * weights as
-    column blocks: :func:`_column_blocks` of a feature matrix, or
-    :func:`_channel_blocks` of a dataset.  Each scaling is a (cols,
-    weights) pair with ``cols`` increasing; each is cross-validated at
+    ``columns(weights)`` yields the source's nonzero-weight columns times
+    their weights as column blocks: :func:`_column_blocks` of a feature
+    matrix, or :func:`_channel_blocks` of a dataset.  Each scaling is one
+    weight vector over the source's columns; each is cross-validated at
     every PCA size P in ``components`` and the reports come
     scaling-major.  The folds share their moments and no component matrix
-    is formed.  A scaling wider than the fewest training rows of a fold is
-    wide: its features are read once, through the Gram matrix of their
-    centred nonzero-weight columns, summed block by block
-    (:func:`_centred_gram`).  The narrow scalings share one unweighted
-    copy of the union of their nonzero-weight columns.  A narrow scaling
-    takes the top eigenpairs (lam, V) of diag(w) S diag(w) over its
-    nonzero columns, where S is the fold's one scatter of centred training
-    rows; a wide one takes them from its Gram matrix (see
+    is formed.  Wide or narrow is decided once per call: a source wider
+    than the fewest training rows of a fold is wide, and each scaling's
+    features are read once, through the Gram matrix of their centred
+    nonzero-weight columns, summed block by block (:func:`_centred_gram`).
+    A narrow call copies every source column once, unweighted, and a
+    scaling takes the top eigenpairs (lam, V) of diag(w) S diag(w) over
+    its nonzero columns, where S is the fold's one scatter of centred
+    training rows; a wide one takes them from its Gram matrix (see
     :func:`_gram_scores`).  The scores are those of :func:`pca_fit` and
     :func:`pca_apply` up to a rotation inside the top-P subspace, which
     leaves LDA unchanged.  When no job of a narrow scaling drops a
@@ -559,7 +561,7 @@ def _cross_validate_scaled(
     1e-6 * trace / P, the capped P, and a ridge of 0 is singular.
 
     P = 0 keeps min(width, training rows - 1) components, the width being
-    cols.size, and its default ridge divides by the width: this is
+    the source's, and its default ridge divides by the width: this is
     :func:`lda_train` on the weighted columns.  Centring, an orthogonal
     change of coordinates and a ridge lam * I leave LDA's discriminant
     differences unchanged.  The class-mean differences lie in the span of
@@ -572,18 +574,13 @@ def _cross_validate_scaled(
     n_jobs = len(scalings) * len(components)
     confusions = [np.zeros((n_classes, n_classes), dtype=int) for _ in range(n_jobs)]
     notes: list[list[str]] = [[] for _ in range(n_jobs)]
-    live = [(cols[w != 0.0], w[w != 0.0]) for cols, w in scalings]
-    fewest = min(int((~mask).sum()) for _, mask in folds)
-    grams = {
-        s: _centred_gram(columns(*live[s]), y.size)
-        for s, (cols, _) in enumerate(scalings)
-        if cols.size > fewest
-    }
-    narrow = [s for s in range(len(scalings)) if s not in grams]
-    if narrow:
-        used = np.unique(np.concatenate([live[s][0] for s in narrow]))
-        # one copy of the union: a single block is taken as it is
-        blocks = list(columns(used, np.ones(used.size)))
+    width = scalings[0].size
+    wide = width > min(int((~mask).sum()) for _, mask in folds)
+    if wide:
+        grams = [_centred_gram(columns(w), y.size) for w in scalings]
+    else:
+        # one copy of every column: a single block is taken as it is
+        blocks = list(columns(np.ones(width)))
         block = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         del blocks
     for name, test_mask in folds:
@@ -593,24 +590,24 @@ def _cross_validate_scaled(
         missing = sorted(set(range(1, n_classes + 1)) - set(ytr.tolist()))
         class_ids, counts = _class_counts(ytr)
         averages = (ytr == class_ids[:, None]) / counts[:, None]
-        if narrow:
+        caps = [min(p or width, ntr - 1, width) for p in components]
+        if not wide:
             mean = block[train].mean(axis=0)
             centred_train, centred_test = block[train] - mean, block[test_mask] - mean
             scatter = centred_train.T @ centred_train
             centred_means = averages @ centred_train
-        for s, (cols, _) in enumerate(scalings):
+        for s, w in enumerate(scalings):
             # pooled covariance, class means and test scores of the
             # scaling's top components
-            caps = [min(p or cols.size, ntr - 1, cols.size) for p in components]
-            if s in grams:
+            if wide:
                 evals, train_scores, test_scores = _gram_scores(
                     grams[s], train, test_mask, max(caps)
                 )
                 means = averages @ train_scores
                 spread = np.diag(evals)
             else:
-                at = np.searchsorted(used, live[s][0])
-                w = live[s][1]
+                at = np.flatnonzero(w)
+                w = w[at]
                 spread = scatter[np.ix_(at, at)] * np.outer(w, w)
                 means = centred_means[:, at] * w
                 test_scores = centred_test[:, at] * w
@@ -631,7 +628,7 @@ def _cross_validate_scaled(
                     notes[j].append(f"{name}: components capped at {cap} (rank limit)")
                 # P = 0 keeps every component, and its ridge divides by the width
                 model = _lda_solve(class_ids, counts, means[:, :cap],
-                                   pooled[:cap, :cap], ridge, cap if p else cols.size)
+                                   pooled[:cap, :cap], ridge, cap if p else width)
                 picks, _ = lda_predict(model, test_scores[:, :cap])
                 np.add.at(confusions[j], (yte - 1, picks - 1), 1)
     # each distinct note once, with the number of jobs it applies to
@@ -677,9 +674,8 @@ def cross_validate_features(
     shape; see :func:`_cross_validate_scaled`.
     """
     X = np.asarray(features, dtype=float)
-    cols = np.arange(X.shape[1])
     return _cross_validate_scaled(
-        partial(_column_blocks, X), [(cols, np.ones(cols.size))], labels, sessions,
+        partial(_column_blocks, X), [np.ones(X.shape[1])], labels, sessions,
         n_classes, scheme, [components], ridge,
     )[0]
 
@@ -696,9 +692,9 @@ def cross_validate(
     training rows of a fold, read only through their Gram matrix, never
     form the (trials, width) feature matrix.
     """
-    cols = np.arange(dataset.n_channels * config.channel_width)
+    width = dataset.n_channels * config.channel_width
     return _cross_validate_scaled(
-        partial(_channel_blocks, dataset, config), [(cols, np.ones(cols.size))],
+        partial(_channel_blocks, dataset, config), [np.ones(width)],
         dataset.labels, dataset.session_ids, dataset.n_classes, scheme,
         [config.components], config.ridge,
     )[0]
@@ -797,20 +793,11 @@ def grid_search(
         ]
         if not configs:
             continue
-        count = 2 * truncation + 1
         channels = dataset.cube.reshape(-1, dataset.n_samples)
         coeffs = transform_rows(channels, truncation).reshape(dataset.n_trials, -1)
-        offsets = np.arange(dataset.n_channels)[:, None] * count
-        scalings = [
-            (
-                (offsets + np.arange(profile.factors.size)).ravel(),
-                np.tile(profile.factors, dataset.n_channels),
-            )
-            for profile in candidates
-        ]
         reports = _cross_validate_scaled(
             partial(_column_blocks, coeffs),
-            scalings,
+            [np.tile(profile.factors, dataset.n_channels) for profile in candidates],
             dataset.labels,
             dataset.session_ids,
             dataset.n_classes,

@@ -506,16 +506,16 @@ PHASE_OPTS = [
 
 def _experiment_rates(cfg: dict):
     spec = EllipsoidSpec(cfg["ellipsoid.alpha"], cfg["ellipsoid.radius"])
-    curve = risk_curve_pinsker(
+    points = risk_curve_pinsker(
         spec,
         cfg["experiment.epsilons"],
         cfg["experiment.trials"],
         seed=cfg["seed"],
         n_thetas=cfg["experiment.thetas"],
     )
-    rows = [(p.epsilon, p.risk, p.std_error, p.trials) for p in curve.points]
-    eps = np.array([p.epsilon for p in curve.points])
-    risk = np.array([p.risk for p in curve.points])
+    rows = [(p.epsilon, p.risk, p.std_error, p.trials) for p in points]
+    eps = np.array([p.epsilon for p in points])
+    risk = np.array([p.risk for p in points])
     lines = [
         f"alpha: {spec.alpha:.17g}",
         f"radius: {spec.radius:.17g}",

@@ -37,7 +37,6 @@ from .synth import ClassModel, NoiseModel, perturb_within_class, stream_rng
 
 __all__ = [
     "RiskPoint",
-    "RiskCurve",
     "SupRisk",
     "AdaptivityRow",
     "ConsistencyRow",
@@ -66,25 +65,6 @@ class RiskPoint:
     risk: float
     std_error: float
     trials: int
-
-
-@dataclass
-class RiskCurve:
-    """Worst-case risk estimates over a decreasing noise grid."""
-
-    points: list[RiskPoint]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("a risk curve needs at least one point")
-        eps = [p.epsilon for p in self.points]
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("points must be sorted by strictly decreasing epsilon")
-        for p in self.points:
-            if p.trials < 100:
-                raise ValueError("risk points need at least 100 trials")
-            if p.risk <= 0.0:
-                raise ValueError("risk estimates must be positive")
 
 
 def _boundary_thetas(
@@ -132,7 +112,7 @@ def risk_curve_pinsker(
     trials: int,
     seed: int = 0,
     n_thetas: int = 50,
-) -> RiskCurve:
+) -> list[RiskPoint]:
     """Empirical worst-case risk of the exact linear minimax estimator.
 
     For each noise level the water-filling weights are recomputed and the
@@ -146,6 +126,8 @@ def risk_curve_pinsker(
         Noise draws per parameter, at least 100.
     """
     eps_list = [float(e) for e in epsilons]
+    if not eps_list:
+        raise ValueError("a risk curve needs at least one epsilon")
     if any(e <= 0.0 for e in eps_list):
         raise ValueError("epsilons must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -169,7 +151,7 @@ def risk_curve_pinsker(
             errors.append(((est - theta) ** 2).sum(axis=1))
         risk, se = _sup_risk(errors)
         points.append(RiskPoint(epsilon=eps, risk=risk, std_error=se, trials=trials))
-    return RiskCurve(points)
+    return points
 
 
 def bjs_block_risk(size: int, norms_sq, epsilon: float):

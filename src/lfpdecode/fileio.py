@@ -187,7 +187,8 @@ def _read_sidecar(path: str) -> dict:
 
     n_trials, n_channels and n_samples must be positive integers that the
     CSV's size can hold, at the shortest row each, so a wrong count fails
-    here rather than in a huge allocation.
+    here rather than in a huge allocation.  n_classes and seed, when
+    present, must be integers.
     """
     side = meta_path(path)
     if not os.path.exists(side):
@@ -198,6 +199,11 @@ def _read_sidecar(path: str) -> dict:
         if type(value) is not int or value < 1:
             raise ValueError(
                 f"sidecar {side}: {key} must be a positive integer, got {value!r}"
+            )
+    for key in ("n_classes", "seed"):
+        if key in meta and type(meta[key]) is not int:
+            raise ValueError(
+                f"sidecar {side}: {key} must be an integer, got {meta[key]!r}"
             )
     n_rows = meta["n_trials"] * meta["n_channels"] * meta["n_samples"]
     if n_rows * _MIN_ROW_BYTES > os.path.getsize(path):

@@ -129,11 +129,11 @@ def test_criterion_03_james_stein_dominates_identity():
 
 def test_criterion_04_pinsker_risk_curve_decreases():
     t0 = time.monotonic()
-    curve = risk_curve_pinsker(
+    points = risk_curve_pinsker(
         EllipsoidSpec(2.0, 10.0), [0.5, 0.2, 0.1, 0.05], 200, seed=0
     )
-    risks = [p.risk for p in curve.points]
-    ses = [p.std_error for p in curve.points]
+    risks = [p.risk for p in points]
+    ses = [p.std_error for p in points]
     monotone = all(
         risks[i + 1] <= risks[i] + 2.0 * float(np.hypot(ses[i], ses[i + 1]))
         for i in range(len(risks) - 1)

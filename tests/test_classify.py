@@ -603,16 +603,16 @@ def _ridge_sensitive_theta(seed):
     return theta, y, g
 
 
-def _assert_scaling_matches_reference(x, cols, weights, y, g, n_classes, **kwargs):
-    # one weighted column scaling through the fold loop, against the
-    # reference chain on the weighted columns themselves
+def _assert_scaling_matches_reference(x, weights, y, g, n_classes, **kwargs):
+    # one column scaling through the fold loop, against the reference
+    # chain on the weighted columns themselves
     report = classify._cross_validate_scaled(
-        partial(classify._column_blocks, x), [(cols, weights)], y, g, n_classes,
+        partial(classify._column_blocks, x), [weights], y, g, n_classes,
         kwargs.get("scheme", "loso"), [kwargs.get("components", 0)],
         kwargs.get("ridge"),
     )[0]
-    confusion, notes = _reference_cross_validate(x[:, cols] * weights, y, g,
-                                                 n_classes, **kwargs)
+    confusion, notes = _reference_cross_validate(x * weights, y, g, n_classes,
+                                                 **kwargs)
     assert_array_equal(report.confusion, confusion)
     assert report.notes == notes
     return report
@@ -624,14 +624,13 @@ def test_moments_match_reference_with_fewer_live_columns_than_p():
     theta, y, g = _ridge_sensitive_theta(37)
     wide = np.hstack([theta, np.random.default_rng(38).normal(size=(60, 195))])
     for components in (4, 0):
-        cols, weights = np.arange(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-        report = _assert_scaling_matches_reference(theta, cols, weights, y, g, 2,
+        weights = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+        report = _assert_scaling_matches_reference(theta, weights, y, g, 2,
                                                    components=components)
         assert 0 < np.trace(report.confusion) < y.size
         # the same on the Gram path: 200 columns over 40 training rows, 2 live
-        cols, weights = np.arange(200), np.r_[1.0, 1.0, np.zeros(198)]
-        _assert_scaling_matches_reference(wide, cols, weights, y, g, 2,
-                                          components=components)
+        _assert_scaling_matches_reference(wide, np.r_[1.0, 1.0, np.zeros(198)],
+                                          y, g, 2, components=components)
 
 
 @pytest.mark.parametrize("d", [8, 60], ids=["narrow", "wide"])
@@ -664,17 +663,17 @@ def test_moments_zero_ridge_with_fewer_live_columns_than_p_raises():
     # P = 4, and of all 5 columns at P = 0, singular, as on the zero-padded
     # reference scores
     theta, y, g = _ridge_sensitive_theta(37)
-    cols, weights = np.arange(5), np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    weights = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
     for components in (4, 0):
         with pytest.raises(ValueError, match="singular"):
             _reference_cross_validate(theta * weights, y, g, 2,
                                       components=components, ridge=0.0)
         with pytest.raises(ValueError, match="singular"):
             classify._cross_validate_scaled(partial(classify._column_blocks, theta),
-                                            [(cols, weights)], y, g, 2, "loso",
+                                            [weights], y, g, 2, "loso",
                                             [components], 0.0)
     # with every column live, ridge 0 is not singular and nothing raises
-    _assert_scaling_matches_reference(theta, cols, np.ones(5), y, g, 2,
+    _assert_scaling_matches_reference(theta, np.ones(5), y, g, 2,
                                       components=4, ridge=0.0)
 
 
@@ -753,7 +752,7 @@ def test_wide_dataset_cross_validation_equals_the_feature_matrix_route(
     model = make_class_model(4, SPEC, 3, 0.4, 0.05, seed=49)
     ds = generate_dataset(model, 8, 12, 128, 2, NoiseModel(sigma=16.0), seed=50)
     features = dataset_feature_matrix(ds, config)
-    cols = np.arange(features.shape[1])
+    ones = np.ones(features.shape[1])
     for col_block in (classify._COL_BLOCK, 7):
         monkeypatch.setattr(classify, "_COL_BLOCK", col_block)
         report = cross_validate(ds, config, scheme=scheme)
@@ -765,7 +764,7 @@ def test_wide_dataset_cross_validation_equals_the_feature_matrix_route(
         assert report.notes == reference.notes
         assert 0 < np.trace(report.confusion) < ds.n_trials
         streamed, whole = (
-            classify._centred_gram(blocks(cols, np.ones(cols.size)), ds.n_trials)
+            classify._centred_gram(blocks(ones), ds.n_trials)
             for blocks in (partial(classify._channel_blocks, ds, config),
                            partial(classify._column_blocks, features))
         )
@@ -779,14 +778,13 @@ def test_narrow_jobs_that_keep_every_live_column_run_no_eigen_solve(monkeypatch)
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
     x, y, g = _hard_blobs(48, 12, 6)
-    cols = np.arange(6)
     columns = partial(classify._column_blocks, x)
     reports = classify._cross_validate_scaled(
-        columns, [(cols, np.ones(6))], y, g, 3, "loso", [0, 6, 30], None
+        columns, [np.ones(6)], y, g, 3, "loso", [0, 6, 30], None
     )
     assert calls == []
     reports += classify._cross_validate_scaled(
-        columns, [(cols, np.ones(6))], y, g, 3, "loso", [2, 165], None
+        columns, [np.ones(6)], y, g, 3, "loso", [2, 165], None
     )
     assert calls == [(6, 6)] * 3
     for report, components in zip(reports, [0, 6, 30, 2, 165]):
@@ -816,10 +814,20 @@ def test_grid_logs_each_distinct_note_once(caplog):
 def test_grid_rows_equal_per_profile_cross_validation():
     model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=40)
     # noisy enough that scaling columns by pinsker(mu=10) moves the PCA
-    # subspace at P = 3, and with it the accuracy
-    ds = generate_dataset(model, 8, 2, 64, 3, NoiseModel(sigma=8.0), seed=41)
-    result = grid_search(ds, truncations=(2, 3), components=(0, 3), spec=SPEC,
-                         mu_values=(10.0,), low_pass_only=True)
+    # subspace at P = 3, and with it the accuracy.  With 2 channels every
+    # profile is narrower than the 16 or 18 training rows of a fold; with
+    # 12 channels every one is wider (60 or 84 columns), so one grid call
+    # runs each of its profiles through a Gram matrix
+    for channels, schemes in ((2, ("loso",)), (12, ("loso", "kfold:4"))):
+        ds = generate_dataset(model, 8, channels, 64, 3, NoiseModel(sigma=8.0),
+                              seed=41)
+        for scheme in schemes:
+            _assert_grid_rows_match_reference(ds, scheme, wide=channels == 12)
+
+
+def _assert_grid_rows_match_reference(ds, scheme, wide):
+    result = grid_search(ds, scheme=scheme, truncations=(2, 3), components=(0, 3),
+                         spec=SPEC, mu_values=(10.0,), low_pass_only=True)
     profiles = {}
     for truncation in (2, 3):
         for profile in shrinkage_patterns(truncation, spec=SPEC, mu_values=(10.0,),
@@ -831,9 +839,12 @@ def test_grid_rows_equal_per_profile_cross_validation():
     for row in result.rows:
         config = PipelineConfig(64, profiles[row.truncation, row.pattern],
                                 components=row.components)
-        report = cross_validate(ds, config)
+        features = dataset_feature_matrix(ds, config)
+        # 24 trials: 16 training rows a loso fold, 18 a kfold:4 fold
+        assert (features.shape[1] > 18) == wide
+        report = cross_validate(ds, config, scheme=scheme)
         confusion, notes = _reference_cross_validate(
-            dataset_feature_matrix(ds, config), ds.labels, ds.session_ids, 3,
+            features, ds.labels, ds.session_ids, 3, scheme=scheme,
             components=row.components,
         )
         assert row.accuracy == report.overall_accuracy
@@ -841,7 +852,7 @@ def test_grid_rows_equal_per_profile_cross_validation():
         assert report.notes == notes
         accuracies.add(row.accuracy)
     assert len(accuracies) > 1
-    best = cross_validate(ds, result.best_config)
+    best = cross_validate(ds, result.best_config, scheme=scheme)
     assert_array_equal(result.best_report.confusion, best.confusion)
     assert result.best_report.notes == best.notes
 

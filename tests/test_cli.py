@@ -8,6 +8,7 @@ import glob
 import hashlib
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -649,3 +650,16 @@ def test_list_value_error_names_the_rule(tmp_path, capsys, argv, opt, raw, rule,
 def test_missing_subcommand_exits_2(capsys):
     assert run() == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,opts", [
+    ("synth", cli.SYNTH_OPTS),
+    ("estimate", cli.ESTIMATE_OPTS),
+    ("benchmark", cli.BENCHMARK_OPTS),
+    ("experiment", cli._experiment_opts()),
+])
+def test_help_lists_every_option(command, opts, capsys):
+    assert main([command, "--help"]) == 0
+    # whole flags, so that --noise-seed does not stand in for --seed
+    shown = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert [opt.flag_name for opt in opts if opt.flag_name not in shown] == []

@@ -52,8 +52,8 @@ def test_mse_matches_function_space_quadrature():
 
 
 def test_risk_curve_decreases_with_noise():
-    curve = risk_curve_pinsker(SPEC, [0.5, 0.1], 100, seed=0, n_thetas=10)
-    lo, hi = curve.points[1], curve.points[0]
+    points = risk_curve_pinsker(SPEC, [0.5, 0.1], 100, seed=0, n_thetas=10)
+    lo, hi = points[1], points[0]
     assert lo.risk < hi.risk
     assert lo.std_error > 0.0
     assert hi.trials == 100
@@ -70,7 +70,7 @@ def test_risk_curve_input_validation():
 
 def test_risk_curve_takes_zero_random_thetas_but_not_fewer():
     vertices_only = risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=0)
-    assert vertices_only.points[0].risk > 0.0
+    assert vertices_only[0].risk > 0.0
     with pytest.raises(ValueError, match="n_thetas"):
         risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=-1)
 
@@ -78,7 +78,7 @@ def test_risk_curve_takes_zero_random_thetas_but_not_fewer():
 def test_risk_curve_is_deterministic():
     a = risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=5)
     b = risk_curve_pinsker(SPEC, [0.3], 100, seed=4, n_thetas=5)
-    assert a.points[0].risk == b.points[0].risk
+    assert a[0].risk == b[0].risk
 
 
 def test_adaptivity_rows_cover_specs():

@@ -285,6 +285,9 @@ def test_dataset_requires_sidecar(tmp_path):
     ("n_channels", "2.5"),
     ("n_samples", "abc"),
     ("n_trials", "0"),
+    ("n_classes", "3.7"),
+    ("seed", "0.9"),
+    ("n_classes", "abc"),
 ])
 def test_dataset_sidecar_counts_checked_before_allocation(tmp_path, key, value):
     path, _ = _pinned_lines(tmp_path)
