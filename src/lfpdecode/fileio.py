@@ -3,12 +3,17 @@ single-channel signal CSV, generic result tables, and flat config files.
 
 All floats are written with 17 significant digits so values round-trip
 exactly, and every write lands atomically (temp file + rename).  The
-dataset writer formats each trial's rows of the dataset's cube in one
-``%`` call, with the same bytes as :func:`fmt_float` on each value; the
-reader parses one trial's rows at a time into a cube sized from the
-sidecar and returns the dataset holding that cube.  Key columns (every
-column of a dataset or signal CSV but the value) must be integer
-literals: ``1.0`` is rejected like ``1.7``.
+dataset writer splits the trials into one contiguous share per CPU this
+process may use (at most one share per trial).  It formats the first
+share into its temp file while a helper process (:mod:`lfpdecode.trialrows`
+run as a script) formats each other share into a part file next to the
+target, which takes disk room until the parts are appended in order; the
+bytes are the same for any number of shares, and the same as
+:func:`fmt_float` on each value.  The CSV and its sidecar are renamed
+into place only once both are written.  The reader parses one trial's
+rows at a time into a cube sized from the sidecar and returns the dataset
+holding that cube.  Key columns (every column of a dataset or signal CSV
+but the value) must be integer literals: ``1.0`` is rejected like ``1.7``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,14 @@ import contextlib
 import itertools
 import os
 import secrets
+import shutil
+import subprocess
+import sys
+import threading
 
 import numpy as np
 
+from . import trialrows
 from .synth import LabeledDataset
 
 __all__ = [
@@ -53,31 +63,44 @@ def _cell(x) -> str:
     return str(x)
 
 
-@contextlib.contextmanager
-def _replacing(path: str):
-    """Text handle on a temp file that is renamed onto ``path`` once closed.
+def _temp_path(path: str) -> str:
+    """A fresh hidden name in the directory of ``path``."""
+    return os.path.join(
+        os.path.dirname(os.path.abspath(path)), f".tmp-{secrets.token_hex(8)}~"
+    )
 
-    The temp file is created with mode 0666 less the process umask, as a
-    plain ``open`` would; on any error it is removed and ``path`` is left
-    untouched.
+
+@contextlib.contextmanager
+def _replacing(*paths: str):
+    """Text handles on temp files, each renamed onto its path once all are closed.
+
+    The temp files are created with mode 0666 less the process umask, as a
+    plain ``open`` would; on any error they are removed and no path is
+    touched.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    temps = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            yield handle
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            handles = []
+            for path in paths:
+                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+                tmp = _temp_path(path)
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                temps.append(tmp)
+                handles.append(stack.enter_context(os.fdopen(fd, "w")))
+            yield handles
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to ``path`` via a temp file and rename, never in place."""
-    with _replacing(path) as handle:
+    with _replacing(path) as (handle,):
         handle.write(text)
 
 
@@ -86,29 +109,106 @@ def meta_path(path: str) -> str:
     return os.path.splitext(path)[0] + ".meta"
 
 
+# the process that writes a share of a dataset's trials: trialrows run as a
+# script, isolated and without site packages, since it needs neither numpy
+# nor this package
+_HELPER = [sys.executable, "-I", "-S", trialrows.__file__]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _feed(fd: int, arrays) -> None:
+    """Write the bytes of C-contiguous arrays to ``fd``, then close it.
+
+    A helper that stops reading makes the write fail; its exit status
+    reports that, so the error is dropped here.
+    """
+    try:
+        with open(fd, "wb") as pipe:
+            for array in arrays:
+                pipe.write(array)
+    except OSError:
+        pass
+
+
+@contextlib.contextmanager
+def _share_helper(dataset: LabeledDataset, lo: int, hi: int, path: str):
+    """Start a helper process that writes the rows of trials lo..hi-1 into a
+    part file next to ``path``.
+
+    Yields a function that waits for the helper and appends its part to a
+    binary handle, raising OSError if the helper failed.  On exit a helper
+    still running is killed and waited for, and the part file is removed.
+    """
+    name = f"dataset writer helper for trials {lo}..{hi - 1}"
+    argv = [*_HELPER, str(lo), str(hi - lo), str(dataset.n_channels),
+            str(dataset.n_samples)]
+    # sessions, labels, then the share's values, which a contiguous cube
+    # hands over as a view
+    arrays = [
+        np.ascontiguousarray(dataset.session_ids[lo:hi], dtype=np.int64),
+        np.ascontiguousarray(dataset.labels[lo:hi], dtype=np.int64),
+        np.ascontiguousarray(dataset.cube[lo:hi], dtype=np.float64),
+    ]
+    part_path = _temp_path(path)
+    part = open(part_path, "x+b")
+    try:
+        with part:
+            read, write = os.pipe()
+            try:
+                proc = subprocess.Popen(
+                    argv, stdin=read, stdout=part, stderr=subprocess.PIPE
+                )
+            except BaseException:
+                os.close(write)
+                raise
+            finally:
+                os.close(read)
+            # a thread feeds the helper while this process formats its share
+            feeder = threading.Thread(target=_feed, args=(write, arrays))
+
+            def append_to(out) -> None:
+                _, err = proc.communicate()
+                if proc.returncode:
+                    lines = err.decode(errors="replace").strip().splitlines()
+                    raise OSError(
+                        f"{name} exited with status {proc.returncode}"
+                        + (f": {lines[-1]}" if lines else "")
+                    )
+                part.seek(0)
+                shutil.copyfileobj(part, out, 1 << 20)
+
+            try:
+                feeder.start()
+                yield append_to
+            finally:
+                if proc.returncode is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stderr.close()
+                feeder.join()
+    finally:
+        os.unlink(part_path)
+
+
 def write_dataset(dataset: LabeledDataset, path: str) -> None:
     """Write a dataset as one CSV row per sample plus a .meta sidecar.
 
     Columns are trial_id (0-based), session, label, channel (1-based) and
-    sample_index (0-based) with the sample value last.
+    sample_index (0-based) with the sample value last.  The trials are
+    split into k contiguous shares, k the number of CPUs this process may
+    use but at most n_trials.  This process formats the first share; each
+    other share is formatted by a helper process into a part file next to
+    ``path``, so until the parts are appended the disk holds the helpers'
+    shares twice.  The bytes are the same for every k.  Neither file is
+    replaced until both are written; a helper that fails raises OSError,
+    and no part or temp file is left behind.
     """
-    # "ch,s,%.17g" for every sample of a trial, in channel-major order; a
-    # trial's rows are these with its key prefix, formatted in one % call
-    # (%.17g is the conversion fmt_float makes)
-    keys = [
-        f"{ch},{s},%.17g\n"
-        for ch in range(1, dataset.n_channels + 1)
-        for s in range(dataset.n_samples)
-    ]
-    with _replacing(path) as handle:
-        handle.write(DATASET_HEADER + "\n")
-        # one trial at a time keeps memory flat in the number of trials
-        rows = zip(dataset.cube, dataset.session_ids.tolist(), dataset.labels.tolist())
-        for tid, (channels, session, label) in enumerate(rows):
-            head = f"{tid},{session},{label},"
-            template = head + head.join(keys)
-            handle.write(template % tuple(channels.ravel().tolist()))
-
     meta = {
         "n_trials": dataset.n_trials,
         "n_channels": dataset.n_channels,
@@ -117,8 +217,31 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
         "seed": dataset.seed,
     }
     meta.update(dataset.params)
-    meta_lines = [f"{key}={_cell(value)}" for key, value in meta.items()]
-    atomic_write_text(meta_path(path), "\n".join(meta_lines) + "\n")
+    # built before any file is opened, so a value with no cell form
+    # leaves both files as they were
+    sidecar = "".join(f"{key}={_cell(value)}\n" for key, value in meta.items())
+    n = dataset.n_trials
+    k = min(_usable_cpus(), n)
+    bounds = [n * i // k for i in range(k + 1)]
+    with _replacing(path, meta_path(path)) as (handle, side), \
+            contextlib.ExitStack() as helpers:
+        side.write(sidecar)
+        # helpers first, so they format their shares while this process
+        # formats the first one, a trial at a time
+        appends = [
+            helpers.enter_context(_share_helper(dataset, lo, hi, path))
+            for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        share = slice(0, bounds[1])
+        handle.write(DATASET_HEADER + "\n")
+        trialrows.write_trials(
+            handle, dataset.n_channels, dataset.n_samples, 0,
+            dataset.session_ids[share].tolist(), dataset.labels[share].tolist(),
+            (trial.ravel().tolist() for trial in dataset.cube[share]),
+        )
+        handle.flush()
+        for append_to in appends:
+            append_to(handle.buffer)
 
 
 def _parse_scalar(raw: str):

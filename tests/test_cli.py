@@ -9,6 +9,7 @@ import hashlib
 import math
 import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,16 @@ def test_synth_impossible_separation_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "separation" in err
     assert not os.path.exists(out)
+
+
+def test_synth_failed_helper_exits_2(tmp_path, capsys, monkeypatch):
+    # SMALL_SYNTH has 12 trials: with 2 CPUs a helper writes trials 6..11
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fileio, "_HELPER", [sys.executable, "-c", "raise SystemExit(1)"])
+    out = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", out, *SMALL_SYNTH) == 2
+    assert "helper for trials 6..11 exited with status 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -2,6 +2,10 @@
 
 import hashlib
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -74,8 +78,21 @@ def _sha256(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def test_dataset_bytes_are_pinned(tmp_path):
-    # pinned digests: writing the CSV trial by trial must not move a byte
+# CPU counts forced on the writer: its trials split into that many
+# contiguous shares, one written here and each other by a helper process;
+# the pinned and the edge-value datasets have 3 trials, so 2 shares are
+# uneven, 3 are a trial each and 4 CPUs are capped at 3 shares
+SHARES = pytest.mark.parametrize(
+    "cpus", [1, 2, 3, 4],
+    ids=["one-share", "two-shares", "three-shares", "more-cpus-than-trials"],
+)
+
+
+@SHARES
+def test_dataset_bytes_are_pinned(tmp_path, monkeypatch, cpus):
+    # pinned digests: neither writing the CSV trial by trial nor splitting
+    # it into shares may move a byte
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
     path = str(tmp_path / "ds.csv")
     fileio.write_dataset(_pinned_dataset(), path)
     assert _sha256(path) == (
@@ -212,7 +229,9 @@ EDGE_VALUES = [
 ]
 
 
-def test_dataset_writer_matches_per_value_formatting(tmp_path):
+@SHARES
+def test_dataset_writer_matches_per_value_formatting(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(9)
     wide = rng.normal(size=(3, 4, 2 * len(EDGE_VALUES))) * 10.0 ** rng.integers(
         -300, 300, size=(3, 4, 2 * len(EDGE_VALUES)))
@@ -239,6 +258,78 @@ def test_dataset_writer_matches_per_value_formatting(tmp_path):
     fileio.write_dataset(ds, str(path))
     assert path.read_text() == "\n".join(expected) + "\n"
     assert "\n1,2,2,1,0,inf\n" in path.read_text()
+
+
+class _RecordedPopen(subprocess.Popen):
+    """subprocess.Popen that keeps every process it starts."""
+
+    started = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.started.append(self)
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Force two shares; the list of helper processes started."""
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_RecordedPopen, "started", [])
+    monkeypatch.setattr(subprocess, "Popen", _RecordedPopen)
+    return _RecordedPopen.started
+
+
+def _dataset_files(tmp_path):
+    """The pinned dataset written at ds.csv, and its two files' bytes."""
+    path = tmp_path / "ds.csv"
+    fileio.write_dataset(_pinned_dataset(), str(path))
+    files = [path, Path(fileio.meta_path(str(path)))]
+    return path, files, [file.read_bytes() for file in files]
+
+
+def test_failed_helper_leaves_the_old_pair(tmp_path, monkeypatch, helpers):
+    path, files, before = _dataset_files(tmp_path)
+    monkeypatch.setattr(fileio, "_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
+    # the helper's share, 256 KiB, is more than a pipe holds, so feeding a
+    # helper that reads nothing fails too
+    ds = LabeledDataset(np.ones((3, 2, 8192)), labels=[1, 2, 1],
+                        session_ids=[1, 2, 3], n_classes=2)
+    with pytest.raises(OSError, match=r"helper for trials 1\.\.2 exited with status 3"):
+        fileio.write_dataset(ds, str(path))
+    assert [file.read_bytes() for file in files] == before
+    assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta"]
+    # every helper, the first write's too, was waited for
+    assert [proc.returncode for proc in helpers] == [0, 3]
+
+
+def test_writer_failure_kills_a_running_helper(tmp_path, monkeypatch, helpers):
+    path, files, before = _dataset_files(tmp_path)
+    # a helper that would outlive the test unless it is killed
+    monkeypatch.setattr(fileio, "_HELPER", [sys.executable, "-c", "import time; time.sleep(60)"])
+
+    def disk_full(*args):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(fileio.trialrows, "write_trials", disk_full)
+    start = time.monotonic()
+    with pytest.raises(OSError, match="no space left"):
+        fileio.write_dataset(_pinned_dataset(), str(path))
+    assert time.monotonic() - start < 30
+    assert [file.read_bytes() for file in files] == before
+    assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta"]
+    assert [proc.returncode for proc in helpers] == [0, -signal.SIGKILL]
+
+
+def test_sidecar_failure_leaves_the_old_pair(tmp_path):
+    # a bool has no cell form; the new CSV must not land beside the old sidecar
+    path, files, before = _dataset_files(tmp_path)
+    ds = _pinned_dataset()
+    ds.cube += 1.0
+    ds.params["flag"] = True
+    with pytest.raises(TypeError):
+        fileio.write_dataset(ds, str(path))
+    assert [file.read_bytes() for file in files] == before
+    assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta"]
 
 
 def test_signal_writer_matches_per_value_formatting(tmp_path):
