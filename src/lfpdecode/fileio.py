@@ -2,34 +2,48 @@
 single-channel signal CSV, generic result tables, and flat config files.
 
 All floats are written with 17 significant digits so values round-trip
-exactly, and every write lands atomically (temp file + rename).  The
-dataset writer splits the trials into one contiguous share per CPU this
-process may use (at most one share per trial).  It formats the first
-share into its temp file while a helper process (:mod:`lfpdecode.trialrows`
+exactly, and every write lands atomically (temp file + rename).  Both
+dataset directions split their work into one share per CPU this process
+may use, and start a helper process for each share past the first only
+when a share is large enough to repay the helper's start-up
+(:data:`_MIN_WRITE_SHARE` rows, :data:`_MIN_READ_SHARE` bytes).
+
+The writer splits the trials into contiguous shares.  It formats the
+first share into its temp file while a helper (:mod:`lfpdecode.trialrows`
 run as a script) formats each other share into a part file next to the
 target, which takes disk room until the parts are appended in order; the
 bytes are the same for any number of shares, and the same as
 :func:`fmt_float` on each value.  The CSV and its sidecar are renamed
-into place only once both are written.  The reader parses one trial's
-rows at a time into a cube sized from the sidecar and returns the dataset
-holding that cube.  Key columns (every column of a dataset or signal CSV
-but the value) must be integer literals: ``1.0`` is rejected like ``1.7``.
+into place only once both are written.
+
+The reader splits the rows after the header into byte ranges of whole
+lines; a line belongs to the share that holds its first byte.  It parses
+the first share itself, one trial's rows at a time, into a cube sized
+from the sidecar.  A helper (:mod:`lfpdecode.rowparse` run as a script)
+parses each other share the same way and holds one trial's rows at a
+time; it writes each row's flat cube index and value, 16 bytes a row, to
+an anonymous file in the temp directory, which this process scatters
+into the cube.  The checks that span shares (row count, missing cells,
+one label and session per trial) run once over all of them.  Key columns
+(every column of a dataset or signal CSV but the value) must be integer
+literals: ``1.0`` is rejected like ``1.7``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import secrets
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 
 import numpy as np
 
-from . import trialrows
+from . import rowparse, trialrows
+from .rowparse import DATASET_HEADER
 from .synth import LabeledDataset
 
 __all__ = [
@@ -44,7 +58,6 @@ __all__ = [
     "read_config",
 ]
 
-DATASET_HEADER = "trial_id,session,label,channel,sample_index,value"
 SIGNAL_HEADER = "sample_index,value"
 
 
@@ -109,10 +122,19 @@ def meta_path(path: str) -> str:
     return os.path.splitext(path)[0] + ".meta"
 
 
-# the process that writes a share of a dataset's trials: trialrows run as a
-# script, isolated and without site packages, since it needs neither numpy
-# nor this package
-_HELPER = [sys.executable, "-I", "-S", trialrows.__file__]
+# the helper processes, run by this Python in isolated mode and without
+# site packages: trialrows needs neither numpy nor this package, and
+# rowparse is handed the directory of the numpy this process imported
+_WRITE_HELPER = [sys.executable, "-I", "-S", trialrows.__file__]
+_READ_HELPER = [sys.executable, "-I", "-S", rowparse.__file__,
+                os.path.dirname(os.path.dirname(np.__file__))]
+
+# the smallest share a helper is started for: about twice the share at
+# which a helper broke even on 2 CPUs, ~64k rows for a trialrows helper
+# (~40 ms from its start to its part appended) and ~4 MB of rows for a
+# rowparse helper (numpy's import takes ~0.1 s of it)
+_MIN_WRITE_SHARE = 1 << 17  # rows
+_MIN_READ_SHARE = 8 << 20  # bytes
 
 
 def _usable_cpus() -> int:
@@ -120,6 +142,12 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _share_count(size: int, minimum: int) -> int:
+    """Shares to split ``size`` units of work into: one per CPU this process
+    may use, but none smaller than ``minimum`` units, and at least one."""
+    return max(1, min(_usable_cpus(), size // minimum))
 
 
 def _feed(fd: int, arrays) -> None:
@@ -137,16 +165,59 @@ def _feed(fd: int, arrays) -> None:
 
 
 @contextlib.contextmanager
-def _share_helper(dataset: LabeledDataset, lo: int, hi: int, path: str):
-    """Start a helper process that writes the rows of trials lo..hi-1 into a
-    part file next to ``path``.
+def _helper(name: str, argv: list, out, arrays=()):
+    """Run ``argv`` as a helper process whose standard output is ``out``.
+
+    The bytes of ``arrays`` (C-contiguous) go to its standard input from a
+    thread, so the helper works while this process does.  Yields a
+    function that waits for the helper and raises if it failed: ValueError
+    with its reason if it rejected its input (exit status
+    ``rowparse.REJECTED``), else OSError naming it, its exit status and its
+    last line of standard error.  On exit a helper still running is killed
+    and waited for.
+    """
+    read, write = os.pipe()
+    try:
+        proc = subprocess.Popen(argv, stdin=read, stdout=out, stderr=subprocess.PIPE)
+    except BaseException:
+        os.close(write)
+        raise
+    finally:
+        os.close(read)
+    feeder = threading.Thread(target=_feed, args=(write, arrays))
+
+    def wait() -> None:
+        _, err = proc.communicate()
+        if proc.returncode:
+            lines = err.decode(errors="replace").strip().splitlines()
+            last = lines[-1] if lines else ""
+            if proc.returncode == rowparse.REJECTED:
+                raise ValueError(last)
+            raise OSError(
+                f"{name} exited with status {proc.returncode}"
+                + (f": {last}" if last else "")
+            )
+
+    try:
+        feeder.start()
+        yield wait
+    finally:
+        if proc.returncode is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+        feeder.join()
+
+
+@contextlib.contextmanager
+def _write_helper(dataset: LabeledDataset, lo: int, hi: int, path: str):
+    """Start a helper that writes the rows of trials lo..hi-1 into a part
+    file next to ``path``.
 
     Yields a function that waits for the helper and appends its part to a
-    binary handle, raising OSError if the helper failed.  On exit a helper
-    still running is killed and waited for, and the part file is removed.
+    binary handle.  On exit the part file is removed.
     """
-    name = f"dataset writer helper for trials {lo}..{hi - 1}"
-    argv = [*_HELPER, str(lo), str(hi - lo), str(dataset.n_channels),
+    argv = [*_WRITE_HELPER, str(lo), str(hi - lo), str(dataset.n_channels),
             str(dataset.n_samples)]
     # sessions, labels, then the share's values, which a contiguous cube
     # hands over as a view
@@ -155,43 +226,18 @@ def _share_helper(dataset: LabeledDataset, lo: int, hi: int, path: str):
         np.ascontiguousarray(dataset.labels[lo:hi], dtype=np.int64),
         np.ascontiguousarray(dataset.cube[lo:hi], dtype=np.float64),
     ]
+    name = f"dataset writer helper for trials {lo}..{hi - 1}"
     part_path = _temp_path(path)
     part = open(part_path, "x+b")
     try:
-        with part:
-            read, write = os.pipe()
-            try:
-                proc = subprocess.Popen(
-                    argv, stdin=read, stdout=part, stderr=subprocess.PIPE
-                )
-            except BaseException:
-                os.close(write)
-                raise
-            finally:
-                os.close(read)
-            # a thread feeds the helper while this process formats its share
-            feeder = threading.Thread(target=_feed, args=(write, arrays))
+        with part, _helper(name, argv, part, arrays) as wait:
 
             def append_to(out) -> None:
-                _, err = proc.communicate()
-                if proc.returncode:
-                    lines = err.decode(errors="replace").strip().splitlines()
-                    raise OSError(
-                        f"{name} exited with status {proc.returncode}"
-                        + (f": {lines[-1]}" if lines else "")
-                    )
+                wait()
                 part.seek(0)
                 shutil.copyfileobj(part, out, 1 << 20)
 
-            try:
-                feeder.start()
-                yield append_to
-            finally:
-                if proc.returncode is None:
-                    proc.kill()
-                    proc.wait()
-                proc.stderr.close()
-                feeder.join()
+            yield append_to
     finally:
         os.unlink(part_path)
 
@@ -201,13 +247,14 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
 
     Columns are trial_id (0-based), session, label, channel (1-based) and
     sample_index (0-based) with the sample value last.  The trials are
-    split into k contiguous shares, k the number of CPUs this process may
-    use but at most n_trials.  This process formats the first share; each
-    other share is formatted by a helper process into a part file next to
-    ``path``, so until the parts are appended the disk holds the helpers'
-    shares twice.  The bytes are the same for every k.  Neither file is
-    replaced until both are written; a helper that fails raises OSError,
-    and no part or temp file is left behind.
+    split into k contiguous shares: one per CPU this process may use, but
+    at most one per :data:`_MIN_WRITE_SHARE` rows and at most n_trials.
+    This process formats the first share; each other share is formatted by
+    a helper process into a part file next to ``path``, so until the parts
+    are appended the disk holds the helpers' shares twice.  The bytes are
+    the same for every k.  Neither file is replaced until both are
+    written; a helper that fails raises OSError, and no part or temp file
+    is left behind.
     """
     meta = {
         "n_trials": dataset.n_trials,
@@ -221,7 +268,7 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
     # leaves both files as they were
     sidecar = "".join(f"{key}={_cell(value)}\n" for key, value in meta.items())
     n = dataset.n_trials
-    k = min(_usable_cpus(), n)
+    k = min(_share_count(dataset.cube.size, _MIN_WRITE_SHARE), n)
     bounds = [n * i // k for i in range(k + 1)]
     with _replacing(path, meta_path(path)) as (handle, side), \
             contextlib.ExitStack() as helpers:
@@ -229,7 +276,7 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
         # helpers first, so they format their shares while this process
         # formats the first one, a trial at a time
         appends = [
-            helpers.enter_context(_share_helper(dataset, lo, hi, path))
+            helpers.enter_context(_write_helper(dataset, lo, hi, path))
             for lo, hi in zip(bounds[1:-1], bounds[2:])
         ]
         share = slice(0, bounds[1])
@@ -263,41 +310,10 @@ def _first_row(handle, header: str, what: str) -> str:
     found = handle.readline().strip()
     if found != header:
         raise ValueError(f"unexpected {what} header {found!r}; want {header!r}")
-    line = _next_row(handle)
+    line = rowparse.next_row(handle)
     if line is None:
         raise ValueError(f"{what} file has no rows")
     return line
-
-
-def _next_row(handle) -> str | None:
-    """The next line np.loadtxt would parse, or None at the end of the file.
-
-    np.loadtxt skips only empty lines and lines with "#" in the first column.
-    """
-    return next((line for line in handle if line[:1] not in "#\n"), None)
-
-
-def _parse_rows(line: str, handle, header: str, what: str,
-                max_rows=None) -> np.ndarray:
-    """Parse ``line`` and up to ``max_rows - 1`` further rows from ``handle``.
-
-    Fields are named after the header's columns: every column but the
-    last is an int64 key, the last a float64 value.  A row with another
-    column count, or a key that is not an integer literal, raises
-    ValueError.  Lines after the last row parsed stay unread in ``handle``.
-    """
-    names = header.split(",")
-    dtype = [(name, np.int64) for name in names[:-1]] + [(names[-1], np.float64)]
-    try:
-        return np.loadtxt(
-            itertools.chain([line], handle), delimiter=",", dtype=dtype,
-            ndmin=1, max_rows=max_rows,
-        )
-    except ValueError as exc:
-        raise ValueError(
-            f"{what} rows must have {len(names)} columns, and "
-            f"{', '.join(names[:-1])} must be integers ({exc})"
-        ) from None
 
 
 # the shortest dataset row, "0,1,1,1,0,0\n", in bytes
@@ -336,53 +352,104 @@ def _read_sidecar(path: str) -> dict:
     return meta
 
 
+def _read_shares(path: str) -> list:
+    """Split the rows after the header of a CSV into byte ranges of whole lines.
+
+    There is one range per CPU this process may use, but at most one per
+    :data:`_MIN_READ_SHARE` bytes; a line belongs to the range that holds
+    its first byte, so a range is empty where one line spans it.  Returns
+    the (start, end) ranges in order.
+    """
+    with open(path, "rb") as raw:
+        raw.readline()
+        starts = [raw.tell()]
+        size = raw.seek(0, os.SEEK_END)
+        k = _share_count(size - starts[0], _MIN_READ_SHARE)
+        for i in range(1, k):
+            # the first line that starts at or after an even split
+            raw.seek(starts[0] + (size - starts[0]) * i // k - 1)
+            raw.readline()
+            starts.append(raw.tell())
+    return list(zip(starts, starts[1:] + [size]))
+
+
+@contextlib.contextmanager
+def _read_helper(path: str, start: int, end: int, shape: tuple):
+    """Start a helper that parses the rows in bytes start..end-1 of the
+    dataset CSV at ``path`` into an anonymous temp file.
+
+    Yields a function that waits for the helper, scatters its rows into a
+    cube of ``shape``, folds its label bounds into ``bounds`` and returns
+    its row count.  The temp file is read a trial's rows at a time.
+    """
+    argv = [*_READ_HELPER, path, str(start), str(end), *map(str, shape)]
+    name = f"dataset reader helper for bytes {start}..{end - 1}"
+    with tempfile.TemporaryFile() as out, _helper(name, argv, out) as wait:
+
+        def scatter_into(cube: np.ndarray, bounds: np.ndarray) -> int:
+            wait()
+            size = out.seek(-bounds.nbytes, os.SEEK_END)
+            theirs = np.frombuffer(out.read(), np.int64).reshape(bounds.shape)
+            np.minimum(bounds[0], theirs[0], out=bounds[0])
+            np.maximum(bounds[1], theirs[1], out=bounds[1])
+            out.seek(0)
+            flat = cube.reshape(-1)
+            piece = shape[1] * shape[2] * rowparse.RECORD.itemsize
+            for offset in range(0, size, piece):
+                records = np.frombuffer(
+                    out.read(min(piece, size - offset)), rowparse.RECORD
+                )
+                flat[records["index"]] = records["value"]
+            return size // rowparse.RECORD.itemsize
+
+        yield scatter_into
+
+
 def read_dataset(path: str) -> LabeledDataset:
     """Read a dataset CSV written by :func:`write_dataset`.
 
     The .meta sidecar is required and is read before any row is parsed:
     its trial, channel and sample counts size the cube, and it restores
-    n_classes, the seed and the generator parameters.  Rows may come in any order, but
-    trial ids must lie in 0..n_trials-1, channels in 1..n_channels and
-    sample indices in 0..n_samples-1, with each (trial, channel, sample)
-    given exactly once and one label and session per trial.  Rows are
-    parsed one trial's worth at a time, so memory is the cube plus one
-    trial's rows; the returned dataset holds that cube itself.
+    n_classes, the seed and the generator parameters.  Rows may come in
+    any order, but trial ids must lie in 0..n_trials-1, channels in
+    1..n_channels and sample indices in 0..n_samples-1, with each (trial,
+    channel, sample) given exactly once and one label and session per
+    trial.  The rows are split into byte ranges (:func:`_read_shares`).
+    This process parses the first one a trial's rows at a time, so its
+    memory is the cube plus one trial's rows; a helper process parses each
+    other one into a temp file of 16 bytes a row, which this process
+    scatters a trial's rows at a time.  The returned dataset holds the
+    cube itself.  A rejected row raises ValueError, a failed helper
+    OSError; either way no helper is left running.
     """
     with open(path) as handle:
-        line = _first_row(handle, DATASET_HEADER, "dataset")
-        meta = _read_sidecar(path)
-        n_trials, n_channels, n_samples = (meta.pop(key) for key in _COUNTS)
-        per_trial = n_channels * n_samples
-        cube = np.full((n_trials, n_channels, n_samples), np.nan)
-        # per-trial low and high of the label and session over every row;
-        # they differ where a trial's label or session changes
-        low = np.full((2, n_trials), np.iinfo(np.int64).max)
-        high = np.full((2, n_trials), np.iinfo(np.int64).min)
-        # n_trials chunks of one trial's rows, or fewer if the file ends
-        for _ in range(n_trials):
-            if line is None:
-                break
-            rows = _parse_rows(line, handle, DATASET_HEADER, "dataset", per_trial)
-            for name, first, last in (("trial_id", 0, n_trials - 1),
-                                      ("channel", 1, n_channels),
-                                      ("sample_index", 0, n_samples - 1)):
-                if rows[name].min() < first or rows[name].max() > last:
-                    raise ValueError(
-                        f"dataset {name} must lie in {first}..{last}, "
-                        "as the sidecar counts"
-                    )
-            tids = rows["trial_id"]
-            cube[tids, rows["channel"] - 1, rows["sample_index"]] = rows["value"]
-            for i, key in enumerate(("label", "session")):
-                np.minimum.at(low[i], tids, rows[key])
-                np.maximum.at(high[i], tids, rows[key])
-            # None after a short chunk, which only the end of the file makes
-            line = _next_row(handle)
-    if line is not None:
+        _first_row(handle, DATASET_HEADER, "dataset")
+    meta = _read_sidecar(path)
+    shape = tuple(meta.pop(key) for key in _COUNTS)
+    cube = np.full(shape, np.nan)
+    bounds = rowparse.label_bounds(shape[0])
+    (first, *others) = _read_shares(path)
+    with contextlib.ExitStack() as helpers:
+        # helpers first, so they parse their shares while this process
+        # parses the first one
+        scatters = [
+            helpers.enter_context(_read_helper(path, start, end, shape))
+            for start, end in others
+        ]
+        n_rows = 0
+        flat = cube.reshape(-1)
+        with rowparse.open_share(path, *first) as lines:
+            for index, values in rowparse.parse_share(lines, shape, bounds):
+                flat[index] = values
+                n_rows += index.size
+        for scatter_into in scatters:
+            n_rows += scatter_into(cube, bounds)
+    if n_rows > cube.size:
         raise ValueError("dataset file has extra or duplicate rows")
     # fewer rows than the cube's cells leave some NaN, and so does a duplicate
     if np.isnan(cube).any():
         raise ValueError("dataset file is incomplete or has missing samples")
+    low, high = bounds
     if not np.array_equal(low, high):
         raise ValueError("inconsistent label or session within a trial")
 
@@ -407,7 +474,7 @@ def read_signal(path: str) -> np.ndarray:
     """Read a signal CSV back into a sample vector ordered by index."""
     with open(path) as handle:
         line = _first_row(handle, SIGNAL_HEADER, "signal")
-        rows = _parse_rows(line, handle, SIGNAL_HEADER, "signal")
+        rows = rowparse.parse_rows(line, handle, SIGNAL_HEADER, "signal")
     rows = rows[np.argsort(rows["sample_index"])]
     if not np.array_equal(rows["sample_index"], np.arange(rows.size)):
         raise ValueError("sample_index must cover 0..N-1 exactly once")

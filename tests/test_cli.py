@@ -10,6 +10,7 @@ import math
 import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -94,11 +95,29 @@ def test_synth_impossible_separation_exits_2(tmp_path, capsys):
 def test_synth_failed_helper_exits_2(tmp_path, capsys, monkeypatch):
     # SMALL_SYNTH has 12 trials: with 2 CPUs a helper writes trials 6..11
     monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(fileio, "_HELPER", [sys.executable, "-c", "raise SystemExit(1)"])
+    monkeypatch.setattr(fileio, "_MIN_WRITE_SHARE", 1)
+    monkeypatch.setattr(fileio, "_WRITE_HELPER", [sys.executable, "-c", "raise SystemExit(1)"])
     out = str(tmp_path / "ds.csv")
     assert run("synth", "--out", out, *SMALL_SYNTH) == 2
     assert "helper for trials 6..11 exited with status 1" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_benchmark_failed_read_helper_exits_2(tmp_path, capsys, monkeypatch):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    # 2 shares: a helper parses the second half of the rows
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fileio, "_MIN_READ_SHARE", 1)
+    monkeypatch.setattr(fileio, "_READ_HELPER", [sys.executable, "-c", "raise SystemExit(1)"])
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    assert run("benchmark", "--dataset", ds, "--out", str(tmp_path / "bench"),
+               "--pipeline", "bjs") == 2
+    assert "reader helper for bytes" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta", "temp"]
+    assert os.listdir(temp) == []
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -1,19 +1,23 @@
 """File format round-trip tests."""
 
+import contextlib
 import hashlib
+import io
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lfpdecode import fileio
+from lfpdecode import fileio, rowparse
 from lfpdecode.shrinkage import EllipsoidSpec
 from lfpdecode.synth import (
     LabeledDataset,
@@ -78,6 +82,14 @@ def _sha256(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+def _force_shares(monkeypatch, cpus):
+    """Split every dataset write and read into one share per forced CPU,
+    however small the dataset."""
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fileio, "_MIN_WRITE_SHARE", 1)
+    monkeypatch.setattr(fileio, "_MIN_READ_SHARE", 1)
+
+
 # CPU counts forced on the writer: its trials split into that many
 # contiguous shares, one written here and each other by a helper process;
 # the pinned and the edge-value datasets have 3 trials, so 2 shares are
@@ -87,12 +99,18 @@ SHARES = pytest.mark.parametrize(
     ids=["one-share", "two-shares", "three-shares", "more-cpus-than-trials"],
 )
 
+# CPU counts forced on the reader: the rows after the header split into
+# that many byte ranges, one parsed here and each other by a helper
+# process; the pinned dataset's 48 trial-major rows split near rows 24, or
+# 16 and 32, so trial 1's rows (16..31) straddle a boundary either way
+READ_SHARES = [1, 2, 3]
+
 
 @SHARES
 def test_dataset_bytes_are_pinned(tmp_path, monkeypatch, cpus):
     # pinned digests: neither writing the CSV trial by trial nor splitting
     # it into shares may move a byte
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+    _force_shares(monkeypatch, cpus)
     path = str(tmp_path / "ds.csv")
     fileio.write_dataset(_pinned_dataset(), path)
     assert _sha256(path) == (
@@ -134,12 +152,86 @@ def _assert_same_dataset(a, b):
     assert_array_equal(a.session_ids, b.session_ids)
 
 
-def test_dataset_rows_read_back_in_any_order(tmp_path):
+def _shares_of_rows(path):
+    """The reader's share index of each row line of the CSV at ``path``."""
+    starts = [start for start, _ in fileio._read_shares(str(path))]
+    with open(path, "rb") as handle:
+        handle.readline()
+        offsets = [handle.tell()]
+        offsets += [handle.tell() for _ in iter(handle.readline, b"")][:-1]
+    return np.searchsorted(starts, offsets, side="right") - 1
+
+
+class _InlineHelper:
+    """Stands in for a reader helper process: runs the script's ``main`` in
+    this process, with its standard output on the same file.  The checks
+    are the helper's own, without the ~0.1 s a helper takes to import
+    numpy; the tests below that start real helpers cover the rest."""
+
+    def __init__(self, argv, stdin, stdout, stderr):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(SimpleNamespace(buffer=stdout)), \
+                contextlib.redirect_stderr(err):
+            try:
+                rowparse.main(argv[len(fileio._READ_HELPER):])
+                self.returncode = 0
+            except SystemExit as exc:
+                self.returncode = exc.code
+        self._err = err.getvalue().encode()
+        self.stderr = io.BytesIO()
+
+    def communicate(self):
+        return b"", self._err
+
+
+def _force_inline_shares(monkeypatch, cpus):
+    """Force ``cpus`` shares on the reader, with inline helpers."""
+    _force_shares(monkeypatch, cpus)
+    monkeypatch.setattr(subprocess, "Popen", _InlineHelper)
+
+
+def test_dataset_rows_read_back_in_any_order(tmp_path, monkeypatch):
     path, lines = _pinned_lines(tmp_path)
     rows = lines[1:]
     order = np.random.default_rng(5).permutation(len(rows))
-    _write_lines(path, [lines[0]] + [rows[i] for i in order])
-    _assert_same_dataset(fileio.read_dataset(str(path)), _pinned_dataset())
+    for cpus in READ_SHARES:
+        _force_shares(monkeypatch, cpus)
+        for text in (lines, [lines[0]] + [rows[i] for i in order]):
+            _write_lines(path, text)
+            shares = _shares_of_rows(path)
+            assert np.unique(shares).tolist() == list(range(cpus))
+            # trial 1's rows lie in more than one share
+            trial_1 = [i for i, row in enumerate(text[1:]) if row.startswith("1,")]
+            assert len(np.unique(shares[trial_1])) >= min(cpus, 2)
+            _assert_same_dataset(fileio.read_dataset(str(path)), _pinned_dataset())
+
+
+def test_dataset_rows_may_end_in_crlf(tmp_path, monkeypatch):
+    # shares split at "\n" and keep the "\r", which np.loadtxt accepts
+    path, lines = _pinned_lines(tmp_path)
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    for cpus in READ_SHARES:
+        _force_inline_shares(monkeypatch, cpus)
+        _assert_same_dataset(fileio.read_dataset(str(path)), _pinned_dataset())
+
+
+@pytest.mark.parametrize("cpus", READ_SHARES,
+                         ids=["one-share", "two-shares", "three-shares"])
+def test_dataset_reads_back_from_every_share_count(tmp_path, monkeypatch, cpus):
+    pinned, edge = tmp_path / "pinned.csv", tmp_path / "edge.csv"
+    fileio.write_dataset(_pinned_dataset(), str(pinned))
+    fileio.write_dataset(_edge_value_dataset(), str(edge))
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    _force_shares(monkeypatch, cpus)
+    assert len(fileio._read_shares(str(pinned))) == cpus
+    _assert_same_dataset(fileio.read_dataset(str(pinned)), _pinned_dataset())
+    _assert_same_dataset(fileio.read_dataset(str(edge)), _edge_value_dataset())
+    # the helpers' rows went to anonymous temp files
+    assert sorted(os.listdir(tmp_path)) == [
+        "edge.csv", "edge.meta", "pinned.csv", "pinned.meta", "temp"]
+    assert os.listdir(temp) == []
 
 
 def _duplicated_row(rows):
@@ -204,21 +296,26 @@ def _trial_ids_mapped(ids):
         "fewer-trials-than-sidecar", "fewer-channels-than-sidecar",
         "fewer-samples-than-sidecar", "trial-ids-not-0-to-2",
         "trial-id-equals-n-trials"])
-def test_dataset_rejects_malformed_rows(tmp_path, edit):
+def test_dataset_rejects_malformed_rows(tmp_path, monkeypatch, edit):
     path, lines = _pinned_lines(tmp_path)
     _write_lines(path, [lines[0]] + edit(lines[1:]))
-    with pytest.raises(ValueError):
-        fileio.read_dataset(str(path))
+    for cpus in READ_SHARES:
+        _force_inline_shares(monkeypatch, cpus)
+        with pytest.raises(ValueError):
+            fileio.read_dataset(str(path))
 
 
 # "1.0" and "1e0" name integers but are float literals, rejected like "1.7"
 @pytest.mark.parametrize("cell", ["1.7", "nan", "1.0", "1e0"])
 @pytest.mark.parametrize("column", range(5))
-def test_dataset_keys_must_be_integer_literals(tmp_path, column, cell):
+def test_dataset_keys_must_be_integer_literals(tmp_path, monkeypatch, column, cell):
     path, lines = _pinned_lines(tmp_path)
     _write_lines(path, [lines[0]] + _cell_changed(column, cell)(lines[1:]))
-    with pytest.raises(ValueError, match="must be integers"):
-        fileio.read_dataset(str(path))
+    # row 20 is parsed here at 1 and 2 shares, by a helper at 3
+    for cpus in READ_SHARES:
+        _force_inline_shares(monkeypatch, cpus)
+        with pytest.raises(ValueError, match="must be integers"):
+            fileio.read_dataset(str(path))
 
 
 # values whose shortest form, exponent, sign or rounding a formatter could get wrong
@@ -229,17 +326,23 @@ EDGE_VALUES = [
 ]
 
 
-@SHARES
-def test_dataset_writer_matches_per_value_formatting(tmp_path, monkeypatch, cpus):
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+def _edge_value_dataset():
+    """3 trials of 2 channels x 19 samples holding EDGE_VALUES and wide
+    random exponents."""
     rng = np.random.default_rng(9)
     wide = rng.normal(size=(3, 4, 2 * len(EDGE_VALUES))) * 10.0 ** rng.integers(
         -300, 300, size=(3, 4, 2 * len(EDGE_VALUES)))
     wide[0, 0, ::2] = EDGE_VALUES
     wide[2, 2, ::2] = EDGE_VALUES[::-1]
     # every other sample of every other channel: a non-contiguous view
-    ds = LabeledDataset(cube=wide[:, ::2, ::2], labels=[1, 2, 3],
-                        session_ids=[3, 2, 1], n_classes=3, seed=2)
+    return LabeledDataset(cube=wide[:, ::2, ::2], labels=[1, 2, 3],
+                          session_ids=[3, 2, 1], n_classes=3, seed=2)
+
+
+@SHARES
+def test_dataset_writer_matches_per_value_formatting(tmp_path, monkeypatch, cpus):
+    _force_shares(monkeypatch, cpus)
+    ds = _edge_value_dataset()
     assert not ds.cube.flags.c_contiguous
     # the dataset rejects non-finite samples; write them into its cube
     # afterwards so the formatter still sees them
@@ -273,7 +376,7 @@ class _RecordedPopen(subprocess.Popen):
 @pytest.fixture
 def helpers(monkeypatch):
     """Force two shares; the list of helper processes started."""
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    _force_shares(monkeypatch, 2)
     monkeypatch.setattr(_RecordedPopen, "started", [])
     monkeypatch.setattr(subprocess, "Popen", _RecordedPopen)
     return _RecordedPopen.started
@@ -289,7 +392,7 @@ def _dataset_files(tmp_path):
 
 def test_failed_helper_leaves_the_old_pair(tmp_path, monkeypatch, helpers):
     path, files, before = _dataset_files(tmp_path)
-    monkeypatch.setattr(fileio, "_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
+    monkeypatch.setattr(fileio, "_WRITE_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
     # the helper's share, 256 KiB, is more than a pipe holds, so feeding a
     # helper that reads nothing fails too
     ds = LabeledDataset(np.ones((3, 2, 8192)), labels=[1, 2, 1],
@@ -305,7 +408,7 @@ def test_failed_helper_leaves_the_old_pair(tmp_path, monkeypatch, helpers):
 def test_writer_failure_kills_a_running_helper(tmp_path, monkeypatch, helpers):
     path, files, before = _dataset_files(tmp_path)
     # a helper that would outlive the test unless it is killed
-    monkeypatch.setattr(fileio, "_HELPER", [sys.executable, "-c", "import time; time.sleep(60)"])
+    monkeypatch.setattr(fileio, "_WRITE_HELPER", [sys.executable, "-c", "import time; time.sleep(60)"])
 
     def disk_full(*args):
         raise OSError("no space left")
@@ -318,6 +421,58 @@ def test_writer_failure_kills_a_running_helper(tmp_path, monkeypatch, helpers):
     assert [file.read_bytes() for file in files] == before
     assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta"]
     assert [proc.returncode for proc in helpers] == [0, -signal.SIGKILL]
+
+
+def test_read_helper_rejection_raises_its_reason(tmp_path, helpers):
+    path, lines = _pinned_lines(tmp_path)
+    # row 40 is in trial 2, which the helper parses at 2 shares
+    for edit, match in [(_cell_changed(0, "1.7", row=40), "must be integers"),
+                        (_cell_changed(2, "2", row=40), "inconsistent label")]:
+        _write_lines(path, [lines[0]] + edit(lines[1:]))
+        with pytest.raises(ValueError, match=match):
+            fileio.read_dataset(str(path))
+    # the first read's helper rejected its rows; the second's label change
+    # shows only beside this process's rows of trial 2
+    assert [proc.returncode for proc in helpers[-2:]] == [rowparse.REJECTED, 0]
+
+
+def test_failed_read_helper_leaves_nothing_behind(tmp_path, monkeypatch, helpers):
+    path, _ = _pinned_lines(tmp_path)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(fileio, "_READ_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
+    with pytest.raises(OSError, match=r"reader helper for bytes \d+\.\.\d+ exited with status 3"):
+        fileio.read_dataset(str(path))
+    assert helpers[-1].returncode == 3
+    assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta", "temp"]
+    assert os.listdir(temp) == []
+
+
+def test_read_failure_kills_a_running_helper(tmp_path, monkeypatch, helpers):
+    path, lines = _pinned_lines(tmp_path)
+    # row 3 is in this process's share; the helper would sleep a minute
+    _write_lines(path, [lines[0]] + _cell_changed(4, "1.7", row=3)(lines[1:]))
+    monkeypatch.setattr(fileio, "_READ_HELPER", [sys.executable, "-c", "import time; time.sleep(60)"])
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="must be integers"):
+        fileio.read_dataset(str(path))
+    assert time.monotonic() - start < 30
+    assert helpers[-1].returncode == -signal.SIGKILL
+
+
+def test_dataset_reads_from_a_read_only_directory(tmp_path, monkeypatch):
+    folder = tmp_path / "read-only"
+    folder.mkdir()
+    path, _ = _pinned_lines(folder)
+    _force_shares(monkeypatch, 2)
+    folder.chmod(0o555)
+    try:
+        back = fileio.read_dataset(str(path))
+    finally:
+        folder.chmod(0o755)
+    _assert_same_dataset(back, _pinned_dataset())
+    assert sorted(os.listdir(folder)) == ["ds.csv", "ds.meta"]
 
 
 def test_sidecar_failure_leaves_the_old_pair(tmp_path):
@@ -405,23 +560,26 @@ def test_dataset_sidecar_rejects_duplicate_and_garbage_lines(tmp_path, extra, ma
         fileio.read_dataset(str(path))
 
 
-def test_dataset_read_memory_is_one_cube_plus_one_trial(tmp_path):
+def test_dataset_read_memory_is_one_cube_plus_one_trial(tmp_path, monkeypatch):
     # tracemalloc sees numpy's buffers; a reader holding every row at once
-    # (48 bytes a row against the cube's 8 per sample) peaks at ~6x the cube
+    # (48 bytes a row against the cube's 8 per sample) peaks at ~6x the cube,
+    # and so would scattering a helper's rows (16 bytes each) all at once
     values = np.random.default_rng(3).normal(size=(64, 2, 100))
     index = np.arange(64)
     path = str(tmp_path / "ds.csv")
     fileio.write_dataset(
         LabeledDataset(values, index % 4 + 1, index % 2 + 1, n_classes=4), path
     )
-    tracemalloc.start()
-    try:
-        back = fileio.read_dataset(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert_array_equal(back.cube, values)
-    assert peak < 3 * values.nbytes
+    for cpus in (1, 2):
+        _force_shares(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            back = fileio.read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(back.cube, values)
+        assert peak < 3 * values.nbytes
 
 
 def test_dataset_header_checked(tmp_path):
