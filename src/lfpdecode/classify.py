@@ -9,13 +9,16 @@ search complete the module.
 
 from __future__ import annotations
 
+import contextlib
 import logging
-from collections import Counter
+from collections import Counter, deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from . import cpus
 from .basis import transform_rows
 from .shrinkage import (
     BlockPartition,
@@ -49,6 +52,16 @@ logger = logging.getLogger(__name__)
 
 # feature columns per block of a wide fold-shared Gram matrix
 _COL_BLOCK = 1024
+
+# The fold loop's eigen-solves share the usable CPUs only when a call's
+# largest one is in this range of rows.  Below it a solve takes a
+# millisecond or two, too little to repay the threads.  Above it two
+# solves at once hold two working sets of five n x n matrices (the input,
+# numpy's copy, LAPACK's 2 n^2 workspace and the eigenvectors), 33 MB at
+# 640 rows: on the criterion-8 decode's BJS folds that raised the peak
+# resident memory by 17-18% and saved next to no time, so such solves
+# run one at a time on BLAS's own threads.
+_SHARED_SOLVE_ROWS = (128, 512)
 
 
 @dataclass(frozen=True)
@@ -155,8 +168,11 @@ def _top_eigenpairs(sym: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray
     rows x rows Gram matrix.
     """
     evals, evecs = np.linalg.eigh(sym)
-    # eigh sorts ascending; [::-1] puts the largest first
-    return evals[::-1][:count], evecs[:, ::-1][:, :count]
+    # eigh sorts ascending; [::-1] puts the largest first.  The kept
+    # columns are copied so that the full matrix is freed here, and the
+    # copy is viewed reversed, the layout the callers' products always saw
+    kept = evecs[:, max(evecs.shape[1] - count, 0):].copy()
+    return evals[::-1][:count].copy(), kept[:, ::-1]
 
 
 def pca_fit(features, n_components: int) -> PCAProjection:
@@ -491,14 +507,29 @@ def _centred_gram(blocks, n_rows: int) -> np.ndarray:
     return gram
 
 
-def _gram_scores(gram: np.ndarray, train, test, count: int):
+def _gram_scores(evals: np.ndarray, vecs: np.ndarray, cross: np.ndarray):
     """Eigenvalues and principal scores of a fold from the Gram of all rows.
 
-    The training block is double-centred with the training mean and the
-    test block centred against it, so the top eigenpairs (lam, U) give
-    training scores U sqrt(lam) and test scores K_te U / sqrt(lam).
-    Components at the rounding level of the matrix (rank below ``count``)
-    keep eigenvalue zero and score zero.
+    The top eigenpairs (lam, U) of the fold's double-centred training
+    block give training scores U sqrt(lam), and its centred test block
+    ``cross`` (see :func:`_gram_problem`) test scores K_te U / sqrt(lam).
+    Components at the rounding level of the matrix (rank below the count
+    asked for) keep eigenvalue zero and score zero.
+    """
+    alive = evals > max(evals[0], 0.0) * vecs.shape[0] * np.finfo(float).eps
+    root = np.sqrt(np.where(alive, evals, 1.0))
+    train_scores = vecs * np.where(alive, root, 0.0)
+    test_scores = cross @ (vecs * np.where(alive, 1.0 / root, 0.0))
+    return np.where(alive, evals, 0.0), train_scores, test_scores
+
+
+def _gram_problem(gram: np.ndarray, train, test, averages, count: int):
+    """A wide fold's eigen-problem for one scaling, from the Gram of all rows.
+
+    The training block is double-centred with the training mean, and the
+    test block centred against it.  Returns the block, ``count`` and the
+    function that turns its top eigenpairs into the class means, scatter
+    and test scores of the top components (see :func:`_fold_problems`).
     """
     centred = gram[np.ix_(train, train)]
     k_test = gram[np.ix_(test, train)]
@@ -509,12 +540,161 @@ def _gram_scores(gram: np.ndarray, train, test, count: int):
     centred -= col_mean[None, :]
     centred += grand
     cross = k_test - k_test.mean(axis=1)[:, None] - col_mean[None, :] + grand
-    evals, vecs = _top_eigenpairs(centred, count)
-    alive = evals > max(evals[0], 0.0) * centred.shape[0] * np.finfo(float).eps
-    root = np.sqrt(np.where(alive, evals, 1.0))
-    train_scores = vecs * np.where(alive, root, 0.0)
-    test_scores = cross @ (vecs * np.where(alive, 1.0 / root, 0.0))
-    return np.where(alive, evals, 0.0), train_scores, test_scores
+
+    def moments(pairs):
+        evals, train_scores, test_scores = _gram_scores(*pairs, cross)
+        return averages @ train_scores, np.diag(evals), test_scores
+
+    return centred, count, moments
+
+
+def _scatter_problem(scatter, centred_means, centred_test, w, caps):
+    """A narrow fold's eigen-problem for the scaling ``w``, from the
+    fold's scatter of centred training rows and their class means.
+
+    Returns the scaled scatter of the nonzero-weight columns, the count
+    of top eigenpairs needed and the function that turns them into the
+    class means, scatter and test scores of the top components.  When
+    every job keeps all live columns LDA needs no rotation: the matrix is
+    None and the function takes None.
+    """
+    at = np.flatnonzero(w)
+    w = w[at]
+    spread = scatter[np.ix_(at, at)] * np.outer(w, w)
+    means = centred_means[:, at] * w
+    test_scores = centred_test[:, at] * w
+    if min(caps) >= at.size:
+        return None, 0, lambda _: (means, spread, test_scores)
+
+    def moments(pairs):
+        evals, vecs = pairs
+        return means @ vecs, np.diag(evals), test_scores @ vecs
+
+    return spread, max(caps), moments
+
+
+def _fold_problems(source, wide: bool, y, folds, scalings, components, width: int):
+    """Every fold's scalings in order, each as an eigen-problem and the
+    function that turns its solution into the scaling's moments.
+
+    Yields, per fold and scaling: the key (fold, scaling index), where
+    fold is (name, test labels, training class ids and counts, capped P
+    sizes); the symmetric matrix whose top ``count`` eigenpairs the
+    scaling needs, or None where it needs none; the count; and a function
+    of those eigenpairs (of None) returning the class means, the scatter
+    and the test scores of the scaling's components (see
+    :func:`_cross_validate_scaled`).  ``source`` is the list of
+    per-scaling Gram matrices when ``wide``, else the copy of every
+    column.  No problem stays referenced here once it is yielded.
+    """
+    for name, test_mask in folds:
+        train = ~test_mask
+        ytr = y[train]
+        class_ids, counts = _class_counts(ytr)
+        averages = (ytr == class_ids[:, None]) / counts[:, None]
+        caps = [min(p or width, ytr.size - 1, width) for p in components]
+        fold = (name, y[test_mask], class_ids, counts, caps)
+        if wide:
+            for s, gram in enumerate(source):
+                yield ((fold, s), *_gram_problem(gram, train, test_mask, averages,
+                                                 max(caps)))
+            continue
+        # the training rows indexed once, and centred in place
+        centred_train = source[train]
+        mean = centred_train.mean(axis=0)
+        centred_train -= mean
+        centred_test = source[test_mask] - mean
+        scatter = centred_train.T @ centred_train
+        centred_means = averages @ centred_train
+        del centred_train
+        for s, w in enumerate(scalings):
+            yield ((fold, s), *_scatter_problem(scatter, centred_means, centred_test,
+                                                w, caps))
+
+
+def _solved_in_order(problems, threads: int):
+    """Solve the eigen-problems of :func:`_fold_problems` and yield each
+    one's (key, finished result) in order, on this thread.
+
+    Each problem goes to a pool of ``threads - 1`` threads as it is built,
+    and fewer than ``2 * threads`` wait unsolved.  This thread takes the
+    oldest back if no pool thread has started it, else the next one none
+    has started, so every thread solves while a problem waits.  Only the
+    solves run on the pool; the problems are built and finished here.  An
+    error, raised building a problem or solving one, is raised in its
+    turn, once every earlier problem is yielded.  A problem's matrix is
+    let go as soon as it is solved.
+    """
+    if threads < 2:
+        # each del lets go of an array before the next problem is built
+        for key, matrix, count, finish in problems:
+            pairs = None if matrix is None else _top_eigenpairs(matrix, count)
+            del matrix
+            result = finish(pairs)
+            del pairs, finish
+            yield key, result
+            del result
+        return
+
+    def solved_here(matrix, count) -> Future:
+        done = Future()
+        try:
+            done.set_result(None if matrix is None else _top_eigenpairs(matrix, count))
+        except Exception as exc:  # raised in its turn
+            done.set_exception(exc)
+        return done
+
+    def take_back(entry) -> bool:
+        """Solve a queued problem here if no pool thread has started it."""
+        if not entry[2].cancel():
+            return False
+        entry[2] = solved_here(*entry[3])
+        entry[3] = None
+        return True
+
+    building = iter(problems)
+    # [key, finish, solve, (matrix, count) until solved here] per problem,
+    # oldest first
+    queue: deque = deque()
+    with ThreadPoolExecutor(threads - 1) as pool:
+        try:
+            while True:
+                while building and sum(not e[2].done() for e in queue) < 2 * threads:
+                    try:
+                        key, matrix, count, finish = next(building)
+                    except StopIteration:
+                        building = None
+                        break
+                    except Exception as exc:  # raised in its turn
+                        failed = Future()
+                        failed.set_exception(exc)
+                        queue.append([None, None, failed, None])
+                        building = None
+                        break
+                    if matrix is None:
+                        queue.append([key, finish, solved_here(None, 0), None])
+                    else:
+                        solve = pool.submit(_top_eigenpairs, matrix, count)
+                        queue.append([key, finish, solve, (matrix, count)])
+                    del matrix
+                if not queue:
+                    return
+                entry = queue.popleft()
+                if not take_back(entry):
+                    while not entry[2].done() and any(take_back(e) for e in queue):
+                        pass
+                key, finish, solve, _ = entry
+                del entry, _
+                pairs = solve.result()
+                del solve
+                result = finish(pairs)
+                del pairs, finish
+                yield key, result
+                del result
+        finally:
+            # leaving early: the pool starts no solve nobody will read
+            for entry in queue:
+                entry[2].cancel()
 
 
 def _cross_validate_scaled(
@@ -560,6 +740,12 @@ def _cross_validate_scaled(
     score zero, so, as on the zero-padded scores, the default ridge is
     1e-6 * trace / P, the capped P, and a ridge of 0 is singular.
 
+    Each fold's eigen-solves are built, finished and scored in fold order
+    on this thread; when the largest one has rows in
+    ``_SHARED_SOLVE_ROWS``, they are solved on one thread per usable CPU
+    with BLAS held at one thread meanwhile (:func:`_solved_in_order`), so
+    the reports are the same on any number of CPUs.
+
     P = 0 keeps min(width, training rows - 1) components, the width being
     the source's, and its default ridge divides by the width: this is
     :func:`lda_train` on the weighted columns.  Centring, an orthogonal
@@ -577,60 +763,51 @@ def _cross_validate_scaled(
     width = scalings[0].size
     wide = width > min(int((~mask).sum()) for _, mask in folds)
     if wide:
-        grams = [_centred_gram(columns(w), y.size) for w in scalings]
+        source = [_centred_gram(columns(w), y.size) for w in scalings]
     else:
         # one copy of every column: a single block is taken as it is
         blocks = list(columns(np.ones(width)))
-        block = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        source = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         del blocks
-    for name, test_mask in folds:
-        train = ~test_mask
-        ytr, yte = y[train], y[test_mask]
-        ntr = ytr.size
-        missing = sorted(set(range(1, n_classes + 1)) - set(ytr.tolist()))
-        class_ids, counts = _class_counts(ytr)
-        averages = (ytr == class_ids[:, None]) / counts[:, None]
-        caps = [min(p or width, ntr - 1, width) for p in components]
-        if not wide:
-            mean = block[train].mean(axis=0)
-            centred_train, centred_test = block[train] - mean, block[test_mask] - mean
-            scatter = centred_train.T @ centred_train
-            centred_means = averages @ centred_train
-        for s, w in enumerate(scalings):
-            # pooled covariance, class means and test scores of the
-            # scaling's top components
-            if wide:
-                evals, train_scores, test_scores = _gram_scores(
-                    grams[s], train, test_mask, max(caps)
+    problems = _fold_problems(source, wide, y, folds, scalings, components, width)
+    # the rows of the largest eigen-solve a fold can pose
+    rows = max(int((~mask).sum()) for _, mask in folds) if wide else width
+    low, high = _SHARED_SOLVE_ROWS
+    threads = min(cpus.usable_cpus(), len(folds)) if low <= rows <= high else 1
+
+    def score(fold, s: int, means, spread, test_scores) -> None:
+        """LDA from a scaling's moments on a fold, at each PCA size."""
+        name, yte, class_ids, counts, caps = fold
+        missing = sorted(set(range(1, n_classes + 1)) - set(class_ids.tolist()))
+        # pooled covariance of the scaling's top components
+        between = means * np.sqrt(counts)[:, None]
+        pooled = (spread - between.T @ between) / (counts.sum() - class_ids.size)
+        for k, (p, cap) in enumerate(zip(components, caps)):
+            j = s * len(components) + k
+            if missing:
+                notes[j].append(
+                    f"{name}: classes {missing} absent from training; skipped there"
                 )
-                means = averages @ train_scores
-                spread = np.diag(evals)
-            else:
-                at = np.flatnonzero(w)
-                w = w[at]
-                spread = scatter[np.ix_(at, at)] * np.outer(w, w)
-                means = centred_means[:, at] * w
-                test_scores = centred_test[:, at] * w
-                # when every job keeps all live columns, LDA needs no rotation
-                if min(caps) < at.size:
-                    evals, vecs = _top_eigenpairs(spread, max(caps))
-                    means, test_scores = means @ vecs, test_scores @ vecs
-                    spread = np.diag(evals)
-            between = means * np.sqrt(counts)[:, None]
-            pooled = (spread - between.T @ between) / (ntr - class_ids.size)
-            for k, (p, cap) in enumerate(zip(components, caps)):
-                j = s * len(components) + k
-                if missing:
-                    notes[j].append(
-                        f"{name}: classes {missing} absent from training; skipped there"
-                    )
-                if cap < p:
-                    notes[j].append(f"{name}: components capped at {cap} (rank limit)")
-                # P = 0 keeps every component, and its ridge divides by the width
-                model = _lda_solve(class_ids, counts, means[:, :cap],
-                                   pooled[:cap, :cap], ridge, cap if p else width)
-                picks, _ = lda_predict(model, test_scores[:, :cap])
-                np.add.at(confusions[j], (yte - 1, picks - 1), 1)
+            if cap < p:
+                notes[j].append(f"{name}: components capped at {cap} (rank limit)")
+            # P = 0 keeps every component, and its ridge divides by the width
+            model = _lda_solve(class_ids, counts, means[:, :cap],
+                               pooled[:cap, :cap], ridge, cap if p else width)
+            picks, _ = lda_predict(model, test_scores[:, :cap])
+            np.add.at(confusions[j], (yte - 1, picks - 1), 1)
+
+    with cpus.one_blas_thread(threads > 1) as blas_threads:
+        threads = threads if blas_threads else 1
+        with contextlib.closing(_solved_in_order(problems, threads)) as solved:
+            for (fold, s), moments in solved:
+                score(fold, s, *moments)
+                del moments
+    logger.debug(
+        "cross-validation: %d folds, eigen-solves of up to %d rows, %d threads, %s",
+        len(folds), rows, threads,
+        f"BLAS held at 1 thread, then restored to {blas_threads}"
+        if blas_threads else "BLAS threads untouched",
+    )
     # each distinct note once, with the number of jobs it applies to
     for msg, count in Counter(msg for job_notes in notes for msg in job_notes).items():
         logger.warning("%s [%d of %d jobs]", msg, count, n_jobs)

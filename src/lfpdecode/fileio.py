@@ -42,7 +42,7 @@ import threading
 
 import numpy as np
 
-from . import rowparse, trialrows
+from . import cpus, rowparse, trialrows
 from .rowparse import DATASET_HEADER
 from .synth import LabeledDataset
 
@@ -137,17 +137,10 @@ _MIN_WRITE_SHARE = 1 << 17  # rows
 _MIN_READ_SHARE = 8 << 20  # bytes
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _share_count(size: int, minimum: int) -> int:
     """Shares to split ``size`` units of work into: one per CPU this process
     may use, but none smaller than ``minimum`` units, and at least one."""
-    return max(1, min(_usable_cpus(), size // minimum))
+    return max(1, min(cpus.usable_cpus(), size // minimum))
 
 
 def _feed(fd: int, arrays) -> None:
@@ -361,7 +354,10 @@ def _read_shares(path: str) -> list:
     the (start, end) ranges in order.
     """
     with open(path, "rb") as raw:
-        raw.readline()
+        if b"\r" in raw.readline().rstrip(b"\r\n"):
+            raise ValueError(
+                'dataset lines must end in "\\n" or "\\r\\n", not a lone "\\r"'
+            )
         starts = [raw.tell()]
         size = raw.seek(0, os.SEEK_END)
         k = _share_count(size - starts[0], _MIN_READ_SHARE)

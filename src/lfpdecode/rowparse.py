@@ -22,7 +22,9 @@ import contextlib
 import io
 import itertools
 import os
+import re
 import sys
+import warnings
 
 if __name__ == "__main__":
     # under -S the search path holds only the standard library
@@ -73,18 +75,26 @@ def parse_rows(line: str, lines, header: str, what: str,
     last is an int64 key, the last a float64 value.  A row with another
     column count, or a key that is not an integer literal, raises
     ValueError.  Lines after the last row parsed stay unread in ``lines``.
+    Blank and comment lines among the rows are skipped and not counted;
+    numpy's warning that it does so is silenced, as the format allows them.
     """
     names = header.split(",")
     dtype = [(name, np.int64) for name in names[:-1]] + [(names[-1], np.float64)]
     try:
-        return np.loadtxt(
-            itertools.chain([line], lines), delimiter=",", dtype=dtype,
-            ndmin=1, max_rows=max_rows,
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data",
+                                    UserWarning)
+            return np.loadtxt(
+                itertools.chain([line], lines), delimiter=",", dtype=dtype,
+                ndmin=1, max_rows=max_rows,
+            )
     except ValueError as exc:
+        # numpy numbers rows from the start of the chunk, which moves with
+        # the way the file is split, so the message leaves the row out
         raise ValueError(
             f"{what} rows must have {len(names)} columns, and "
-            f"{', '.join(names[:-1])} must be integers ({exc})"
+            f"{', '.join(names[:-1])} must be integers "
+            f"({re.sub(r' at row [0-9]+', '', str(exc))})"
         ) from None
 
 

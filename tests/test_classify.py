@@ -5,6 +5,9 @@ the covariance, Gaussian log-density Bayes rule) rather than against their
 own internals.
 """
 
+import logging
+import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lfpdecode import classify
+from lfpdecode import classify, cpus
 from lfpdecode.basis import basis_matrix, transform_rows
 from lfpdecode.classify import (
     PipelineConfig,
@@ -855,6 +858,187 @@ def _assert_grid_rows_match_reference(ds, scheme, wide):
     best = cross_validate(ds, result.best_config, scheme=scheme)
     assert_array_equal(result.best_report.confusion, best.confusion)
     assert result.best_report.notes == best.notes
+
+
+# -- the fold loop's eigen-solves on several threads
+
+
+def _force_fold_threads(monkeypatch, count):
+    """Run every fold loop's eigen-solves on ``count`` threads, however
+    small they are."""
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: count)
+    monkeypatch.setattr(classify, "_SHARED_SOLVE_ROWS", (0, 10**9))
+
+
+def _solver_threads(monkeypatch):
+    """The idents of the threads that run the fold loop's eigen-solves."""
+    seen = set()
+    real = classify._top_eigenpairs
+
+    def recorded(*args):
+        seen.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(classify, "_top_eigenpairs", recorded)
+    return seen
+
+
+def _fold_thread_cases():
+    """Grid-vs-reference datasets, narrow and wide, loso and kfold, and
+    folds that cap P or miss a class: (features, scalings, labels,
+    sessions, scheme)."""
+    model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=40)
+    for channels, schemes in ((2, ("loso",)), (12, ("loso", "kfold:4"))):
+        ds = generate_dataset(model, 8, channels, 64, 3, NoiseModel(sigma=8.0),
+                              seed=41)
+        coeffs = transform_rows(ds.cube.reshape(-1, 64), 3).reshape(ds.n_trials, -1)
+        scalings = [np.tile(profile.factors, channels)
+                    for profile in shrinkage_patterns(3, spec=SPEC, mu_values=(10.0,),
+                                                      low_pass_only=True)]
+        for scheme in schemes:
+            yield coeffs, scalings, ds.labels, ds.session_ids, scheme
+    for d in (8, 60):
+        x, y, g = _hard_blobs(39, 12, d)
+        # class 2 only in session 3: that fold trains on classes 1 and 3
+        yield x, [np.ones(d)], y, np.where(y == 2, 3, g), "loso"
+
+
+def _fold_thread_reports(count, monkeypatch):
+    _force_fold_threads(monkeypatch, count)
+    return [
+        classify._cross_validate_scaled(
+            partial(classify._column_blocks, x), scalings, y, g, 3, scheme,
+            [0, 3, 30], None,
+        )
+        for x, scalings, y, g, scheme in _fold_thread_cases()
+    ]
+
+
+def test_fold_threads_give_the_same_reports(monkeypatch):
+    solvers = _solver_threads(monkeypatch)
+    expected = _fold_thread_reports(1, monkeypatch)
+    assert solvers == {threading.get_ident()}
+    notes = [note for case in expected for report in case for note in report.notes]
+    assert any("capped at" in note for note in notes)
+    assert any("absent from training" in note for note in notes)
+    # more threads than CPUs, switching as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for count in (2, 3):
+            for case, reference in zip(_fold_thread_reports(count, monkeypatch),
+                                       expected):
+                for report, ref in zip(case, reference, strict=True):
+                    assert report.overall_accuracy == ref.overall_accuracy
+                    assert_array_equal(report.confusion, ref.confusion)
+                    assert_array_equal(report.per_class_accuracy,
+                                       ref.per_class_accuracy)
+                    assert report.notes == ref.notes
+    finally:
+        sys.setswitchinterval(interval)
+    if cpus._find_blas_calls():
+        # some solves ran on a pool thread
+        assert len(solvers) > 1
+
+
+def _one_class_fold():
+    # class 2 only in session 3: the session-3 fold trains on class 1 alone
+    x, y, g = _hard_blobs(49, 12, 8)
+    keep = y < 3
+    x, y, g = x[keep], y[keep], g[keep]
+    return x, y, np.where(y == 2, 3, g)
+
+
+def test_fold_threads_restore_blas_threads(monkeypatch):
+    calls = cpus._find_blas_calls()
+    if not calls:
+        pytest.skip("no BLAS thread-count setter resolves in this numpy")
+    set_threads, get_threads = calls
+    before = get_threads()
+    _force_fold_threads(monkeypatch, 2)
+    held = set()
+    real = classify._top_eigenpairs
+    monkeypatch.setattr(classify, "_top_eigenpairs",
+                        lambda *args: held.add(get_threads()) or real(*args))
+    x, y, g = _hard_blobs(50, 12, 8)
+    try:
+        set_threads(2)
+        start = get_threads()
+        cross_validate_features(x, y, g, 3, components=3)
+        assert held == {1}
+        assert get_threads() == start
+        # a fold whose training part has one class raises, and so does a
+        # singular covariance; either way BLAS gets its count back
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            cross_validate_features(*_one_class_fold(), 2, components=3)
+        assert get_threads() == start
+        with pytest.raises(ValueError, match="singular"):
+            cross_validate_features(np.hstack([x, np.zeros_like(x)]), y, g, 3,
+                                    components=12, ridge=0.0)
+        assert get_threads() == start
+    finally:
+        set_threads(before)
+
+
+def test_fold_errors_raise_in_fold_order(monkeypatch):
+    # the last fold has one training class: alone it raises, but after a
+    # first fold whose covariance is singular at ridge 0 that one raises
+    # first, with threads as without
+    x, y, g = _one_class_fold()
+    padded = np.hstack([x, np.zeros_like(x)])
+    for count in (1, 2, 3):
+        _force_fold_threads(monkeypatch, count)
+        with pytest.raises(ValueError, match="LDA needs at least 2 classes"):
+            cross_validate_features(x, y, g, 2, components=3)
+        with pytest.raises(ValueError, match="singular"):
+            cross_validate_features(padded, y, g, 2, components=0, ridge=0.0)
+
+
+def test_fold_loop_runs_sequentially_without_a_blas_setter(monkeypatch):
+    _force_fold_threads(monkeypatch, 2)
+    monkeypatch.setattr(cpus, "_BLAS_THREAD_CALLS",
+                        [("no_such_setter", "no_such_getter")])
+    solvers = _solver_threads(monkeypatch)
+    x, y, g = _hard_blobs(51, 12, 8)
+    with cpus.one_blas_thread() as held:
+        assert held is None
+    report = cross_validate_features(x, y, g, 3, components=3)
+    assert solvers == {threading.get_ident()}
+    confusion, _ = _reference_cross_validate(x, y, g, 3, components=3)
+    assert_array_equal(report.confusion, confusion)
+
+
+def test_lda_predict_runs_on_the_calling_thread(monkeypatch, caplog):
+    # the benchmark's tracer wraps lda_predict with one span stack, which
+    # only the calling thread may touch
+    _force_fold_threads(monkeypatch, 2)
+    callers = set()
+    real = classify.lda_predict
+    monkeypatch.setattr(classify, "lda_predict",
+                        lambda *args: callers.add(threading.get_ident()) or real(*args))
+    model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=40)
+    ds = generate_dataset(model, 8, 12, 64, 3, NoiseModel(sigma=8.0), seed=41)
+    with caplog.at_level(logging.DEBUG, logger="lfpdecode.classify"):
+        grid_search(ds, truncations=(3,), components=(3,), low_pass_only=True)
+        cross_validate(ds, PipelineConfig.bjs(64, components=3))
+    assert callers == {threading.get_ident()}
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == 2
+    assert all(line.startswith("cross-validation: 3 folds, ") for line in lines)
+    assert all(", 2 threads, BLAS held at 1 thread, then restored to " in line
+               for line in lines) == bool(cpus._find_blas_calls())
+
+
+def test_small_or_large_eigen_solves_stay_on_the_calling_thread(monkeypatch):
+    # the criterion-8 grid's solves (up to 352 rows) share the CPUs; its
+    # BJS solves (640 rows) and the CLI benchmark's (107) run alone
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
+    low, high = classify._SHARED_SOLVE_ROWS
+    assert low <= 352 <= high and not 107 >= low and not 640 <= high
+    solvers = _solver_threads(monkeypatch)
+    x, y, g = _hard_blobs(52, 12, 8)
+    cross_validate_features(x, y, g, 3, components=3)
+    assert solvers == {threading.get_ident()}
 
 
 def test_shrinkage_pattern_enumeration():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfpdecode import cli, fileio
+from lfpdecode import cli, cpus, fileio
 from lfpdecode.cli import main
 from lfpdecode.shrinkage import EllipsoidSpec, pinsker_mu
 
@@ -94,7 +94,7 @@ def test_synth_impossible_separation_exits_2(tmp_path, capsys):
 
 def test_synth_failed_helper_exits_2(tmp_path, capsys, monkeypatch):
     # SMALL_SYNTH has 12 trials: with 2 CPUs a helper writes trials 6..11
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     monkeypatch.setattr(fileio, "_MIN_WRITE_SHARE", 1)
     monkeypatch.setattr(fileio, "_WRITE_HELPER", [sys.executable, "-c", "raise SystemExit(1)"])
     out = str(tmp_path / "ds.csv")
@@ -107,7 +107,7 @@ def test_benchmark_failed_read_helper_exits_2(tmp_path, capsys, monkeypatch):
     ds = str(tmp_path / "ds.csv")
     assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
     # 2 shares: a helper parses the second half of the rows
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     monkeypatch.setattr(fileio, "_MIN_READ_SHARE", 1)
     monkeypatch.setattr(fileio, "_READ_HELPER", [sys.executable, "-c", "raise SystemExit(1)"])
     temp = tmp_path / "temp"

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import lfpdecode.cpus
 from lfpdecode import fileio, rowparse
 from lfpdecode.shrinkage import EllipsoidSpec
 from lfpdecode.synth import (
@@ -85,7 +86,7 @@ def _sha256(path):
 def _force_shares(monkeypatch, cpus):
     """Split every dataset write and read into one share per forced CPU,
     however small the dataset."""
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lfpdecode.cpus, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(fileio, "_MIN_WRITE_SHARE", 1)
     monkeypatch.setattr(fileio, "_MIN_READ_SHARE", 1)
 
@@ -297,12 +298,52 @@ def _trial_ids_mapped(ids):
         "fewer-samples-than-sidecar", "trial-ids-not-0-to-2",
         "trial-id-equals-n-trials"])
 def test_dataset_rejects_malformed_rows(tmp_path, monkeypatch, edit):
+    # the same error at every share count, whichever share meets the fault
     path, lines = _pinned_lines(tmp_path)
     _write_lines(path, [lines[0]] + edit(lines[1:]))
+    errors = set()
     for cpus in READ_SHARES:
         _force_inline_shares(monkeypatch, cpus)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             fileio.read_dataset(str(path))
+        errors.add((caught.type, str(caught.value)))
+    assert len(errors) == 1, errors
+
+
+def test_dataset_rejects_lone_cr_line_ends(tmp_path, monkeypatch):
+    path, lines = _pinned_lines(tmp_path)
+    path.write_bytes("".join(line + "\r" for line in lines).encode())
+    for cpus in READ_SHARES:
+        _force_inline_shares(monkeypatch, cpus)
+        with pytest.raises(ValueError, match='not a lone "\\\\r"'):
+            fileio.read_dataset(str(path))
+
+
+# lines a valid dataset CSV may hold between its rows: np.loadtxt skips
+# them, and must not warn that it did
+@pytest.mark.parametrize(
+    "ending, extra",
+    [("\n", ""), ("\r\n", ""), ("\n", "# a comment"), ("\r\n", "# a comment")],
+    ids=["blank", "blank-crlf", "comment", "comment-crlf"],
+)
+@pytest.mark.filterwarnings("error")
+def test_dataset_skips_blank_and_comment_lines_at_every_share_count(
+    tmp_path, monkeypatch, ending, extra
+):
+    # the extra line goes before each row in turn and after the last, so
+    # at 2 and 3 shares it starts a share, ends one and sits inside one
+    path, lines = _pinned_lines(tmp_path)
+    starts_a_share = set()
+    for at in range(1, len(lines) + 1):
+        text = lines[:at] + [extra] + lines[at:]
+        path.write_bytes("".join(line + ending for line in text).encode())
+        for cpus in READ_SHARES:
+            _force_inline_shares(monkeypatch, cpus)
+            _assert_same_dataset(fileio.read_dataset(str(path)), _pinned_dataset())
+            offset = len("".join(line + ending for line in text[:at]).encode())
+            if offset in [start for start, _ in fileio._read_shares(str(path))][1:]:
+                starts_a_share.add(cpus)
+    assert starts_a_share == {2, 3}
 
 
 # "1.0" and "1e0" name integers but are float literals, rejected like "1.7"
