@@ -53,16 +53,6 @@ logger = logging.getLogger(__name__)
 # feature columns per block of a wide fold-shared Gram matrix
 _COL_BLOCK = 1024
 
-# The fold loop's eigen-solves share the usable CPUs only when a call's
-# largest one is in this range of rows.  Below it a solve takes a
-# millisecond or two, too little to repay the threads.  Above it two
-# solves at once hold two working sets of five n x n matrices (the input,
-# numpy's copy, LAPACK's 2 n^2 workspace and the eigenvectors), 33 MB at
-# 640 rows: on the criterion-8 decode's BJS folds that raised the peak
-# resident memory by 17-18% and saved next to no time, so such solves
-# run one at a time on BLAS's own threads.
-_SHARED_SOLVE_ROWS = (128, 512)
-
 
 @dataclass(frozen=True)
 class ShrinkageProfile:
@@ -165,12 +155,18 @@ def _top_eigenpairs(sym: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray
     matching columns.  This is the one PCA eigen-solver: :func:`pca_fit`
     and the cross-validation fold loop both call it, on the dim x dim
     scatter of centred rows when dim <= rows, otherwise on their
-    rows x rows Gram matrix.
+    rows x rows Gram matrix.  The pairs are ``np.linalg.eigh``'s of the
+    lower triangle, bit for bit; :func:`cpus.eigh_in_place` overwrites a
+    writable Fortran-ordered float matrix and solves any other in a copy.
     """
-    evals, evecs = np.linalg.eigh(sym)
-    # eigh sorts ascending; [::-1] puts the largest first.  The kept
-    # columns are copied so that the full matrix is freed here, and the
-    # copy is viewed reversed, the layout the callers' products always saw
+    solve = cpus.eigh_in_place()
+    if solve is None:
+        evals, evecs = np.linalg.eigh(sym)
+    else:
+        evecs = np.require(sym, float, "FAW")
+        evals = solve(evecs)
+    # ascending: the kept columns are copied, freeing the full matrix, and
+    # viewed reversed, largest first, the layout the callers always saw
     kept = evecs[:, max(evecs.shape[1] - count, 0):].copy()
     return evals[::-1][:count].copy(), kept[:, ::-1]
 
@@ -531,11 +527,13 @@ def _gram_problem(gram: np.ndarray, train, test, averages, count: int):
     function that turns its top eigenpairs into the class means, scatter
     and test scores of the top components (see :func:`_fold_problems`).
     """
-    centred = gram[np.ix_(train, train)]
+    block = gram[np.ix_(train, train)]
     k_test = gram[np.ix_(test, train)]
-    col_mean = centred.mean(axis=0)
+    col_mean = block.mean(axis=0)
     grand = col_mean.mean()
-    # in place, in the order of k - a - b + g
+    # the Gram is exactly symmetric, so this is the block in Fortran
+    # order, centred in place in the order of k - a - b + g
+    centred = block.T
     centred -= col_mean[:, None]
     centred -= col_mean[None, :]
     centred += grand
@@ -570,7 +568,8 @@ def _scatter_problem(scatter, centred_means, centred_test, w, caps):
         evals, vecs = pairs
         return means @ vecs, np.diag(evals), test_scores @ vecs
 
-    return spread, max(caps), moments
+    # spread is exactly symmetric, so its transpose is it in Fortran order
+    return spread.T, max(caps), moments
 
 
 def _fold_problems(source, wide: bool, y, folds, scalings, components, width: int):
@@ -616,27 +615,14 @@ def _solved_in_order(problems, threads: int):
     """Solve the eigen-problems of :func:`_fold_problems` and yield each
     one's (key, finished result) in order, on this thread.
 
-    Each problem goes to a pool of ``threads - 1`` threads as it is built,
-    and fewer than ``2 * threads`` wait unsolved.  This thread takes the
-    oldest back if no pool thread has started it, else the next one none
-    has started, so every thread solves while a problem waits.  Only the
-    solves run on the pool; the problems are built and finished here.  An
-    error, raised building a problem or solving one, is raised in its
-    turn, once every earlier problem is yielded.  A problem's matrix is
-    let go as soon as it is solved.
+    Of every ``threads`` problems in a row, a pool of ``threads - 1``
+    threads solves the first ones and this thread the last, so at most
+    ``threads`` are built and not yet finished.  An error, building a
+    problem or solving one, is raised in its turn; leaving early cancels
+    the queued solves.
     """
-    if threads < 2:
-        # each del lets go of an array before the next problem is built
-        for key, matrix, count, finish in problems:
-            pairs = None if matrix is None else _top_eigenpairs(matrix, count)
-            del matrix
-            result = finish(pairs)
-            del pairs, finish
-            yield key, result
-            del result
-        return
 
-    def solved_here(matrix, count) -> Future:
+    def here(matrix, count) -> Future:
         done = Future()
         try:
             done.set_result(None if matrix is None else _top_eigenpairs(matrix, count))
@@ -644,57 +630,35 @@ def _solved_in_order(problems, threads: int):
             done.set_exception(exc)
         return done
 
-    def take_back(entry) -> bool:
-        """Solve a queued problem here if no pool thread has started it."""
-        if not entry[2].cancel():
-            return False
-        entry[2] = solved_here(*entry[3])
-        entry[3] = None
-        return True
+    def finished():
+        key, finish, solve = window.popleft()
+        return key, finish(solve.result())
 
-    building = iter(problems)
-    # [key, finish, solve, (matrix, count) until solved here] per problem,
-    # oldest first
-    queue: deque = deque()
-    with ThreadPoolExecutor(threads - 1) as pool:
-        try:
-            while True:
-                while building and sum(not e[2].done() for e in queue) < 2 * threads:
-                    try:
-                        key, matrix, count, finish = next(building)
-                    except StopIteration:
-                        building = None
-                        break
-                    except Exception as exc:  # raised in its turn
-                        failed = Future()
-                        failed.set_exception(exc)
-                        queue.append([None, None, failed, None])
-                        building = None
-                        break
-                    if matrix is None:
-                        queue.append([key, finish, solved_here(None, 0), None])
-                    else:
-                        solve = pool.submit(_top_eigenpairs, matrix, count)
-                        queue.append([key, finish, solve, (matrix, count)])
-                    del matrix
-                if not queue:
-                    return
-                entry = queue.popleft()
-                if not take_back(entry):
-                    while not entry[2].done() and any(take_back(e) for e in queue):
-                        pass
-                key, finish, solve, _ = entry
-                del entry, _
-                pairs = solve.result()
-                del solve
-                result = finish(pairs)
-                del pairs, finish
-                yield key, result
-                del result
-        finally:
-            # leaving early: the pool starts no solve nobody will read
-            for entry in queue:
-                entry[2].cancel()
+    window: deque = deque()  # (key, finish, solve) per problem, oldest first
+    pool = ThreadPoolExecutor(max(threads - 1, 1))
+    try:
+        building = enumerate(problems)
+        while True:
+            try:
+                turn, (key, matrix, count, finish) = next(building)
+            except StopIteration:
+                break
+            except Exception:  # raised in its turn
+                while window:
+                    yield finished()
+                raise
+            if matrix is None or turn % threads == threads - 1:
+                solve = here(matrix, count)
+            else:
+                solve = pool.submit(_top_eigenpairs, matrix, count)
+            window.append((key, finish, solve))
+            del matrix, finish, solve  # the window holds them now
+            if len(window) == threads:
+                yield finished()
+        while window:
+            yield finished()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cross_validate_scaled(
@@ -740,11 +704,9 @@ def _cross_validate_scaled(
     score zero, so, as on the zero-padded scores, the default ridge is
     1e-6 * trace / P, the capped P, and a ridge of 0 is singular.
 
-    Each fold's eigen-solves are built, finished and scored in fold order
-    on this thread; when the largest one has rows in
-    ``_SHARED_SOLVE_ROWS``, they are solved on one thread per usable CPU
-    with BLAS held at one thread meanwhile (:func:`_solved_in_order`), so
-    the reports are the same on any number of CPUs.
+    The folds' eigen-problems are built, finished and scored in order on
+    this thread, and solved on one thread per usable CPU where they can be
+    solved in place and BLAS held at one thread (:func:`_solved_in_order`).
 
     P = 0 keeps min(width, training rows - 1) components, the width being
     the source's, and its default ridge divides by the width: this is
@@ -770,10 +732,8 @@ def _cross_validate_scaled(
         source = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         del blocks
     problems = _fold_problems(source, wide, y, folds, scalings, components, width)
-    # the rows of the largest eigen-solve a fold can pose
-    rows = max(int((~mask).sum()) for _, mask in folds) if wide else width
-    low, high = _SHARED_SOLVE_ROWS
-    threads = min(cpus.usable_cpus(), len(folds)) if low <= rows <= high else 1
+    in_place = cpus.eigh_in_place() is not None
+    threads = min(cpus.usable_cpus(), len(folds)) if in_place else 1
 
     def score(fold, s: int, means, spread, test_scores) -> None:
         """LDA from a scaling's moments on a fold, at each PCA size."""
@@ -803,8 +763,8 @@ def _cross_validate_scaled(
                 score(fold, s, *moments)
                 del moments
     logger.debug(
-        "cross-validation: %d folds, eigen-solves of up to %d rows, %d threads, %s",
-        len(folds), rows, threads,
+        "cross-validation: %d folds, eigen-solves %s, %d threads, %s",
+        len(folds), "in place" if in_place else "by numpy's eigh", threads,
         f"BLAS held at 1 thread, then restored to {blas_threads}"
         if blas_threads else "BLAS threads untouched",
     )

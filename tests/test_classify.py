@@ -772,14 +772,18 @@ def test_wide_dataset_cross_validation_equals_the_feature_matrix_route(
                            partial(classify._column_blocks, features))
         )
         assert np.abs(streamed - whole).max() <= 1e-12 * np.abs(whole).max()
+        # exactly symmetric, as the fold loop's Fortran-ordered blocks need
+        assert_array_equal(streamed, streamed.T)
+        assert_array_equal(whole, whole.T)
 
 
 def test_narrow_jobs_that_keep_every_live_column_run_no_eigen_solve(monkeypatch):
     # 6 columns over 24 training rows: P = 0, P = 6 and P = 30 keep all 6,
     # so LDA needs no rotation; P = 2 drops 4 and needs the solve
     calls = []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or real(a))
+    real = classify._top_eigenpairs
+    monkeypatch.setattr(classify, "_top_eigenpairs",
+                        lambda a, count: calls.append(a.shape) or real(a, count))
     x, y, g = _hard_blobs(48, 12, 6)
     columns = partial(classify._column_blocks, x)
     reports = classify._cross_validate_scaled(
@@ -864,10 +868,14 @@ def _assert_grid_rows_match_reference(ds, scheme, wide):
 
 
 def _force_fold_threads(monkeypatch, count):
-    """Run every fold loop's eigen-solves on ``count`` threads, however
-    small they are."""
+    """Run every fold loop's eigen-solves on ``count`` threads, where they
+    can be solved in place and BLAS held at one thread."""
     monkeypatch.setattr(cpus, "usable_cpus", lambda: count)
-    monkeypatch.setattr(classify, "_SHARED_SOLVE_ROWS", (0, 10**9))
+
+
+def _solves_can_share():
+    """Whether the fold loop's eigen-solves can share the CPUs here."""
+    return bool(cpus._find_blas_calls()) and cpus.eigh_in_place() is not None
 
 
 def _solver_threads(monkeypatch):
@@ -936,7 +944,7 @@ def test_fold_threads_give_the_same_reports(monkeypatch):
                     assert report.notes == ref.notes
     finally:
         sys.setswitchinterval(interval)
-    if cpus._find_blas_calls():
+    if _solves_can_share():
         # some solves ran on a pool thread
         assert len(solvers) > 1
 
@@ -950,10 +958,9 @@ def _one_class_fold():
 
 
 def test_fold_threads_restore_blas_threads(monkeypatch):
-    calls = cpus._find_blas_calls()
-    if not calls:
-        pytest.skip("no BLAS thread-count setter resolves in this numpy")
-    set_threads, get_threads = calls
+    if not _solves_can_share():
+        pytest.skip("no BLAS thread-count setter or in-place solver resolves here")
+    set_threads, get_threads = cpus._find_blas_calls()
     before = get_threads()
     _force_fold_threads(monkeypatch, 2)
     held = set()
@@ -995,17 +1002,32 @@ def test_fold_errors_raise_in_fold_order(monkeypatch):
 
 
 def test_fold_loop_runs_sequentially_without_a_blas_setter(monkeypatch):
+    # without a BLAS thread setter, or without LAPACK's dsyevd to solve in
+    # place, every solve runs on the calling thread, with the same report
     _force_fold_threads(monkeypatch, 2)
-    monkeypatch.setattr(cpus, "_BLAS_THREAD_CALLS",
-                        [("no_such_setter", "no_such_getter")])
-    solvers = _solver_threads(monkeypatch)
     x, y, g = _hard_blobs(51, 12, 8)
-    with cpus.one_blas_thread() as held:
-        assert held is None
-    report = cross_validate_features(x, y, g, 3, components=3)
-    assert solvers == {threading.get_ident()}
+    expected = cross_validate_features(x, y, g, 3, components=3)
     confusion, _ = _reference_cross_validate(x, y, g, 3, components=3)
-    assert_array_equal(report.confusion, confusion)
+    assert_array_equal(expected.confusion, confusion)
+    solvers = _solver_threads(monkeypatch)
+    eigh_calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: eigh_calls.append(a.shape) or real_eigh(a))
+    for name, missing in (("_BLAS_THREAD_CALLS", [("no_such_setter", "no_such_getter")]),
+                          ("_EIGEN_SOLVERS", ["no_such_solver"])):
+        with monkeypatch.context() as patch:
+            patch.setattr(cpus, name, missing)
+            with cpus.one_blas_thread() as held:
+                assert (held is None) == (name == "_BLAS_THREAD_CALLS")
+            assert (cpus.eigh_in_place() is None) == (name == "_EIGEN_SOLVERS")
+            report = cross_validate_features(x, y, g, 3, components=3)
+        assert solvers == {threading.get_ident()}
+        assert report.overall_accuracy == expected.overall_accuracy
+        assert_array_equal(report.confusion, expected.confusion)
+        assert report.notes == expected.notes
+    # only the route without dsyevd called numpy's eigh, once per fold
+    assert eigh_calls == [(8, 8)] * 3
 
 
 def test_lda_predict_runs_on_the_calling_thread(monkeypatch, caplog):
@@ -1025,20 +1047,112 @@ def test_lda_predict_runs_on_the_calling_thread(monkeypatch, caplog):
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(lines) == 2
     assert all(line.startswith("cross-validation: 3 folds, ") for line in lines)
+    route = "in place" if cpus.eigh_in_place() else "by numpy's eigh"
+    assert all(f", eigen-solves {route}, " in line for line in lines)
     assert all(", 2 threads, BLAS held at 1 thread, then restored to " in line
-               for line in lines) == bool(cpus._find_blas_calls())
+               for line in lines) == _solves_can_share()
 
 
-def test_small_or_large_eigen_solves_stay_on_the_calling_thread(monkeypatch):
-    # the criterion-8 grid's solves (up to 352 rows) share the CPUs; its
-    # BJS solves (640 rows) and the CLI benchmark's (107) run alone
+def test_large_and_small_eigen_solves_share_the_cpus(monkeypatch):
+    # the criterion-8 decode's BJS solves (640 rows, from the Gram matrix)
+    # and the CLI benchmark's (107, from the scatter) share two CPUs too
+    if not _solves_can_share():
+        pytest.skip("no BLAS thread-count setter or in-place solver resolves here")
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
-    low, high = classify._SHARED_SOLVE_ROWS
-    assert low <= 352 <= high and not 107 >= low and not 640 <= high
-    solvers = _solver_threads(monkeypatch)
-    x, y, g = _hard_blobs(52, 12, 8)
-    cross_validate_features(x, y, g, 3, components=3)
-    assert solvers == {threading.get_ident()}
+    solves = []
+    real = classify._top_eigenpairs
+
+    def recorded(a, count):
+        solves.append((a.shape, threading.get_ident()))
+        return real(a, count)
+
+    monkeypatch.setattr(classify, "_top_eigenpairs", recorded)
+    # 3 sessions of 320 rows; 700 columns are wider than the 640 training
+    # rows, 107 are fewer than the 120
+    for n_per_class, d, rows in ((320, 700, 640), (60, 107, 107)):
+        solves.clear()
+        x, y, _ = _hard_blobs(52, n_per_class, d)
+        cross_validate_features(x, y, np.arange(y.size) % 3 + 1, 3, components=3)
+        assert [shape for shape, _ in solves] == [(rows, rows)] * 3
+        assert len({thread for _, thread in solves}) == 2
+
+
+def test_solves_keep_at_most_one_problem_a_thread_unfinished():
+    # problems are finished in order, no more than ``threads`` are built
+    # and not yet finished, and an error building one is raised once every
+    # earlier one is finished
+    live, peak = set(), []
+
+    def problems(failing):
+        for k in range(10):
+            if k == failing:
+                raise RuntimeError("building 5")
+            live.add(k)
+            peak.append(len(live))
+            yield k, np.diag([1.0, k + 2.0]), 1, lambda pairs, k=k: live.remove(k) or pairs
+
+    for threads in (1, 2, 3):
+        peak.clear()
+        solved = list(classify._solved_in_order(problems(None), threads))
+        assert [key for key, _ in solved] == list(range(10))
+        assert [pairs[0][0] for _, pairs in solved] == [k + 2.0 for k in range(10)]
+        assert max(peak) == threads and not live
+        finished = []
+        with pytest.raises(RuntimeError, match="building 5"):
+            for key, _ in classify._solved_in_order(problems(5), threads):
+                finished.append(key)
+        assert finished == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("n", [1, 2, 107, 352, 640])
+def test_top_eigenpairs_are_numpys_eigh_pairs(n):
+    # bit for bit, at 1 and 2 BLAS threads, from C- or Fortran-ordered
+    # input, exactly symmetric or with the upper triangle an ulp off (the
+    # lower one is read), and with a NaN, where eigh gives NaN or raises
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n + 3, n))
+    exact = x.T @ x
+    assert_array_equal(exact, exact.T)
+    skewed = exact.copy()
+    upper = np.triu_indices(n, 1)
+    skewed[upper] = np.nextafter(skewed[upper], np.inf)
+    with_nan = exact.copy()
+    with_nan[n - 1, n // 2] = np.nan
+
+    def pairs(solve, matrix, count):
+        try:
+            return solve(matrix, count)
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+
+    def eigh_top(matrix, count):
+        values, vectors = np.linalg.eigh(matrix)
+        return values[::-1][:count], vectors[:, ::-1][:, :count]
+
+    calls = cpus._find_blas_calls()
+    before = calls[1]() if calls else None
+    try:
+        # two BLAS threads on one CPU would take minutes
+        for threads in (1, 2)[:cpus.usable_cpus()]:
+            if calls:
+                calls[0](threads)
+            for matrix in (exact, skewed, with_nan):
+                for count in sorted({1, max(n // 2, 1), n}):
+                    expected = pairs(eigh_top, matrix, count)
+                    for order in "CF":
+                        given = matrix.copy(order=order)
+                        got = pairs(classify._top_eigenpairs, given, count)
+                        if not given.flags.f_contiguous:  # solved in a copy
+                            assert_array_equal(given, matrix)
+                        assert type(got) is type(expected)
+                        if isinstance(expected, str):
+                            assert got == expected
+                            continue
+                        for a, b in zip(got, expected, strict=True):
+                            assert_array_equal(a, b, strict=True)
+    finally:
+        if calls:
+            calls[0](before)
 
 
 def test_shrinkage_pattern_enumeration():
