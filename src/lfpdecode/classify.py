@@ -9,10 +9,9 @@ search complete the module.
 
 from __future__ import annotations
 
-import contextlib
 import logging
-from collections import Counter, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -508,7 +507,7 @@ def _gram_scores(evals: np.ndarray, vecs: np.ndarray, cross: np.ndarray):
 
     The top eigenpairs (lam, U) of the fold's double-centred training
     block give training scores U sqrt(lam), and its centred test block
-    ``cross`` (see :func:`_gram_problem`) test scores K_te U / sqrt(lam).
+    ``cross`` (see :func:`_gram_moments`) test scores K_te U / sqrt(lam).
     Components at the rounding level of the matrix (rank below the count
     asked for) keep eigenvalue zero and score zero.
     """
@@ -519,13 +518,12 @@ def _gram_scores(evals: np.ndarray, vecs: np.ndarray, cross: np.ndarray):
     return np.where(alive, evals, 0.0), train_scores, test_scores
 
 
-def _gram_problem(gram: np.ndarray, train, test, averages, count: int):
-    """A wide fold's eigen-problem for one scaling, from the Gram of all rows.
+def _gram_moments(gram: np.ndarray, train, test, averages, count: int):
+    """A wide fold's class means, scatter and test scores for one scaling,
+    from the top ``count`` components of the Gram matrix of all rows.
 
     The training block is double-centred with the training mean, and the
-    test block centred against it.  Returns the block, ``count`` and the
-    function that turns its top eigenpairs into the class means, scatter
-    and test scores of the top components (see :func:`_fold_problems`).
+    test block centred against it.
     """
     block = gram[np.ix_(train, train)]
     k_test = gram[np.ix_(test, train)]
@@ -538,23 +536,21 @@ def _gram_problem(gram: np.ndarray, train, test, averages, count: int):
     centred -= col_mean[None, :]
     centred += grand
     cross = k_test - k_test.mean(axis=1)[:, None] - col_mean[None, :] + grand
-
-    def moments(pairs):
-        evals, train_scores, test_scores = _gram_scores(*pairs, cross)
-        return averages @ train_scores, np.diag(evals), test_scores
-
-    return centred, count, moments
+    evals, train_scores, test_scores = _gram_scores(
+        *_top_eigenpairs(centred, count), cross
+    )
+    return averages @ train_scores, np.diag(evals), test_scores
 
 
-def _scatter_problem(scatter, centred_means, centred_test, w, caps):
-    """A narrow fold's eigen-problem for the scaling ``w``, from the
-    fold's scatter of centred training rows and their class means.
+def _scatter_moments(scatter, centred_means, centred_test, w, caps):
+    """A narrow fold's class means, scatter and test scores for the
+    scaling ``w``, from the fold's scatter of centred training rows and
+    their class means.
 
-    Returns the scaled scatter of the nonzero-weight columns, the count
-    of top eigenpairs needed and the function that turns them into the
-    class means, scatter and test scores of the top components.  When
-    every job keeps all live columns LDA needs no rotation: the matrix is
-    None and the function takes None.
+    Only the nonzero-weight columns are kept.  When every job keeps all
+    of them LDA needs no rotation, and the scaled scatter is returned as
+    it is; otherwise the moments are those of its top ``max(caps)``
+    components.
     """
     at = np.flatnonzero(w)
     w = w[at]
@@ -562,103 +558,41 @@ def _scatter_problem(scatter, centred_means, centred_test, w, caps):
     means = centred_means[:, at] * w
     test_scores = centred_test[:, at] * w
     if min(caps) >= at.size:
-        return None, 0, lambda _: (means, spread, test_scores)
-
-    def moments(pairs):
-        evals, vecs = pairs
-        return means @ vecs, np.diag(evals), test_scores @ vecs
-
+        return means, spread, test_scores
     # spread is exactly symmetric, so its transpose is it in Fortran order
-    return spread.T, max(caps), moments
+    evals, vecs = _top_eigenpairs(spread.T, max(caps))
+    return means @ vecs, np.diag(evals), test_scores @ vecs
 
 
-def _fold_problems(source, wide: bool, y, folds, scalings, components, width: int):
-    """Every fold's scalings in order, each as an eigen-problem and the
-    function that turns its solution into the scaling's moments.
+def _fold_moments(source, wide: bool, y, scalings, components, width: int, fold):
+    """One fold's key and, per scaling, the class means, the scatter and
+    the test scores of its components (see :func:`_cross_validate_scaled`).
 
-    Yields, per fold and scaling: the key (fold, scaling index), where
-    fold is (name, test labels, training class ids and counts, capped P
-    sizes); the symmetric matrix whose top ``count`` eigenpairs the
-    scaling needs, or None where it needs none; the count; and a function
-    of those eigenpairs (of None) returning the class means, the scatter
-    and the test scores of the scaling's components (see
-    :func:`_cross_validate_scaled`).  ``source`` is the list of
+    ``fold`` is (name, test mask); the key is (name, test labels, training
+    class ids and counts, capped P sizes).  ``source`` is the list of
     per-scaling Gram matrices when ``wide``, else the copy of every
-    column.  No problem stays referenced here once it is yielded.
+    column.
     """
-    for name, test_mask in folds:
-        train = ~test_mask
-        ytr = y[train]
-        class_ids, counts = _class_counts(ytr)
-        averages = (ytr == class_ids[:, None]) / counts[:, None]
-        caps = [min(p or width, ytr.size - 1, width) for p in components]
-        fold = (name, y[test_mask], class_ids, counts, caps)
-        if wide:
-            for s, gram in enumerate(source):
-                yield ((fold, s), *_gram_problem(gram, train, test_mask, averages,
-                                                 max(caps)))
-            continue
-        # the training rows indexed once, and centred in place
-        centred_train = source[train]
-        mean = centred_train.mean(axis=0)
-        centred_train -= mean
-        centred_test = source[test_mask] - mean
-        scatter = centred_train.T @ centred_train
-        centred_means = averages @ centred_train
-        del centred_train
-        for s, w in enumerate(scalings):
-            yield ((fold, s), *_scatter_problem(scatter, centred_means, centred_test,
-                                                w, caps))
-
-
-def _solved_in_order(problems, threads: int):
-    """Solve the eigen-problems of :func:`_fold_problems` and yield each
-    one's (key, finished result) in order, on this thread.
-
-    Of every ``threads`` problems in a row, a pool of ``threads - 1``
-    threads solves the first ones and this thread the last, so at most
-    ``threads`` are built and not yet finished.  An error, building a
-    problem or solving one, is raised in its turn; leaving early cancels
-    the queued solves.
-    """
-
-    def here(matrix, count) -> Future:
-        done = Future()
-        try:
-            done.set_result(None if matrix is None else _top_eigenpairs(matrix, count))
-        except Exception as exc:  # raised in its turn
-            done.set_exception(exc)
-        return done
-
-    def finished():
-        key, finish, solve = window.popleft()
-        return key, finish(solve.result())
-
-    window: deque = deque()  # (key, finish, solve) per problem, oldest first
-    pool = ThreadPoolExecutor(max(threads - 1, 1))
-    try:
-        building = enumerate(problems)
-        while True:
-            try:
-                turn, (key, matrix, count, finish) = next(building)
-            except StopIteration:
-                break
-            except Exception:  # raised in its turn
-                while window:
-                    yield finished()
-                raise
-            if matrix is None or turn % threads == threads - 1:
-                solve = here(matrix, count)
-            else:
-                solve = pool.submit(_top_eigenpairs, matrix, count)
-            window.append((key, finish, solve))
-            del matrix, finish, solve  # the window holds them now
-            if len(window) == threads:
-                yield finished()
-        while window:
-            yield finished()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    name, test_mask = fold
+    train = ~test_mask
+    ytr = y[train]
+    class_ids, counts = _class_counts(ytr)
+    averages = (ytr == class_ids[:, None]) / counts[:, None]
+    caps = [min(p or width, ytr.size - 1, width) for p in components]
+    key = (name, y[test_mask], class_ids, counts, caps)
+    if wide:
+        return key, [_gram_moments(gram, train, test_mask, averages, max(caps))
+                     for gram in source]
+    # the training rows indexed once, and centred in place
+    centred_train = source[train]
+    mean = centred_train.mean(axis=0)
+    centred_train -= mean
+    centred_test = source[test_mask] - mean
+    scatter = centred_train.T @ centred_train
+    centred_means = averages @ centred_train
+    del centred_train
+    return key, [_scatter_moments(scatter, centred_means, centred_test, w, caps)
+                 for w in scalings]
 
 
 def _cross_validate_scaled(
@@ -704,9 +638,10 @@ def _cross_validate_scaled(
     score zero, so, as on the zero-padded scores, the default ridge is
     1e-6 * trace / P, the capped P, and a ridge of 0 is singular.
 
-    The folds' eigen-problems are built, finished and scored in order on
-    this thread, and solved on one thread per usable CPU where they can be
-    solved in place and BLAS held at one thread (:func:`_solved_in_order`).
+    Each fold is computed whole on one thread (:func:`_fold_moments`), on
+    one thread per usable CPU, this one among them, where the eigen-problems
+    can be solved in place and BLAS held at one thread; the folds are
+    scored on this thread in fold order, so an error is raised in its turn.
 
     P = 0 keeps min(width, training rows - 1) components, the width being
     the source's, and its default ridge divides by the width: this is
@@ -731,37 +666,46 @@ def _cross_validate_scaled(
         blocks = list(columns(np.ones(width)))
         source = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         del blocks
-    problems = _fold_problems(source, wide, y, folds, scalings, components, width)
+    fold_moments = partial(_fold_moments, source, wide, y, scalings, components, width)
     in_place = cpus.eigh_in_place() is not None
     threads = min(cpus.usable_cpus(), len(folds)) if in_place else 1
 
-    def score(fold, s: int, means, spread, test_scores) -> None:
-        """LDA from a scaling's moments on a fold, at each PCA size."""
+    def score(fold, moments) -> None:
+        """LDA from each scaling's moments on a fold, at each PCA size."""
         name, yte, class_ids, counts, caps = fold
         missing = sorted(set(range(1, n_classes + 1)) - set(class_ids.tolist()))
-        # pooled covariance of the scaling's top components
-        between = means * np.sqrt(counts)[:, None]
-        pooled = (spread - between.T @ between) / (counts.sum() - class_ids.size)
-        for k, (p, cap) in enumerate(zip(components, caps)):
-            j = s * len(components) + k
-            if missing:
-                notes[j].append(
-                    f"{name}: classes {missing} absent from training; skipped there"
-                )
-            if cap < p:
-                notes[j].append(f"{name}: components capped at {cap} (rank limit)")
-            # P = 0 keeps every component, and its ridge divides by the width
-            model = _lda_solve(class_ids, counts, means[:, :cap],
-                               pooled[:cap, :cap], ridge, cap if p else width)
-            picks, _ = lda_predict(model, test_scores[:, :cap])
-            np.add.at(confusions[j], (yte - 1, picks - 1), 1)
+        for s, (means, spread, test_scores) in enumerate(moments):
+            # pooled covariance of the scaling's top components
+            between = means * np.sqrt(counts)[:, None]
+            pooled = (spread - between.T @ between) / (counts.sum() - class_ids.size)
+            for k, (p, cap) in enumerate(zip(components, caps)):
+                j = s * len(components) + k
+                if missing:
+                    notes[j].append(
+                        f"{name}: classes {missing} absent from training; skipped there"
+                    )
+                if cap < p:
+                    notes[j].append(f"{name}: components capped at {cap} (rank limit)")
+                # P = 0 keeps every component, and its ridge divides by the width
+                model = _lda_solve(class_ids, counts, means[:, :cap],
+                                   pooled[:cap, :cap], ridge, cap if p else width)
+                picks, _ = lda_predict(model, test_scores[:, :cap])
+                np.add.at(confusions[j], (yte - 1, picks - 1), 1)
 
     with cpus.one_blas_thread(threads > 1) as blas_threads:
         threads = threads if blas_threads else 1
-        with contextlib.closing(_solved_in_order(problems, threads)) as solved:
-            for (fold, s), moments in solved:
-                score(fold, s, *moments)
-                del moments
+        # this thread computes folds 0, k, 2k, ... and a pool of k - 1
+        # threads the others; every fold is scored here, in fold order
+        pool = ThreadPoolExecutor(max(threads - 1, 1))
+        try:
+            others = pool.map(fold_moments,
+                              [fold for i, fold in enumerate(folds) if i % threads])
+            for i, fold in enumerate(folds):
+                score(*(fold_moments(fold) if i % threads == 0 else next(others)))
+        finally:
+            # an error cancels the queued folds, and BLAS gets its count
+            # back once the running ones have finished
+            pool.shutdown(cancel_futures=True)
     logger.debug(
         "cross-validation: %d folds, eigen-solves %s, %d threads, %s",
         len(folds), "in place" if in_place else "by numpy's eigh", threads,

@@ -3,9 +3,9 @@ symmetric eigen-solver run in place.
 
 :func:`usable_cpus` is the one CPU count of the package: the dataset CSV
 writer and reader split their work into one share per usable CPU, and
-the cross-validation folds solve their eigen-problems on one thread per
-usable CPU, with BLAS held at one thread (:func:`one_blas_thread`) and
-each solve in its matrix's own buffer (:func:`eigh_in_place`).  numpy
+the cross-validation folds run on one thread per usable CPU, with BLAS
+held at one thread (:func:`one_blas_thread`) and each eigen-solve in its
+matrix's own buffer (:func:`eigh_in_place`).  numpy
 exposes neither, so both are looked up by name in the libraries numpy's
 linear-algebra module links.
 """

@@ -5,11 +5,14 @@ the covariance, Gaussian log-density Bayes rule) rather than against their
 own internals.
 """
 
+import contextlib
 import logging
 import sys
 import threading
+import time
 import tracemalloc
 from functools import partial
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -864,12 +867,12 @@ def _assert_grid_rows_match_reference(ds, scheme, wide):
     assert result.best_report.notes == best.notes
 
 
-# -- the fold loop's eigen-solves on several threads
+# -- the fold loop on several threads
 
 
 def _force_fold_threads(monkeypatch, count):
-    """Run every fold loop's eigen-solves on ``count`` threads, where they
-    can be solved in place and BLAS held at one thread."""
+    """Run every fold loop's folds on ``count`` threads, where their
+    eigen-problems can be solved in place and BLAS held at one thread."""
     monkeypatch.setattr(cpus, "usable_cpus", lambda: count)
 
 
@@ -1030,22 +1033,49 @@ def test_fold_loop_runs_sequentially_without_a_blas_setter(monkeypatch):
     assert eigh_calls == [(8, 8)] * 3
 
 
-def test_lda_predict_runs_on_the_calling_thread(monkeypatch, caplog):
-    # the benchmark's tracer wraps lda_predict with one span stack, which
-    # only the calling thread may touch
+# every name perfbench's tracer wraps in these modules, as their callers
+# bind it
+_TRACED_NAMES = {
+    "basis": ("transform_rows", "basis_matrix"),
+    "shrinkage": ("_bjs_rows", "pinsker_weights"),
+    "classify": ("dataset_feature_matrix", "cross_validate_features", "grid_search",
+                 "pca_fit", "pca_apply", "lda_train", "lda_predict", "_decode_rows"),
+}
+
+
+def test_traced_layers_run_on_the_calling_thread(monkeypatch, caplog):
+    # the benchmark's tracer wraps these names, in every module that binds
+    # them, with one span stack, which only the calling thread may touch;
+    # pool threads run whole folds, so none of them may call one
     _force_fold_threads(monkeypatch, 2)
-    callers = set()
-    real = classify.lda_predict
-    monkeypatch.setattr(classify, "lda_predict",
-                        lambda *args: callers.add(threading.get_ident()) or real(*args))
+    modules = [module for name, module in list(sys.modules.items())
+               if name == "lfpdecode" or name.startswith("lfpdecode.")]
+    callers: dict[str, set] = {}
+    for home, names in _TRACED_NAMES.items():
+        for name in names:
+            real = getattr(sys.modules[f"lfpdecode.{home}"], name)
+
+            def recorded(*args, _real=real, _name=name, **kwargs):
+                callers.setdefault(_name, set()).add(threading.get_ident())
+                return _real(*args, **kwargs)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, recorded)
     model = make_class_model(3, SPEC, 3, 0.6, 0.05, seed=40)
     ds = generate_dataset(model, 8, 12, 64, 3, NoiseModel(sigma=8.0), seed=41)
+    x, y, g = _hard_blobs(54, 12, 8)
     with caplog.at_level(logging.DEBUG, logger="lfpdecode.classify"):
-        grid_search(ds, truncations=(3,), components=(3,), low_pass_only=True)
-        cross_validate(ds, PipelineConfig.bjs(64, components=3))
-    assert callers == {threading.get_ident()}
+        # wide folds, from the Gram matrix, then narrow ones, from the scatter
+        classify.grid_search(ds, truncations=(3,), components=(3,), low_pass_only=True)
+        classify.cross_validate(ds, PipelineConfig.bjs(64, components=3))
+        classify.cross_validate_features(x, y, g, 3, components=3)
+    assert {"grid_search", "transform_rows", "_bjs_rows", "cross_validate_features",
+            "lda_predict"} <= set(callers)
+    assert set().union(*callers.values()) == {threading.get_ident()}
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert all(line.startswith("cross-validation: 3 folds, ") for line in lines)
     route = "in place" if cpus.eigh_in_place() else "by numpy's eigh"
     assert all(f", eigen-solves {route}, " in line for line in lines)
@@ -1077,31 +1107,70 @@ def test_large_and_small_eigen_solves_share_the_cpus(monkeypatch):
         assert len({thread for _, thread in solves}) == 2
 
 
-def test_solves_keep_at_most_one_problem_a_thread_unfinished():
-    # problems are finished in order, no more than ``threads`` are built
-    # and not yet finished, and an error building one is raised once every
-    # earlier one is finished
-    live, peak = set(), []
+def test_fold_loop_keeps_threads_folds_in_flight_and_no_thread_behind(monkeypatch):
+    # at most ``threads`` eigen-solves run at once, one on each thread; no
+    # pool thread outlives the call, whether it returns or raises; and a
+    # scoring error cancels the folds still queued, before BLAS gets its
+    # count back
+    lock = threading.Lock()
+    live, solves = [], []
+    pause = {"here": 0.02, "pool": 0.02}
+    real_solve = classify._top_eigenpairs
+    caller = threading.get_ident()
 
-    def problems(failing):
-        for k in range(10):
-            if k == failing:
-                raise RuntimeError("building 5")
-            live.add(k)
-            peak.append(len(live))
-            yield k, np.diag([1.0, k + 2.0]), 1, lambda pairs, k=k: live.remove(k) or pairs
+    def counted(*args):
+        here = threading.get_ident() == caller
+        with lock:
+            live.append(None)
+            solves.append((len(live), here))
+        time.sleep(pause["here" if here else "pool"])
+        try:
+            return real_solve(*args)
+        finally:
+            with lock:
+                live.pop()
 
+    held_at_restore = []
+    real_hold = cpus.one_blas_thread
+
+    @contextlib.contextmanager
+    def hold(wanted=True):
+        with real_hold(wanted) as old:
+            try:
+                yield old
+            finally:
+                held_at_restore.append(set(threading.enumerate()))
+
+    monkeypatch.setattr(classify, "_top_eigenpairs", counted)
+    monkeypatch.setattr(cpus, "one_blas_thread", hold)
+    # nine folds, each one 8 x 8 scatter solve for 3 of 8 components
+    x, y, _ = _hard_blobs(53, 12, 8)
+    folds = dict(labels=y, sessions=np.ones_like(y), n_classes=3, scheme="kfold:9",
+                 components=3)
+    before = set(threading.enumerate())
     for threads in (1, 2, 3):
-        peak.clear()
-        solved = list(classify._solved_in_order(problems(None), threads))
-        assert [key for key, _ in solved] == list(range(10))
-        assert [pairs[0][0] for _, pairs in solved] == [k + 2.0 for k in range(10)]
-        assert max(peak) == threads and not live
-        finished = []
-        with pytest.raises(RuntimeError, match="building 5"):
-            for key, _ in classify._solved_in_order(problems(5), threads):
-                finished.append(key)
-        assert finished == [0, 1, 2, 3, 4]
+        _force_fold_threads(monkeypatch, threads)
+        sharing = threads if _solves_can_share() else 1
+        solves.clear()
+        held_at_restore.clear()
+        pause.update(here=0.02, pool=0.02)
+        cross_validate_features(x, **folds)
+        assert max(depth for depth, _ in solves) == sharing
+        assert sum(here for _, here in solves) == (9 + sharing - 1) // sharing
+        assert set(threading.enumerate()) == before
+        assert held_at_restore == [before]
+        # the calling thread's first fold fails to score at once, while
+        # each pool thread still solves its first fold
+        solves.clear()
+        held_at_restore.clear()
+        pause.update(here=0.0, pool=0.2)
+        with monkeypatch.context() as patch:
+            patch.setattr(classify, "_lda_solve", Mock(side_effect=RuntimeError("LDA")))
+            with pytest.raises(RuntimeError, match="LDA"):
+                cross_validate_features(x, **folds)
+        assert 1 <= len(solves) <= sharing
+        assert set(threading.enumerate()) == before
+        assert held_at_restore == [before]
 
 
 @pytest.mark.parametrize("n", [1, 2, 107, 352, 640])
