@@ -405,6 +405,9 @@ def consistency_experiment(
     if trials_per_class < 2:
         raise ValueError("trials_per_class must be at least 2")
     model_count = 2 * model.truncation + 1
+    if 2 ** (ns[0].bit_length() - 1) - 1 < model_count:
+        raise ValueError(f"n_grid: each N needs a BJS width 2^floor(log2 N) - 1 "
+                         f"of at least 2T+1 = {model_count}; N = {ns[0]} has less")
     # the seed as two 32-bit words, so the noise seed always starts at word 2
     high, low = divmod(int(seed) % 2**64, 2**32)
     rows = []

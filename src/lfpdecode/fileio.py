@@ -10,10 +10,11 @@ when a share is large enough to repay the helper's start-up
 
 The writer splits the trials into contiguous shares.  It formats the
 first share into its temp file while a helper (:mod:`lfpdecode.trialrows`
-run as a script) formats each other share into a part file next to the
-target, which takes disk room until the parts are appended in order; the
-bytes are the same for any number of shares, and the same as
-:func:`fmt_float` on each value.  The CSV and its sidecar are renamed
+run as a script) reads each other share from an anonymous file in the
+temp directory and formats it into an anonymous part file in the
+target's directory, which takes disk room until the parts are appended
+in order; the bytes are the same for any number of shares, and the same
+as :func:`fmt_float` on each value.  The CSV and its sidecar are renamed
 into place only once both are written.
 
 The reader splits the rows after the header into byte ranges of whole
@@ -38,7 +39,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 
 import numpy as np
 
@@ -76,13 +76,6 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _temp_path(path: str) -> str:
-    """A fresh hidden name in the directory of ``path``."""
-    return os.path.join(
-        os.path.dirname(os.path.abspath(path)), f".tmp-{secrets.token_hex(8)}~"
-    )
-
-
 @contextlib.contextmanager
 def _replacing(*paths: str):
     """Text handles on temp files, each renamed onto its path once all are closed.
@@ -96,8 +89,9 @@ def _replacing(*paths: str):
         with contextlib.ExitStack() as stack:
             handles = []
             for path in paths:
-                os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-                tmp = _temp_path(path)
+                folder = os.path.dirname(os.path.abspath(path))
+                os.makedirs(folder, exist_ok=True)
+                tmp = os.path.join(folder, f".tmp-{secrets.token_hex(8)}~")
                 fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 temps.append(tmp)
                 handles.append(stack.enter_context(os.fdopen(fd, "w")))
@@ -143,41 +137,23 @@ def _share_count(size: int, minimum: int) -> int:
     return max(1, min(cpus.usable_cpus(), size // minimum))
 
 
-def _feed(fd: int, arrays) -> None:
-    """Write the bytes of C-contiguous arrays to ``fd``, then close it.
-
-    A helper that stops reading makes the write fail; its exit status
-    reports that, so the error is dropped here.
-    """
-    try:
-        with open(fd, "wb") as pipe:
-            for array in arrays:
-                pipe.write(array)
-    except OSError:
-        pass
-
-
 @contextlib.contextmanager
 def _helper(name: str, argv: list, out, arrays=()):
     """Run ``argv`` as a helper process whose standard output is ``out``.
 
-    The bytes of ``arrays`` (C-contiguous) go to its standard input from a
-    thread, so the helper works while this process does.  Yields a
-    function that waits for the helper and raises if it failed: ValueError
-    with its reason if it rejected its input (exit status
+    Its standard input is an anonymous file in the temp directory that
+    holds the bytes of ``arrays`` (C-contiguous), written before it starts.
+    Yields a function that waits for the helper and raises if it failed:
+    ValueError with its reason if it rejected its input (exit status
     ``rowparse.REJECTED``), else OSError naming it, its exit status and its
     last line of standard error.  On exit a helper still running is killed
     and waited for.
     """
-    read, write = os.pipe()
-    try:
-        proc = subprocess.Popen(argv, stdin=read, stdout=out, stderr=subprocess.PIPE)
-    except BaseException:
-        os.close(write)
-        raise
-    finally:
-        os.close(read)
-    feeder = threading.Thread(target=_feed, args=(write, arrays))
+    with tempfile.TemporaryFile() as source:
+        for array in arrays:
+            source.write(array)
+        source.seek(0)
+        proc = subprocess.Popen(argv, stdin=source, stdout=out, stderr=subprocess.PIPE)
 
     def wait() -> None:
         _, err = proc.communicate()
@@ -192,23 +168,21 @@ def _helper(name: str, argv: list, out, arrays=()):
             )
 
     try:
-        feeder.start()
         yield wait
     finally:
         if proc.returncode is None:
             proc.kill()
             proc.wait()
         proc.stderr.close()
-        feeder.join()
 
 
 @contextlib.contextmanager
 def _write_helper(dataset: LabeledDataset, lo: int, hi: int, path: str):
-    """Start a helper that writes the rows of trials lo..hi-1 into a part
-    file next to ``path``.
+    """Start a helper that writes the rows of trials lo..hi-1 into a part:
+    an anonymous file in the directory of ``path``.
 
     Yields a function that waits for the helper and appends its part to a
-    binary handle.  On exit the part file is removed.
+    binary handle.  The part has no name, so nothing of it is left behind.
     """
     argv = [*_WRITE_HELPER, str(lo), str(hi - lo), str(dataset.n_channels),
             str(dataset.n_samples)]
@@ -220,19 +194,16 @@ def _write_helper(dataset: LabeledDataset, lo: int, hi: int, path: str):
         np.ascontiguousarray(dataset.cube[lo:hi], dtype=np.float64),
     ]
     name = f"dataset writer helper for trials {lo}..{hi - 1}"
-    part_path = _temp_path(path)
-    part = open(part_path, "x+b")
-    try:
-        with part, _helper(name, argv, part, arrays) as wait:
+    folder = os.path.dirname(os.path.abspath(path))
+    with tempfile.TemporaryFile(dir=folder) as part, \
+            _helper(name, argv, part, arrays) as wait:
 
-            def append_to(out) -> None:
-                wait()
-                part.seek(0)
-                shutil.copyfileobj(part, out, 1 << 20)
+        def append_to(out) -> None:
+            wait()
+            part.seek(0)
+            shutil.copyfileobj(part, out, 1 << 20)
 
-            yield append_to
-    finally:
-        os.unlink(part_path)
+        yield append_to
 
 
 def write_dataset(dataset: LabeledDataset, path: str) -> None:
@@ -243,11 +214,11 @@ def write_dataset(dataset: LabeledDataset, path: str) -> None:
     split into k contiguous shares: one per CPU this process may use, but
     at most one per :data:`_MIN_WRITE_SHARE` rows and at most n_trials.
     This process formats the first share; each other share is formatted by
-    a helper process into a part file next to ``path``, so until the parts
-    are appended the disk holds the helpers' shares twice.  The bytes are
-    the same for every k.  Neither file is replaced until both are
-    written; a helper that fails raises OSError, and no part or temp file
-    is left behind.
+    a helper process into an anonymous part file in the directory of
+    ``path``, so until the parts are appended the disk holds the helpers'
+    shares twice.  The bytes are the same for every k.  Neither file is
+    replaced until both are written; a helper that fails raises OSError,
+    and the temp files are removed.
     """
     meta = {
         "n_trials": dataset.n_trials,

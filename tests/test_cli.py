@@ -599,10 +599,11 @@ def test_benchmark_components_minus_one_alone_picks_the_default(tmp_path,
         (["--name", "consistency", "--sample-grid", ""], "--sample-grid"),
         (["--name", "consistency", "--classes", "3", "--sample-grid", "64",
           "--trials", "1"], "trials_per_class"),
+        (["--name", "consistency", "--sample-grid", "8,64"], "N = 8 "),
         (["--name", "rates", "--epsilons", "0.5", "--trials", "100",
           "--thetas", "-3"], "n_thetas"),
     ],
-    ids=["empty-sample-grid", "one-trial", "negative-thetas"],
+    ids=["empty-sample-grid", "one-trial", "short-sample-grid", "negative-thetas"],
 )
 def test_experiment_inputs_the_library_rejects_exit_2(tmp_path, capsys, argv,
                                                       named):

@@ -181,6 +181,16 @@ def test_consistency_rejects_what_it_cannot_report(n_grid, trials, named):
         consistency_experiment(model, n_grid, trials, NoiseModel())
 
 
+def test_consistency_rejects_a_bjs_width_below_the_model():
+    # the BJS estimate of N samples is 2^floor(log2 N) - 1 wide; at T = 5
+    # that is 7 < 2T+1 = 11 coefficients for N = 8, and 15 for N = 16
+    model = make_class_model(3, SPEC, 5, 0.5, 0.1, seed=0)
+    with pytest.raises(ValueError, match=r"2\^floor\(log2 N\) - 1 .* 11; N = 8 "):
+        consistency_experiment(model, [8, 64], 10, NoiseModel())
+    (row,) = consistency_experiment(model, [16], 10, NoiseModel())
+    assert row.n_samples == 16
+
+
 def test_consistency_draws_from_the_noise_seed():
     # noise seed 0 keeps the rows of the draws made before the noise seed
     # was read: SeedSequence pads its entropy with zero words

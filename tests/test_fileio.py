@@ -4,10 +4,12 @@ import contextlib
 import hashlib
 import io
 import os
+import re
 import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -434,8 +436,9 @@ def _dataset_files(tmp_path):
 def test_failed_helper_leaves_the_old_pair(tmp_path, monkeypatch, helpers):
     path, files, before = _dataset_files(tmp_path)
     monkeypatch.setattr(fileio, "_WRITE_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
-    # the helper's share, 256 KiB, is more than a pipe holds, so feeding a
-    # helper that reads nothing fails too
+    # the helper's share, 256 KiB, is more than a pipe holds; it is written
+    # to a file before the helper starts, so a helper that reads none of it
+    # fails only by its exit status
     ds = LabeledDataset(np.ones((3, 2, 8192)), labels=[1, 2, 1],
                         session_ids=[1, 2, 3], n_classes=2)
     with pytest.raises(OSError, match=r"helper for trials 1\.\.2 exited with status 3"):
@@ -444,6 +447,45 @@ def test_failed_helper_leaves_the_old_pair(tmp_path, monkeypatch, helpers):
     assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.meta"]
     # every helper, the first write's too, was waited for
     assert [proc.returncode for proc in helpers] == [0, 3]
+
+
+def test_writer_helpers_use_anonymous_files_and_no_thread(
+        tmp_path, monkeypatch, helpers):
+    # a helper reads its share from an anonymous file in the temp directory
+    # and formats it into an anonymous part, so no thread feeds it and no
+    # name but the two temp files of the CSV and its sidecar shows beside
+    # the old pair while this process formats its own share
+    folder, temp = tmp_path / "data", tmp_path / "temp"
+    folder.mkdir()
+    temp.mkdir()
+    path, files, before = _dataset_files(folder)
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    started, listed = [], []
+    start, write_trials = threading.Thread.start, fileio.trialrows.write_trials
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def listing_write_trials(*args):
+        listed.append(sorted(os.listdir(folder)))
+        write_trials(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(fileio.trialrows, "write_trials", listing_write_trials)
+    fileio.write_dataset(_pinned_dataset(), str(path))
+    assert [file.read_bytes() for file in files] == before
+    assert started == []
+    (names,) = listed
+    temps = [name for name in names if re.fullmatch(r"\.tmp-[0-9a-f]{16}~", name)]
+    assert len(temps) == 2 and sorted(set(names) - set(temps)) == ["ds.csv", "ds.meta"]
+    assert [proc.returncode for proc in helpers] == [0, 0]
+    monkeypatch.setattr(fileio, "_WRITE_HELPER", [sys.executable, "-c", "raise SystemExit(3)"])
+    with pytest.raises(OSError, match="exited with status 3"):
+        fileio.write_dataset(_pinned_dataset(), str(path))
+    assert helpers[-1].returncode == 3
+    assert sorted(os.listdir(folder)) == ["ds.csv", "ds.meta"]
+    assert os.listdir(temp) == []
 
 
 def test_writer_failure_kills_a_running_helper(tmp_path, monkeypatch, helpers):
