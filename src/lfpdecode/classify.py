@@ -396,14 +396,16 @@ def magnitude_features(features, channel_width: int) -> np.ndarray:
     return out.reshape(X.shape[0], -1)
 
 
-def _channel_features(
+def dataset_feature_matrix(
     dataset: LabeledDataset, config: PipelineConfig, channels: slice = slice(None)
 ) -> np.ndarray:
-    """Features of a range of channels, (n_trials, channels x channel width).
+    """Pre-PCA (n_trials, channels x channel width) features of a range of
+    channels; trials must be config.n_samples long.
 
-    Each row of the transform is one channel of one trial, a full period;
-    for all channels the rows are a view of the C-ordered cube, for fewer
-    they are a copy of that slice of it.
+    The fold loop's channel groups (:func:`_channel_blocks`) and the grid
+    search's coefficients come from here.  Each row of the transform is
+    one channel of one trial, a full period; for all channels the rows
+    are a view of the C-ordered cube, for fewer a copy of that slice.
     """
     if config.n_samples != dataset.n_samples:
         raise ValueError(
@@ -417,11 +419,6 @@ def _channel_features(
     else:
         per_channel = bjs_sampled_rows(rows, config.shrinkage.pass_limit)
     return per_channel.reshape(dataset.n_trials, -1)
-
-
-def dataset_feature_matrix(dataset: LabeledDataset, config: PipelineConfig) -> np.ndarray:
-    """Pre-PCA (n_trials, dim) features; trials must be config.n_samples long."""
-    return _channel_features(dataset, config)
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +470,12 @@ def _column_blocks(X: np.ndarray, weights: np.ndarray):
         del z  # one block live at a time
 
 
-def _channel_blocks(dataset: LabeledDataset, config: PipelineConfig, weights):
+def _channel_blocks(dataset: LabeledDataset, config: PipelineConfig):
     """A dataset's features, floor(``_COL_BLOCK`` / channel width) channels
-    at a time, each group transformed and shrunk or scaled on its own.
-
-    It serves only the identity scaling, every feature column at weight 1,
-    so ``weights`` is not read.
-    """
+    at a time: :func:`dataset_feature_matrix` of each channel group."""
     group = max(1, _COL_BLOCK // config.channel_width)
     for first in range(0, dataset.n_channels, group):
-        yield _channel_features(dataset, config, slice(first, first + group))
+        yield dataset_feature_matrix(dataset, config, slice(first, first + group))
 
 
 def _centred_gram(blocks, n_rows: int) -> np.ndarray:
@@ -609,10 +602,10 @@ def _cross_validate_scaled(
 
     ``columns(weights)`` yields the source's nonzero-weight columns times
     their weights as column blocks: :func:`_column_blocks` of a feature
-    matrix, or :func:`_channel_blocks` of a dataset.  Each scaling is one
-    weight vector over the source's columns; each is cross-validated at
-    every PCA size P in ``components`` and the reports come
-    scaling-major.  The folds share their moments and no component matrix
+    matrix, or, for the identity alone, :func:`_channel_blocks` of a
+    dataset.  Each scaling is one weight vector over the source's columns;
+    each is cross-validated at every PCA size P in ``components`` and the
+    reports come scaling-major.  The folds share their moments and no component matrix
     is formed.  Wide or narrow is decided once per call: a source wider
     than the fewest training rows of a fold is wide, and each scaling's
     features are read once, through the Gram matrix of their centred
@@ -767,15 +760,15 @@ def cross_validate(
     """Cross-validate a pipeline on a dataset: the report of
     :func:`cross_validate_features` on :func:`dataset_feature_matrix`.
 
-    The fold loop reads the features from :func:`_channel_blocks`, groups
-    of floor(``_COL_BLOCK`` / channel width) channels, each transformed
-    and shrunk or scaled on its own; so features wider than the fewest
-    training rows of a fold, read only through their Gram matrix, never
-    form the (trials, width) feature matrix.
+    The fold loop's one scaling is the identity, and it reads the features
+    from :func:`_channel_blocks`: :func:`dataset_feature_matrix` of groups
+    of floor(``_COL_BLOCK`` / channel width) channels.  So features wider
+    than the fewest training rows of a fold, read only through their Gram
+    matrix, never form the (trials, width) feature matrix.
     """
     width = dataset.n_channels * config.channel_width
     return _cross_validate_scaled(
-        partial(_channel_blocks, dataset, config), [np.ones(width)],
+        lambda _: _channel_blocks(dataset, config), [np.ones(width)],
         dataset.labels, dataset.session_ids, dataset.n_classes, scheme,
         [config.components], config.ridge,
     )[0]
@@ -849,10 +842,11 @@ def grid_search(
 
     Profiles come from :func:`shrinkage_patterns` per truncation.  The
     grid is scanned in lexicographic order and ties keep the earliest
-    configuration, so results are reproducible.  Each truncation
-    transforms the dataset once; every profile is a column scaling of
-    those coefficients, so all its configurations share the folds'
-    moments (see :func:`_cross_validate_scaled`).
+    configuration, so results are reproducible.  Each truncation's
+    coefficients come once from :func:`dataset_feature_matrix` with the
+    all-ones profile; every profile is a column scaling of them, so all
+    its configurations share the folds' moments (see
+    :func:`_cross_validate_scaled`).
     """
     best: PipelineConfig | None = None
     best_report: CrossValReport | None = None
@@ -874,8 +868,9 @@ def grid_search(
         ]
         if not configs:
             continue
-        channels = dataset.cube.reshape(-1, dataset.n_samples)
-        coeffs = transform_rows(channels, truncation).reshape(dataset.n_trials, -1)
+        unshrunk = ShrinkageProfile(np.ones(2 * truncation + 1), truncation)
+        coeffs = dataset_feature_matrix(
+            dataset, PipelineConfig(dataset.n_samples, unshrunk))
         reports = _cross_validate_scaled(
             partial(_column_blocks, coeffs),
             [np.tile(profile.factors, dataset.n_channels) for profile in candidates],

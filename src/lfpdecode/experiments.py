@@ -315,7 +315,7 @@ def _pinsker_sup_risk(spec: EllipsoidSpec, epsilon: float) -> float:
 
 
 def _dyadic_zero_limit(epsilon: float) -> int:
-    if epsilon <= 0.0 or epsilon >= 1.0:
+    if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1) for the dyadic cutoff")
     zero_limit = int(np.floor(np.log2(epsilon**-2)))
     if zero_limit <= 2:
@@ -400,8 +400,8 @@ def consistency_experiment(
     (empirical sup MSE) / separation^2, both with standard errors.
     """
     ns = [int(n) for n in n_grid]
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n_grid must be nonempty and strictly increasing")
+    if not ns or ns[0] < 1 or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n_grid must be nonempty, positive and strictly increasing")
     if trials_per_class < 2:
         raise ValueError("trials_per_class must be at least 2")
     model_count = 2 * model.truncation + 1

@@ -176,41 +176,35 @@ def stein_threshold(size: int) -> float:
 
 
 def _bjs_rows(
-    rows: np.ndarray, partition: BlockPartition, epsilon: float, out=None
+    rows: np.ndarray, partition: BlockPartition, epsilon: float
 ) -> np.ndarray:
-    """Blockwise James-Stein applied to every row of a coefficient matrix.
+    """Blockwise James-Stein applied in place to every row of a coefficient
+    matrix; returns ``rows``.
 
     ``rows`` must be at least ``partition.width`` columns wide; columns
-    beyond the partition are zeroed in the output.  Shrunk blocks use
+    beyond the partition are zeroed.  Shrunk blocks use
     :func:`stein_threshold` at noise level ``epsilon``; blocks at or
     below the pass limit, and blocks of size <= 2 where James-Stein is
-    undefined, pass through unshrunk.  The result goes to a new array,
-    or to ``out`` when given; ``out=rows`` shrinks in place with the
-    same bits.
+    undefined, pass through unshrunk.
     """
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
     if rows.shape[1] < partition.width:
         raise ValueError("rows are narrower than the block partition")
-    if out is None:
-        out = np.zeros_like(rows)
-    else:
-        out[:, partition.width :] = 0.0
+    rows[:, partition.width :] = 0.0
     for j, (first, last) in enumerate(partition.blocks):
-        block = rows[:, first - 1 : last]
         size = last - first + 1
         if j <= partition.pass_limit or size <= 2:
-            if out is not rows:
-                out[:, first - 1 : last] = block
             continue
+        block = rows[:, first - 1 : last]
         norms_sq = np.einsum("ij,ij->i", block, block)
         factors = np.zeros(rows.shape[0])
         hit = norms_sq > 0.0
         factors[hit] = np.clip(
             1.0 - stein_threshold(size) * epsilon**2 / norms_sq[hit], 0.0, None
         )
-        np.multiply(factors[:, None], block, out=out[:, first - 1 : last])
-    return out
+        np.multiply(factors[:, None], block, out=block)
+    return rows
 
 
 def bjs_coefficient_count(n_samples: int) -> int:
@@ -247,4 +241,4 @@ def bjs_sampled_rows(
     partition = BlockPartition(pass_limit, int(np.floor(np.log2(n))))
     estimate = np.zeros((samples.shape[0], partition.width))
     transform_rows(samples, (count - 1) // 2, out=estimate[:, :count])
-    return _bjs_rows(estimate, partition, sigma / np.sqrt(n), out=estimate)
+    return _bjs_rows(estimate, partition, sigma / np.sqrt(n))

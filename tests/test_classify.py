@@ -770,9 +770,9 @@ def test_wide_dataset_cross_validation_equals_the_feature_matrix_route(
         assert report.notes == reference.notes
         assert 0 < np.trace(report.confusion) < ds.n_trials
         streamed, whole = (
-            classify._centred_gram(blocks(ones), ds.n_trials)
-            for blocks in (partial(classify._channel_blocks, ds, config),
-                           partial(classify._column_blocks, features))
+            classify._centred_gram(blocks, ds.n_trials)
+            for blocks in (classify._channel_blocks(ds, config),
+                           classify._column_blocks(features, ones))
         )
         assert np.abs(streamed - whole).max() <= 1e-12 * np.abs(whole).max()
         # exactly symmetric, as the fold loop's Fortran-ordered blocks need
@@ -1071,8 +1071,8 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch, caplog):
         classify.grid_search(ds, truncations=(3,), components=(3,), low_pass_only=True)
         classify.cross_validate(ds, PipelineConfig.bjs(64, components=3))
         classify.cross_validate_features(x, y, g, 3, components=3)
-    assert {"grid_search", "transform_rows", "_bjs_rows", "cross_validate_features",
-            "lda_predict"} <= set(callers)
+    assert {"grid_search", "dataset_feature_matrix", "transform_rows", "_bjs_rows",
+            "cross_validate_features", "lda_predict"} <= set(callers)
     assert set().union(*callers.values()) == {threading.get_ident()}
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(lines) == 3

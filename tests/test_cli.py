@@ -600,10 +600,13 @@ def test_benchmark_components_minus_one_alone_picks_the_default(tmp_path,
         (["--name", "consistency", "--classes", "3", "--sample-grid", "64",
           "--trials", "1"], "trials_per_class"),
         (["--name", "consistency", "--sample-grid", "8,64"], "N = 8 "),
+        (["--name", "consistency", "--sample-grid=-64"], "n_grid"),
         (["--name", "rates", "--epsilons", "0.5", "--trials", "100",
           "--thetas", "-3"], "n_thetas"),
+        (["--name", "adaptivity", "--epsilon", "nan"], "epsilon must lie in (0, 1)"),
     ],
-    ids=["empty-sample-grid", "one-trial", "short-sample-grid", "negative-thetas"],
+    ids=["empty-sample-grid", "one-trial", "short-sample-grid", "negative-sample-grid",
+         "negative-thetas", "nan-epsilon"],
 )
 def test_experiment_inputs_the_library_rejects_exit_2(tmp_path, capsys, argv,
                                                       named):

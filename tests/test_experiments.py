@@ -100,6 +100,9 @@ def test_adaptivity_epsilon_range_checked():
         adaptivity_ratio_bjs([SPEC], 1.5)
     with pytest.raises(ValueError):
         adaptivity_ratio_bjs([SPEC], -0.1)
+    # NaN fails every comparison, so it must not slip past the range check
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        adaptivity_ratio_bjs([SPEC], float("nan"))
 
 
 def test_adaptivity_rejects_an_empty_spec_list():
@@ -171,11 +174,13 @@ def test_consistency_grid_must_increase():
 
 @pytest.mark.parametrize(
     "n_grid, trials, named",
-    [([], 10, "n_grid"), ([64], 1, "trials_per_class")],
-    ids=["empty-grid", "one-trial"],
+    [([], 10, "n_grid"), ([-64], 10, "n_grid"), ([64], 1, "trials_per_class")],
+    ids=["empty-grid", "negative-grid", "one-trial"],
 )
 def test_consistency_rejects_what_it_cannot_report(n_grid, trials, named):
-    # one trial has no standard error; an empty grid has no final row
+    # one trial has no standard error; an empty grid has no final row; a
+    # negative N's bit_length is that of |N|, so the width check alone
+    # would let N = -64 through to numpy
     model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=0)
     with pytest.raises(ValueError, match=named):
         consistency_experiment(model, n_grid, trials, NoiseModel())
