@@ -155,15 +155,9 @@ def _top_eigenpairs(sym: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray
     and the cross-validation fold loop both call it, on the dim x dim
     scatter of centred rows when dim <= rows, otherwise on their
     rows x rows Gram matrix.  The pairs are ``np.linalg.eigh``'s of the
-    lower triangle, bit for bit; :func:`cpus.eigh_in_place` overwrites a
-    writable Fortran-ordered float matrix and solves any other in a copy.
+    lower triangle, and ``sym`` is left as it was.
     """
-    solve = cpus.eigh_in_place()
-    if solve is None:
-        evals, evecs = np.linalg.eigh(sym)
-    else:
-        evecs = np.require(sym, float, "FAW")
-        evals = solve(evecs)
+    evals, evecs = np.linalg.eigh(sym)
     # ascending: the kept columns are copied, freeing the full matrix, and
     # viewed reversed, largest first, the layout the callers always saw
     kept = evecs[:, max(evecs.shape[1] - count, 0):].copy()
@@ -522,15 +516,13 @@ def _gram_moments(gram: np.ndarray, train, test, averages, count: int):
     k_test = gram[np.ix_(test, train)]
     col_mean = block.mean(axis=0)
     grand = col_mean.mean()
-    # the Gram is exactly symmetric, so this is the block in Fortran
-    # order, centred in place in the order of k - a - b + g
-    centred = block.T
-    centred -= col_mean[:, None]
-    centred -= col_mean[None, :]
-    centred += grand
+    # centred in place in the order of k - a - b + g
+    block -= col_mean[:, None]
+    block -= col_mean[None, :]
+    block += grand
     cross = k_test - k_test.mean(axis=1)[:, None] - col_mean[None, :] + grand
     evals, train_scores, test_scores = _gram_scores(
-        *_top_eigenpairs(centred, count), cross
+        *_top_eigenpairs(block, count), cross
     )
     return averages @ train_scores, np.diag(evals), test_scores
 
@@ -552,8 +544,7 @@ def _scatter_moments(scatter, centred_means, centred_test, w, caps):
     test_scores = centred_test[:, at] * w
     if min(caps) >= at.size:
         return means, spread, test_scores
-    # spread is exactly symmetric, so its transpose is it in Fortran order
-    evals, vecs = _top_eigenpairs(spread.T, max(caps))
+    evals, vecs = _top_eigenpairs(spread, max(caps))
     return means @ vecs, np.diag(evals), test_scores @ vecs
 
 
@@ -632,9 +623,9 @@ def _cross_validate_scaled(
     1e-6 * trace / P, the capped P, and a ridge of 0 is singular.
 
     Each fold is computed whole on one thread (:func:`_fold_moments`), on
-    one thread per usable CPU, this one among them, where the eigen-problems
-    can be solved in place and BLAS held at one thread; the folds are
-    scored on this thread in fold order, so an error is raised in its turn.
+    one thread per usable CPU, this one among them, where BLAS can be held
+    at one thread; the folds are scored on this thread in fold order, so
+    an error is raised in its turn.
 
     P = 0 keeps min(width, training rows - 1) components, the width being
     the source's, and its default ridge divides by the width: this is
@@ -660,8 +651,7 @@ def _cross_validate_scaled(
         source = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         del blocks
     fold_moments = partial(_fold_moments, source, wide, y, scalings, components, width)
-    in_place = cpus.eigh_in_place() is not None
-    threads = min(cpus.usable_cpus(), len(folds)) if in_place else 1
+    threads = min(cpus.usable_cpus(), len(folds))
 
     def score(fold, moments) -> None:
         """LDA from each scaling's moments on a fold, at each PCA size."""
@@ -700,8 +690,7 @@ def _cross_validate_scaled(
             # back once the running ones have finished
             pool.shutdown(cancel_futures=True)
     logger.debug(
-        "cross-validation: %d folds, eigen-solves %s, %d threads, %s",
-        len(folds), "in place" if in_place else "by numpy's eigh", threads,
+        "cross-validation: %d folds, %d threads, %s", len(folds), threads,
         f"BLAS held at 1 thread, then restored to {blas_threads}"
         if blas_threads else "BLAS threads untouched",
     )

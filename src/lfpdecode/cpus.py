@@ -1,12 +1,10 @@
-"""The CPUs this process may use, BLAS held at one thread, and LAPACK's
-symmetric eigen-solver run in place.
+"""The CPUs this process may use, and BLAS held at one thread.
 
 :func:`usable_cpus` is the one CPU count of the package: the dataset CSV
 writer and reader split their work into one share per usable CPU, and
 the cross-validation folds run on one thread per usable CPU, with BLAS
-held at one thread (:func:`one_blas_thread`) and each eigen-solve in its
-matrix's own buffer (:func:`eigh_in_place`).  numpy
-exposes neither, so both are looked up by name in the libraries numpy's
+held at one thread (:func:`one_blas_thread`).  numpy exposes no BLAS
+thread-count setter, so it is looked up by name in the libraries numpy's
 linear-algebra module links.
 """
 
@@ -18,9 +16,7 @@ import functools
 import importlib
 import os
 
-import numpy as np
-
-__all__ = ["usable_cpus", "one_blas_thread", "eigh_in_place"]
+__all__ = ["usable_cpus", "one_blas_thread"]
 
 # (setter, getter) of the thread count: OpenBLAS as numpy 2 bundles it,
 # with or without the 64-bit-integer suffix, then as older numpy wheels
@@ -30,10 +26,6 @@ _BLAS_THREAD_CALLS = [
     for prefix in ("scipy_openblas", "openblas")
     for suffix in ("64_", "")
 ]
-
-# the symmetric eigen-solver numpy's eigh calls, as numpy 2's, older
-# wheels' and system builds export it; "64_" means 64-bit integers
-_EIGEN_SOLVERS = ["scipy_dsyevd_64_", "dsyevd_64_", "dsyevd_"]
 
 
 def usable_cpus() -> int:
@@ -86,36 +78,3 @@ def one_blas_thread(wanted: bool = True):
         yield old
     finally:
         set_threads(old)
-
-
-def eigh_in_place():
-    """LAPACK's ``dsyevd`` as a function of one matrix (see :func:`_dsyevd`),
-    or None where no name in ``_EIGEN_SOLVERS`` resolves."""
-    for name in _EIGEN_SOLVERS:
-        if (routine := getattr(_linalg_library(), name, None)) is not None:
-            routine.restype = None
-            integer = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
-            return functools.partial(_dsyevd, routine, integer)
-    return None
-
-
-def _dsyevd(routine, integer, a: np.ndarray) -> np.ndarray:
-    """The eigenvalues, ascending, of the lower triangle of the writable,
-    Fortran-ordered float64 matrix ``a``, which becomes its eigenvectors.
-
-    numpy's eigh makes the same calls, so gives the same pairs bit for
-    bit, but on copies of the matrix and of the eigenvectors: 5 n^2
-    floats to this 3 n^2.  Raises numpy's LinAlgError where LAPACK fails.
-    """
-    n, values, info = a.shape[0], np.empty(a.shape[0]), integer()
-    lwork = liwork = -1  # first the work size query numpy's eigh makes
-    for _ in range(2):
-        work, iwork = np.empty(max(lwork, 1)), np.empty(max(liwork, 1), integer)
-        routine(b"V", b"L", ctypes.byref(integer(n)), a.ctypes,
-                ctypes.byref(integer(max(n, 1))), values.ctypes, work.ctypes,
-                ctypes.byref(integer(lwork)), iwork.ctypes,
-                ctypes.byref(integer(liwork)), ctypes.byref(info))
-        lwork, liwork = int(work[0]), int(iwork[0])
-    if info.value:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-    return values

@@ -237,6 +237,10 @@ def bjs_sampled_rows(
     if samples.ndim != 2:
         raise ValueError("samples must be a 2-D matrix of sampled channels")
     n = samples.shape[1]
+    if n < 7:  # the widest safe band holds no harmonic below 7 samples
+        raise ValueError(
+            f"blockwise James-Stein needs at least 7 samples, got N={n}"
+        )
     count = bjs_coefficient_count(n)
     partition = BlockPartition(pass_limit, int(np.floor(np.log2(n))))
     estimate = np.zeros((samples.shape[0], partition.width))

@@ -186,6 +186,15 @@ def sample_sobolev(
     return CoefficientVector(theta, epsilon=0.0)
 
 
+def _check_gap(separation: float, within_spread: float) -> None:
+    """Reject a class gap that is not positive and finite, or a spread
+    outside [0, separation/2); NaN fails both."""
+    if not np.isfinite(separation) or separation <= 0.0:
+        raise ValueError("separation must be positive and finite")
+    if within_spread < 0.0 or not within_spread < separation / 2.0:
+        raise ValueError("within_spread must lie in [0, separation/2)")
+
+
 @dataclass(frozen=True)
 class ClassModel:
     """A finite family of well-separated function classes.
@@ -207,10 +216,7 @@ class ClassModel:
         object.__setattr__(self, "prototypes", protos)
         if protos.ndim != 2 or len(protos) < 2 or protos.shape[1] % 2 == 0:
             raise ValueError("prototypes must be a (n_classes >= 2, odd 2T+1) matrix")
-        if not np.isfinite(self.separation) or self.separation <= 0.0:
-            raise ValueError("separation must be positive")
-        if self.within_spread < 0.0 or not self.within_spread < self.separation / 2.0:
-            raise ValueError("within_spread must lie in [0, separation/2)")
+        _check_gap(self.separation, self.within_spread)
         if np.any(protos**2 @ self._weights_sq > self.spec.radius**2 + 1e-12):
             raise ValueError("prototypes must lie inside the ellipsoid")
         floor = 2.0 * self.separation + 2.0 * self.within_spread
@@ -261,6 +267,7 @@ def make_class_model(
         separation is unrealistic for the ellipsoid radius.  The error
         reports the roughly achievable separation.
     """
+    _check_gap(separation, within_spread)
     if n_classes < 2:
         raise ValueError("n_classes must be at least 2")
     seq = np.random.SeedSequence(int(seed) % _U64)
@@ -306,6 +313,7 @@ def make_phase_class_model(
     mean coefficient is zero.  Magnitude-based features therefore carry no
     class information while the full coefficients stay well separated.
     """
+    _check_gap(separation, within_spread)
     if n_classes < 2:
         raise ValueError("n_classes must be at least 2")
     if truncation < 1:
@@ -360,6 +368,7 @@ def make_magnitude_class_model(
     control for the phase ablation.  The pattern leans on the constant
     coordinate because it costs no ellipsoid budget.
     """
+    _check_gap(separation, within_spread)
     if n_classes < 2:
         raise ValueError("n_classes must be at least 2")
     if truncation < 1:

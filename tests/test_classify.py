@@ -871,14 +871,15 @@ def _assert_grid_rows_match_reference(ds, scheme, wide):
 
 
 def _force_fold_threads(monkeypatch, count):
-    """Run every fold loop's folds on ``count`` threads, where their
-    eigen-problems can be solved in place and BLAS held at one thread."""
+    """Run every fold loop's folds on ``count`` threads, where BLAS can be
+    held at one thread."""
     monkeypatch.setattr(cpus, "usable_cpus", lambda: count)
 
 
 def _solves_can_share():
-    """Whether the fold loop's eigen-solves can share the CPUs here."""
-    return bool(cpus._find_blas_calls()) and cpus.eigh_in_place() is not None
+    """Whether the fold loop's folds can share the CPUs here: only where a
+    BLAS thread-count setter resolves."""
+    return bool(cpus._find_blas_calls())
 
 
 def _solver_threads(monkeypatch):
@@ -962,7 +963,7 @@ def _one_class_fold():
 
 def test_fold_threads_restore_blas_threads(monkeypatch):
     if not _solves_can_share():
-        pytest.skip("no BLAS thread-count setter or in-place solver resolves here")
+        pytest.skip("no BLAS thread-count setter resolves here")
     set_threads, get_threads = cpus._find_blas_calls()
     before = get_threads()
     _force_fold_threads(monkeypatch, 2)
@@ -1005,32 +1006,31 @@ def test_fold_errors_raise_in_fold_order(monkeypatch):
 
 
 def test_fold_loop_runs_sequentially_without_a_blas_setter(monkeypatch):
-    # without a BLAS thread setter, or without LAPACK's dsyevd to solve in
-    # place, every solve runs on the calling thread, with the same report
+    # without a BLAS thread setter every solve runs on the calling thread,
+    # with the same report; with it or without, each fold's solve is
+    # numpy's eigh
     _force_fold_threads(monkeypatch, 2)
     x, y, g = _hard_blobs(51, 12, 8)
-    expected = cross_validate_features(x, y, g, 3, components=3)
-    confusion, _ = _reference_cross_validate(x, y, g, 3, components=3)
-    assert_array_equal(expected.confusion, confusion)
-    solvers = _solver_threads(monkeypatch)
     eigh_calls = []
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a: eigh_calls.append(a.shape) or real_eigh(a))
-    for name, missing in (("_BLAS_THREAD_CALLS", [("no_such_setter", "no_such_getter")]),
-                          ("_EIGEN_SOLVERS", ["no_such_solver"])):
-        with monkeypatch.context() as patch:
-            patch.setattr(cpus, name, missing)
-            with cpus.one_blas_thread() as held:
-                assert (held is None) == (name == "_BLAS_THREAD_CALLS")
-            assert (cpus.eigh_in_place() is None) == (name == "_EIGEN_SOLVERS")
-            report = cross_validate_features(x, y, g, 3, components=3)
-        assert solvers == {threading.get_ident()}
-        assert report.overall_accuracy == expected.overall_accuracy
-        assert_array_equal(report.confusion, expected.confusion)
-        assert report.notes == expected.notes
-    # only the route without dsyevd called numpy's eigh, once per fold
+    expected = cross_validate_features(x, y, g, 3, components=3)
     assert eigh_calls == [(8, 8)] * 3
+    confusion, _ = _reference_cross_validate(x, y, g, 3, components=3)
+    assert_array_equal(expected.confusion, confusion)
+    solvers = _solver_threads(monkeypatch)
+    eigh_calls.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(cpus, "_BLAS_THREAD_CALLS", [("no_such_setter", "no_such_getter")])
+        with cpus.one_blas_thread() as held:
+            assert held is None
+        report = cross_validate_features(x, y, g, 3, components=3)
+    assert solvers == {threading.get_ident()}
+    assert eigh_calls == [(8, 8)] * 3
+    assert report.overall_accuracy == expected.overall_accuracy
+    assert_array_equal(report.confusion, expected.confusion)
+    assert report.notes == expected.notes
 
 
 # every name perfbench's tracer wraps in these modules, as their callers
@@ -1077,8 +1077,6 @@ def test_traced_layers_run_on_the_calling_thread(monkeypatch, caplog):
     lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert len(lines) == 3
     assert all(line.startswith("cross-validation: 3 folds, ") for line in lines)
-    route = "in place" if cpus.eigh_in_place() else "by numpy's eigh"
-    assert all(f", eigen-solves {route}, " in line for line in lines)
     assert all(", 2 threads, BLAS held at 1 thread, then restored to " in line
                for line in lines) == _solves_can_share()
 
@@ -1087,7 +1085,7 @@ def test_large_and_small_eigen_solves_share_the_cpus(monkeypatch):
     # the criterion-8 decode's BJS solves (640 rows, from the Gram matrix)
     # and the CLI benchmark's (107, from the scatter) share two CPUs too
     if not _solves_can_share():
-        pytest.skip("no BLAS thread-count setter or in-place solver resolves here")
+        pytest.skip("no BLAS thread-count setter resolves here")
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     solves = []
     real = classify._top_eigenpairs
@@ -1211,8 +1209,7 @@ def test_top_eigenpairs_are_numpys_eigh_pairs(n):
                     for order in "CF":
                         given = matrix.copy(order=order)
                         got = pairs(classify._top_eigenpairs, given, count)
-                        if not given.flags.f_contiguous:  # solved in a copy
-                            assert_array_equal(given, matrix)
+                        assert_array_equal(given, matrix)
                         assert type(got) is type(expected)
                         if isinstance(expected, str):
                             assert got == expected

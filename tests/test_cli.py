@@ -92,6 +92,19 @@ def test_synth_impossible_separation_exits_2(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flag, rule", [
+    ("--separation", "separation must be positive and finite"),
+    ("--spread", "within_spread must lie in [0, separation/2)"),
+])
+@pytest.mark.parametrize("geometry", ["random", "phase", "magnitude"])
+def test_synth_nan_or_infinite_gap_exits_2(tmp_path, capsys, flag, rule, geometry):
+    out = str(tmp_path / "ds.csv")
+    for value in ("nan", "inf"):
+        assert run("synth", "--out", out, "--geometry", geometry, flag, value) == 2
+        assert rule in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_synth_failed_helper_exits_2(tmp_path, capsys, monkeypatch):
     # SMALL_SYNTH has 12 trials: with 2 CPUs a helper writes trials 6..11
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
@@ -247,6 +260,16 @@ def test_estimate_too_few_samples_exits_2(tmp_path, capsys):
     assert "frequency overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_estimate_bjs_band_without_a_harmonic_exits_2(tmp_path, capsys, n):
+    sig = str(tmp_path / "sig.csv")
+    fileio.write_signal(np.arange(float(n)), sig)
+    assert run("estimate", "--input", sig, "--out", str(tmp_path / "o"),
+               "--method", "bjs", "--block-limit", "0") == 2
+    assert (f"blockwise James-Stein needs at least 7 samples, got N={n}"
+            in capsys.readouterr().err)
+
+
 def test_estimate_fractional_sample_index_exits_2(tmp_path, capsys):
     sig = tmp_path / "sig.csv"
     fileio.write_signal(np.arange(64.0), str(sig))
@@ -290,6 +313,18 @@ def test_benchmark_non_integer_kfold_exits_2(tmp_path, capsys, raw):
     assert run("benchmark", "--dataset", ds, "--out", out,
                "--scheme", f"kfold:{raw}") == 2
     assert f"kfold:<k> needs an integer k, got {raw!r}" in capsys.readouterr().err
+    assert not os.path.exists(out + "_report.csv")
+
+
+def test_benchmark_bjs_band_without_a_harmonic_exits_2(tmp_path, capsys):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, "--classes", "3", "--trials-per-class", "4",
+               "--channels", "2", "--samples", "6", "--truncation", "1") == 0
+    out = str(tmp_path / "x")
+    assert run("benchmark", "--dataset", ds, "--out", out,
+               "--pipeline", "bjs", "--block-limit", "0") == 2
+    assert ("blockwise James-Stein needs at least 7 samples, got N=6"
+            in capsys.readouterr().err)
     assert not os.path.exists(out + "_report.csv")
 
 

@@ -132,6 +132,14 @@ def test_bjs_sampled_rows_reject_samples_that_are_not_2d(shape):
         bjs_sampled_rows(np.ones(shape), 2)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bjs_sampled_rows_reject_a_band_without_a_harmonic(n):
+    # below 7 samples the widest safe band is the constant alone, or empty
+    with pytest.raises(ValueError, match=f"at least 7 samples, got N={n}$"):
+        bjs_sampled_rows(np.ones((2, n)), 0)
+    assert bjs_sampled_rows(np.ones((2, 7)), 0).shape == (2, 3)
+
+
 def test_bjs_hand_traced_single_spike():
     # spike of height 10 at coordinate 9 sits in block {8..15} (size 8);
     # factor = 1 - (8-2)(1+2/sqrt 8)*0.01/100 = 0.998975736, so the output

@@ -68,6 +68,20 @@ def test_class_model_reports_achievable_separation():
     assert err.value.achievable_separation >= 0.0
 
 
+@pytest.mark.parametrize("maker", [make_class_model, make_phase_class_model,
+                                   make_magnitude_class_model])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field, rule", [
+    ("separation", "separation must be positive and finite"),
+    ("within_spread", r"within_spread must lie in \[0, separation/2\)"),
+])
+def test_class_makers_reject_a_nan_or_infinite_gap(maker, value, field, rule):
+    # checked before any draw, and named as the rule it breaks
+    gap = {"separation": 0.5, "within_spread": 0.1, field: value}
+    with pytest.raises(ValueError, match=rule):
+        maker(3, SPEC, 3, seed=0, **gap)
+
+
 def test_class_model_rejects_bad_geometry():
     proto = np.zeros(7)
     with pytest.raises(ValueError):
