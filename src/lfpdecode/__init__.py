@@ -15,7 +15,6 @@ from .basis import (
     forward_transform,
     reconstruct,
     transform_rows,
-    trig_basis_eval,
     uniform_basis,
 )
 from .shrinkage import (
@@ -26,7 +25,6 @@ from .shrinkage import (
     ellipsoid_weights,
     james_stein,
     pinsker_mu,
-    pinsker_shrink,
     pinsker_weights,
 )
 from .synth import (

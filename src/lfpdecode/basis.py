@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "SampledSignal",
     "CoefficientVector",
-    "trig_basis_eval",
     "basis_matrix",
     "uniform_basis",
     "forward_transform",
@@ -56,7 +55,7 @@ class CoefficientVector:
     """Sequence-space coefficients plus their per-coefficient noise level.
 
     ``coeffs[i]`` is the coefficient of basis function ``i + 1`` (basis
-    indexing starts at 1, see :func:`trig_basis_eval`).  ``epsilon`` is the
+    indexing starts at 1, see :func:`basis_matrix`).  ``epsilon`` is the
     standard deviation of the additive noise on each coefficient; 0 marks a
     noiseless vector such as a ground-truth parameter.
     """
@@ -79,41 +78,12 @@ class CoefficientVector:
         return int(self.coeffs.size)
 
 
-def trig_basis_eval(k: int, x):
-    """Evaluate the k-th orthonormal trigonometric basis function.
-
-    The basis is phi_1(x) = 1, phi_2m(x) = sqrt(2) cos(2 pi m x) and
-    phi_2m+1(x) = sqrt(2) sin(2 pi m x) for m >= 1.  Indexing starts at 1.
-
-    Parameters
-    ----------
-    k : int
-        Basis index, k >= 1.
-    x : float or array_like
-        Evaluation points in [0, 1].
-
-    Returns
-    -------
-    float or ndarray matching the shape of ``x``.
-    """
-    if k < 1:
-        raise ValueError("basis index k starts at 1")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
-    if k == 1:
-        out = np.ones_like(arr)
-    elif k % 2 == 0:
-        out = _SQRT2 * np.cos(2.0 * np.pi * (k // 2) * arr)
-    else:
-        out = _SQRT2 * np.sin(2.0 * np.pi * ((k - 1) // 2) * arr)
-    return out if out.ndim else float(out)
-
-
 def basis_matrix(count: int, grid) -> np.ndarray:
     """Stack the first ``count`` basis functions evaluated on ``grid``.
 
-    Returns the matrix Phi with Phi[k-1, j] = phi_k(grid[j]).
+    Returns the matrix Phi with Phi[k-1, j] = phi_k(grid[j]), where
+    phi_1(x) = 1, phi_2m(x) = sqrt(2) cos(2 pi m x) and phi_2m+1(x) =
+    sqrt(2) sin(2 pi m x) for m >= 1.  Indexing starts at 1.
     """
     if count < 1:
         raise ValueError("count must be at least 1")

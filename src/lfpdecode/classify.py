@@ -307,8 +307,8 @@ class PipelineConfig:
     ``shrinkage`` selects the pipeline: a :class:`ShrinkageProfile` runs
     the linear-minimax (profile) pipeline on 2T+1 coefficients, a
     :class:`BlockPartition` runs the blockwise James-Stein pipeline on the
-    widest safe band, its zero cutoff at floor(log2 N) as
-    :func:`~lfpdecode.shrinkage.bjs_sampled_rows` sets it.  ``components``
+    widest safe band, partitioned by
+    :meth:`~lfpdecode.shrinkage.BlockPartition.for_samples`.  ``components``
     = 0 keeps every component, which is LDA on the features themselves.
     ``ridge`` = None uses the LDA default.
     """
@@ -328,7 +328,9 @@ class PipelineConfig:
                 raise ValueError("2T+1 must stay below n_samples/2")
         elif not isinstance(self.shrinkage, BlockPartition):
             raise TypeError("shrinkage must be a ShrinkageProfile or BlockPartition")
-        elif self.shrinkage.zero_limit != int(np.floor(np.log2(self.n_samples))):
+        elif self.shrinkage != BlockPartition.for_samples(
+            self.n_samples, self.shrinkage.pass_limit
+        ):
             raise ValueError("the blockwise zero cutoff must be floor(log2 n_samples)")
 
     @classmethod
@@ -340,10 +342,9 @@ class PipelineConfig:
         ridge: float | None = None,
     ) -> "PipelineConfig":
         """Blockwise James-Stein pipeline with zero cutoff at floor(log2 N)."""
-        partition = BlockPartition(pass_limit, int(np.floor(np.log2(n_samples))))
         return cls(
             n_samples=n_samples,
-            shrinkage=partition,
+            shrinkage=BlockPartition.for_samples(n_samples, pass_limit),
             components=components,
             ridge=ridge,
         )

@@ -33,7 +33,7 @@ from .shrinkage import (
     bjs_coefficient_count,
     bjs_sampled_rows,
     pinsker_mu,
-    pinsker_shrink,
+    pinsker_weights,
 )
 from .synth import (
     ClassConstructionError,
@@ -261,7 +261,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         spec = EllipsoidSpec(cfg["ellipsoid.alpha"], cfg["ellipsoid.radius"])
         mu = pinsker_mu(spec, vector.epsilon)
         observed = vector.coeffs
-        shrunk = pinsker_shrink(vector, spec, mu).coeffs
+        shrunk = pinsker_weights(spec, mu, len(vector)) * vector.coeffs
     else:
         shrunk = bjs_sampled_rows(
             signal.samples[None, :], cfg["estimate.block_limit"]
@@ -381,6 +381,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         ]
         if both:
             raise ValueError("; ".join(both))
+        if min(cfg["grid.components"] or [0]) < 0:
+            raise ValueError(
+                "--grid-components (grid.components) items must be at least 0; "
+                "-1 means the pipeline default only for --components"
+            )
     dataset = fileio.read_dataset(args.dataset)
     if grid_requested:
         truncations = cfg["grid.truncations"] or [cfg["pipeline.truncation"]]

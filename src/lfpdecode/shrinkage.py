@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import CoefficientVector, transform_rows
+from .basis import transform_rows
 
 __all__ = [
     "EllipsoidSpec",
@@ -19,7 +19,6 @@ __all__ = [
     "ellipsoid_weights",
     "pinsker_mu",
     "pinsker_weights",
-    "pinsker_shrink",
     "james_stein",
     "stein_threshold",
     "bjs_coefficient_count",
@@ -97,19 +96,6 @@ def pinsker_weights(spec: EllipsoidSpec, mu: float, count: int) -> np.ndarray:
     return np.clip(1.0 - a / mu, 0.0, None)
 
 
-def pinsker_shrink(
-    y: CoefficientVector, spec: EllipsoidSpec, mu: float
-) -> CoefficientVector:
-    """Apply the linear minimax weights coefficientwise.
-
-    With mu from :func:`pinsker_mu` this is the exact minimax linear
-    estimator over the ellipsoid at the vector's noise level; any other
-    positive mu gives a valid (suboptimal) diagonal linear estimator.
-    """
-    weights = pinsker_weights(spec, mu, len(y))
-    return CoefficientVector(weights * y.coeffs, epsilon=y.epsilon)
-
-
 def james_stein(y, epsilon: float) -> np.ndarray:
     """Positive-part James-Stein estimate of the mean of y ~ N(theta, eps^2 I).
 
@@ -149,6 +135,23 @@ class BlockPartition:
             raise ValueError("pass_limit must be nonnegative")
         if self.pass_limit >= self.zero_limit:
             raise ValueError("pass_limit must be strictly below zero_limit")
+
+    @classmethod
+    def for_samples(cls, n_samples: int, pass_limit: int) -> "BlockPartition":
+        """The partition of an N-sample row, zero cutoff floor(log2 N).  Needs
+        N >= 7, below which the widest safe band holds no harmonic, and a
+        block limit in 0..floor(log2 N) - 1."""
+        if n_samples < 7:
+            raise ValueError(
+                f"blockwise James-Stein needs at least 7 samples, got N={n_samples}"
+            )
+        cutoff = int(n_samples).bit_length() - 1
+        if not 0 <= pass_limit < cutoff:
+            raise ValueError(
+                f"block limit must lie in 0..{cutoff - 1}, below the zero cutoff "
+                f"floor(log2 N) = {cutoff} for N={n_samples}; got {pass_limit}"
+            )
+        return cls(pass_limit, cutoff)
 
     @property
     def blocks(self) -> tuple[tuple[int, int], ...]:
@@ -225,9 +228,10 @@ def bjs_sampled_rows(
 
     Each row is expanded to the widest safe band
     (:func:`bjs_coefficient_count`), zero-padded to the width of the dyadic
-    partition whose zero cutoff is floor(log2 N), and shrunk blockwise at
-    the coefficient noise level sigma/sqrt(N), ``sigma`` being the sample
-    noise sd.  Returns the estimate, (m, 2^floor(log2 N) - 1).
+    partition from :meth:`BlockPartition.for_samples` (zero cutoff
+    floor(log2 N)), and shrunk blockwise at the coefficient noise level
+    sigma/sqrt(N), ``sigma`` being the sample noise sd.  Returns the
+    estimate, (m, 2^floor(log2 N) - 1).
 
     The estimate is the only array of that size: the transform is written
     into its leading columns (:func:`~lfpdecode.basis.transform_rows`
@@ -237,12 +241,8 @@ def bjs_sampled_rows(
     if samples.ndim != 2:
         raise ValueError("samples must be a 2-D matrix of sampled channels")
     n = samples.shape[1]
-    if n < 7:  # the widest safe band holds no harmonic below 7 samples
-        raise ValueError(
-            f"blockwise James-Stein needs at least 7 samples, got N={n}"
-        )
+    partition = BlockPartition.for_samples(n, pass_limit)
     count = bjs_coefficient_count(n)
-    partition = BlockPartition(pass_limit, int(np.floor(np.log2(n))))
     estimate = np.zeros((samples.shape[0], partition.width))
     transform_rows(samples, (count - 1) // 2, out=estimate[:, :count])
     return _bjs_rows(estimate, partition, sigma / np.sqrt(n))

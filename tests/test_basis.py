@@ -22,7 +22,6 @@ from lfpdecode.basis import (
     forward_transform,
     reconstruct,
     transform_rows,
-    trig_basis_eval,
     uniform_basis,
 )
 
@@ -48,20 +47,12 @@ def slow_transform(samples, count):
 
 
 def test_basis_known_values():
-    assert trig_basis_eval(1, 0.37) == 1.0
-    assert_allclose(trig_basis_eval(2, 0.0), math.sqrt(2.0), rtol=1e-15)
+    phi = basis_matrix(3, [0.0, 0.25, 0.37])
+    assert phi[0, 2] == 1.0
+    assert_allclose(phi[1, 0], math.sqrt(2.0), rtol=1e-15)
     # sin(2 pi * 0.25) = 1
-    assert_allclose(trig_basis_eval(3, 0.25), math.sqrt(2.0), rtol=1e-15)
-    assert_allclose(trig_basis_eval(2, 0.25), 0.0, atol=1e-15)
-
-
-def test_basis_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        trig_basis_eval(0, 0.5)
-    with pytest.raises(ValueError):
-        trig_basis_eval(2, 1.5)
-    with pytest.raises(ValueError):
-        trig_basis_eval(2, -0.1)
+    assert_allclose(phi[2, 1], math.sqrt(2.0), rtol=1e-15)
+    assert_allclose(phi[1, 1], 0.0, atol=1e-15)
 
 
 def test_basis_matrix_matches_pointwise_oracle():

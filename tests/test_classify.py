@@ -296,6 +296,11 @@ def test_pipeline_config_validation():
         PipelineConfig(20, profile)  # 2*(2T+1) = 22 > 20
     with pytest.raises(ValueError, match="floor"):
         PipelineConfig(64, BlockPartition(2, 5))  # cutoff is log2(64) = 6
+    for limit in (-1, 6):
+        with pytest.raises(ValueError, match=(
+                r"^block limit must lie in 0\.\.5, below the zero cutoff "
+                rf"floor\(log2 N\) = 6 for N=64; got {limit}$")):
+            PipelineConfig.bjs(64, pass_limit=limit)
     with pytest.raises(ValueError):
         ShrinkageProfile(np.array([0.5, 1.5]), 1)
 

@@ -186,12 +186,9 @@ def test_estimate_bjs_passes_low_harmonics_through(tmp_path):
     assert_allclose(recon, f, atol=1e-9)
 
 
-def test_estimate_bjs_bytes_are_pinned(tmp_path):
-    # a 9-cycle component puts live (shrunk, not zeroed) energy in block
-    # 16..31; the SHA-256 values are those of the outputs before the
-    # blockwise path was shared.  At N = 303, 1/sqrt(N) and N**-0.5 differ
-    # in the last bit and so do the outputs, so even that drift in the
-    # noise level shows, as does any in band, cutoff or padding
+def _pinned_estimate(tmp_path, *flags):
+    """Run ``estimate`` on a fixed noisy 303-sample signal; return the
+    coefficient table and the SHA-256 of each output file."""
     n = 303
     x = np.arange(n) / n
     noise = 0.2 * np.random.default_rng(1).normal(size=n)
@@ -199,21 +196,56 @@ def test_estimate_bjs_bytes_are_pinned(tmp_path):
          + 0.3 * np.sin(40.0 * math.pi * x) + noise)
     sig = str(tmp_path / "sig.csv")
     fileio.write_signal(f, sig)
-    out = str(tmp_path / "b")
-    assert run("estimate", "--input", sig, "--out", out, "--method", "bjs") == 0
+    out = str(tmp_path / "e")
+    assert run("estimate", "--input", sig, "--out", out, *flags) == 0
     table = np.loadtxt(out + "_coefficients.csv", delimiter=",", skiprows=1)
-    ratio = table[15:31, 2] / table[15:31, 1]
-    assert np.all((ratio > 0.0) & (ratio < 1.0))
     digests = {
         name: hashlib.sha256(read_bytes(f"{out}_{name}.csv")).hexdigest()
         for name in ("coefficients", "reconstruction")
     }
+    return table, digests
+
+
+def test_estimate_bjs_bytes_are_pinned(tmp_path):
+    # a 9-cycle component puts live (shrunk, not zeroed) energy in block
+    # 16..31; the SHA-256 values are those of the outputs before the
+    # blockwise path was shared.  At N = 303, 1/sqrt(N) and N**-0.5 differ
+    # in the last bit and so do the outputs, so even that drift in the
+    # noise level shows, as does any in band, cutoff or padding
+    table, digests = _pinned_estimate(tmp_path, "--method", "bjs")
+    ratio = table[15:31, 2] / table[15:31, 1]
+    assert np.all((ratio > 0.0) & (ratio < 1.0))
     assert digests == {
         "coefficients":
             "2c6a2b38736d8ef2d73db11820211a692332f181932af0bb4677d1291ab05214",
         "reconstruction":
             "0917aa9660d65974dd96cd07bddeaf452304d44583d4f564bfdd92ae44d7482a",
     }
+
+
+@pytest.mark.parametrize(
+    "truncation, pinned",
+    [
+        ("5", {"coefficients": "299abe6ef0c4dff5f5efcbd1495e299a"
+                               "9a811faec030df5a7ed210e943f2eb0c",
+               "reconstruction": "52c1d4414d256da0bee5b560fc3bd27c"
+                                 "e6e304069f8a3289db25ffbcc67a25d1"}),
+        ("20", {"coefficients": "2fec84847e413de6d83e5ad2ab300282"
+                                "18971138249c83ff15f18b2977131e36",
+                "reconstruction": "9dd361ec7bbae262c911891f01d6886e"
+                                  "ff3fbbde4b30a8df4a5654c58ae80c7b"}),
+    ],
+)
+def test_estimate_pinsker_bytes_are_pinned(tmp_path, truncation, pinned):
+    # the SHA-256 values are those of the outputs when the weights were
+    # applied through a per-vector wrapper; at T = 5 every coefficient but
+    # the constant is shrunk, at T = 20 the upper 30 are zeroed
+    table, digests = _pinned_estimate(
+        tmp_path, "--method", "pinsker", "--truncation", truncation)
+    ratio = table[1:, 2] / table[1:, 1]
+    assert np.all((ratio >= 0.0) & (ratio < 1.0))
+    assert table[0, 2] == table[0, 1]
+    assert digests == pinned
 
 
 @pytest.mark.parametrize(
@@ -268,6 +300,34 @@ def test_estimate_bjs_band_without_a_harmonic_exits_2(tmp_path, capsys, n):
                "--method", "bjs", "--block-limit", "0") == 2
     assert (f"blockwise James-Stein needs at least 7 samples, got N={n}"
             in capsys.readouterr().err)
+
+
+def _block_limit_rule(n, limit):
+    cutoff = n.bit_length() - 1
+    return (f"block limit must lie in 0..{cutoff - 1}, below the zero cutoff "
+            f"floor(log2 N) = {cutoff} for N={n}; got {limit}")
+
+
+@pytest.mark.parametrize(
+    "n, flags, keys, limit",
+    [
+        (7, [], "", 2),
+        (64, ["--block-limit", "6"], "estimate.block_limit = 6\n", 6),
+    ],
+    ids=["default-limit-at-7-samples", "limit-at-the-cutoff"],
+)
+def test_estimate_bjs_block_limit_outside_the_cutoff_exits_2(tmp_path, capsys,
+                                                            n, flags, keys,
+                                                            limit):
+    sig = str(tmp_path / "sig.csv")
+    fileio.write_signal(np.arange(float(n)), sig)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("estimate.method = bjs\n" + keys)
+    out = str(tmp_path / "o")
+    for source in (["--method", "bjs", *flags], ["--config", str(cfg)]):
+        assert run("estimate", "--input", sig, "--out", out, *source) == 2
+        assert _block_limit_rule(n, limit) in capsys.readouterr().err
+        assert not os.path.exists(out + "_coefficients.csv")
 
 
 def test_estimate_fractional_sample_index_exits_2(tmp_path, capsys):
@@ -326,6 +386,21 @@ def test_benchmark_bjs_band_without_a_harmonic_exits_2(tmp_path, capsys):
     assert ("blockwise James-Stein needs at least 7 samples, got N=6"
             in capsys.readouterr().err)
     assert not os.path.exists(out + "_report.csv")
+
+
+@pytest.mark.parametrize("limit", ["6", "-1"])
+def test_benchmark_bjs_block_limit_outside_the_cutoff_exits_2(tmp_path, capsys,
+                                                             limit):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0  # 64 samples
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"benchmark.pipeline = bjs\npipeline.block_limit = {limit}\n")
+    out = str(tmp_path / "x")
+    for source in (["--pipeline", "bjs", "--block-limit", limit],
+                   ["--config", str(cfg)]):
+        assert run("benchmark", "--dataset", ds, "--out", out, *source) == 2
+        assert _block_limit_rule(64, int(limit)) in capsys.readouterr().err
+        assert not os.path.exists(out + "_report.csv")
 
 
 def test_benchmark_grid_with_bjs_exits_2(tmp_path, capsys):
@@ -626,6 +701,24 @@ def test_benchmark_components_minus_one_alone_picks_the_default(tmp_path,
         assert run("benchmark", "--dataset", ds, "--out", out, *source) == 2
         assert "--components" in capsys.readouterr().err
         assert not os.path.exists(out + "_report.csv")
+
+
+def test_benchmark_negative_grid_components_exit_2(tmp_path, capsys):
+    ds = str(tmp_path / "ds.csv")
+    assert run("synth", "--out", ds, *SMALL_SYNTH) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid.enabled = true\ngrid.components = 0,-1\n")
+    out = str(tmp_path / "x")
+    for source in (["--grid", "--grid-components", "-1"], ["--config", str(cfg)]):
+        assert run("benchmark", "--dataset", ds, "--out", out, *source) == 2
+        err = capsys.readouterr().err
+        assert "--grid-components (grid.components)" in err
+        assert "-1 means the pipeline default only for --components" in err
+        assert not os.path.exists(out + "_report.csv")
+    # the items are checked before the dataset is read
+    assert run("benchmark", "--dataset", str(tmp_path / "missing.csv"),
+               "--out", out, "--grid", "--grid-components", "-1") == 2
+    assert "--grid-components" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

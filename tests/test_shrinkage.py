@@ -1,12 +1,13 @@
 """Shrinkage estimator tests: ellipsoid weights, water filling, JS, BJS."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfpdecode.basis import CoefficientVector, basis_matrix, transform_rows
+from lfpdecode.basis import basis_matrix, transform_rows
 from lfpdecode.shrinkage import (
     BlockPartition,
     EllipsoidSpec,
@@ -16,7 +17,6 @@ from lfpdecode.shrinkage import (
     ellipsoid_weights,
     james_stein,
     pinsker_mu,
-    pinsker_shrink,
     pinsker_weights,
     stein_threshold,
 )
@@ -68,14 +68,6 @@ def test_pinsker_weights_formula():
     spec = EllipsoidSpec(1.0, 1.0)
     w = pinsker_weights(spec, 2.25, 5)
     assert_allclose(w, [1.0, 1.0 / 9.0, 1.0 / 9.0, 0.0, 0.0], rtol=1e-12)
-
-
-def test_pinsker_shrink_applies_weights_and_keeps_epsilon():
-    spec = EllipsoidSpec(1.0, 1.0)
-    y = CoefficientVector(np.array([3.0, 9.0, -9.0, 4.0, 5.0]), epsilon=0.25)
-    out = pinsker_shrink(y, spec, 2.25)
-    assert_allclose(out.coeffs, [3.0, 1.0, -1.0, 0.0, 0.0], rtol=1e-12)
-    assert out.epsilon == 0.25
 
 
 def test_james_stein_worked_example():
@@ -138,6 +130,23 @@ def test_bjs_sampled_rows_reject_a_band_without_a_harmonic(n):
     with pytest.raises(ValueError, match=f"at least 7 samples, got N={n}$"):
         bjs_sampled_rows(np.ones((2, n)), 0)
     assert bjs_sampled_rows(np.ones((2, 7)), 0).shape == (2, 3)
+
+
+def test_partition_for_samples_cuts_at_floor_log2_n():
+    for n in range(7, 4097):
+        partition = BlockPartition.for_samples(n, 0)
+        assert partition.zero_limit == int(np.floor(np.log2(n)))
+        assert partition.width == 2**partition.zero_limit - 1
+
+
+@pytest.mark.parametrize("n, limit", [(64, -1), (64, 6), (7, 2), (500, 8)])
+def test_bjs_sampled_rows_reject_a_block_limit_outside_the_cutoff(n, limit):
+    cutoff = int(np.floor(np.log2(n)))
+    rule = (f"block limit must lie in 0..{cutoff - 1}, below the zero cutoff "
+            f"floor(log2 N) = {cutoff} for N={n}; got {limit}")
+    with pytest.raises(ValueError, match=f"^{re.escape(rule)}$"):
+        bjs_sampled_rows(np.ones((2, n)), limit)
+    assert bjs_sampled_rows(np.ones((2, n)), cutoff - 1).shape == (2, 2**cutoff - 1)
 
 
 def test_bjs_hand_traced_single_spike():
