@@ -381,7 +381,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         ]
         if both:
             raise ValueError("; ".join(both))
-        if min(cfg["grid.components"] or [0]) < 0:
+        if any(c < 0 for c in cfg["grid.components"] or ()):
             raise ValueError(
                 "--grid-components (grid.components) items must be at least 0; "
                 "-1 means the pipeline default only for --components"
