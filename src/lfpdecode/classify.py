@@ -324,8 +324,10 @@ class PipelineConfig:
         if self.components < 0:
             raise ValueError("components must be nonnegative (0 keeps all)")
         if isinstance(self.shrinkage, ShrinkageProfile):
-            if 2 * (2 * self.shrinkage.truncation + 1) >= self.n_samples:
-                raise ValueError("2T+1 must stay below n_samples/2")
+            count = 2 * self.shrinkage.truncation + 1
+            if 2 * count >= self.n_samples:
+                raise ValueError(f"2T+1 must stay below n_samples/2, got "
+                                 f"2T+1={count} with N={self.n_samples}")
         elif not isinstance(self.shrinkage, BlockPartition):
             raise TypeError("shrinkage must be a ShrinkageProfile or BlockPartition")
         elif self.shrinkage != BlockPartition.for_samples(

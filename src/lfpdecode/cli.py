@@ -58,7 +58,16 @@ def boolean(raw: str) -> bool:
 
 
 def float_or_auto(raw: str) -> float | None:
-    return None if raw == "auto" else float(raw)
+    value = None if raw == "auto" else float(raw)
+    if value is not None and not 0.0 <= value < np.inf:  # NaN fails too
+        raise ValueError(f"not 'auto' or a finite nonnegative number: {raw!r}")
+    return value
+
+
+def positive_int(raw: str) -> int:
+    if (value := int(raw)) < 1:
+        raise ValueError(f"not a positive integer: {raw!r}")
+    return value
 
 
 # every comma-separated item must parse, so an empty value or item is an
@@ -74,6 +83,10 @@ def _parse_items(raw: str, parse, what: str) -> list:
 
 def int_list(raw: str) -> list[int]:
     return _parse_items(raw, int, "an integer")
+
+
+def positive_int_list(raw: str) -> list[int]:
+    return _parse_items(raw, positive_int, "a positive integer")
 
 
 def float_list(raw: str) -> list[float]:
@@ -178,7 +191,7 @@ SYNTH_OPTS = [
     Opt("synth.channels", int, 4, "channels per trial"),
     Opt("synth.samples", int, 500, "samples per channel (N)"),
     Opt("synth.sessions", int, 3, "number of recording sessions"),
-    Opt("synth.truncation", int, 5, "harmonics per prototype (T)"),
+    Opt("synth.truncation", positive_int, 5, "harmonics per prototype (T)"),
     Opt("synth.separation", float, 0.5, "half the guaranteed class gap (s)"),
     Opt("synth.spread", float, 0.1, "within-class ball radius"),
     Opt("synth.geometry", str, "random", "prototype geometry", _GEOMETRIES),
@@ -240,7 +253,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 ESTIMATE_OPTS = [
     Opt("estimate.method", str, "pinsker", "estimator", ("pinsker", "bjs")),
-    Opt("estimate.truncation", int, 5, "harmonic truncation T (pinsker)",
+    Opt("estimate.truncation", positive_int, 5, "harmonic truncation T (pinsker)",
         only="pinsker"),
     Opt("estimate.block_limit", int, 2, "blocks passed through unshrunk (bjs)",
         only="bjs"),
@@ -288,7 +301,7 @@ BENCHMARK_OPTS = [
     Opt("benchmark.pipeline", str, "pinsker", "feature pipeline",
         ("pinsker", "bjs"), flag="--pipeline"),
     Opt("benchmark.scheme", str, "loso", "loso or kfold:<k>", flag="--scheme"),
-    Opt("pipeline.truncation", int, 5, "harmonic truncation T (pinsker)",
+    Opt("pipeline.truncation", positive_int, 5, "harmonic truncation T (pinsker)",
         only="pinsker"),
     Opt("pipeline.components", int, -1,
         "PCA components; 0 keeps all, -1 picks the pipeline default"),
@@ -297,7 +310,7 @@ BENCHMARK_OPTS = [
         only="bjs"),
     Opt("grid.enabled", boolean, False, "grid-search shrinkage profiles",
         flag="--grid"),
-    Opt("grid.truncations", int_list, None, "grid of T values"),
+    Opt("grid.truncations", positive_int_list, None, "grid of T values"),
     # these tune a search but do not by themselves request one
     Opt("grid.components", int_list, None, "grid of PCA sizes",
         flag="--grid-components", only=_GRID),
@@ -472,7 +485,7 @@ ADAPTIVITY_OPTS = [
 
 CONSISTENCY_OPTS = [
     Opt("synth.classes", int, 8, "number of classes"),
-    Opt("synth.truncation", int, 5, "harmonics per prototype"),
+    Opt("synth.truncation", positive_int, 5, "harmonics per prototype"),
     Opt("synth.separation", float, 0.5, "half the guaranteed class gap"),
     Opt("synth.spread", float, 0.1, "within-class ball radius"),
     Opt("ellipsoid.alpha", float, 2.0, "smoothness exponent"),
@@ -491,7 +504,7 @@ PHASE_OPTS = [
     Opt("synth.channels", int, 8, "channels per trial"),
     Opt("synth.samples", int, 256, "samples per channel"),
     Opt("synth.sessions", int, 8, "number of sessions"),
-    Opt("synth.truncation", int, 5, "harmonics per prototype"),
+    Opt("synth.truncation", positive_int, 5, "harmonics per prototype"),
     Opt("synth.separation", float, 0.6, "half the guaranteed class gap"),
     Opt("synth.spread", float, 0.02, "within-class ball radius"),
     Opt("synth.geometry", str, "phase", "class geometry",
@@ -500,7 +513,7 @@ PHASE_OPTS = [
     Opt("ellipsoid.radius", float, 10.0, "ellipsoid radius"),
     Opt("noise.sigma", float, 1.0, "sample noise sd"),
     Opt("noise.seed", int, 0, "noise stream id", flag="--noise-seed"),
-    Opt("pipeline.truncation", int, 5, "classifier truncation",
+    Opt("pipeline.truncation", positive_int, 5, "classifier truncation",
         flag="--pipeline-truncation"),
     Opt("pipeline.components", int, 0, "PCA components (0 keeps all)"),
     Opt("pipeline.ridge", float_or_auto, None, "LDA ridge or 'auto'"),

@@ -95,17 +95,6 @@ def _boundary_thetas(
     return np.vstack(rows)
 
 
-def _sup_risk(errors_by_theta):
-    """Pick the largest mean risk and its standard error from per-theta draws."""
-    best_mean, best_se = -np.inf, 0.0
-    for err in errors_by_theta:
-        mean = float(err.mean())
-        if mean > best_mean:
-            best_mean = mean
-            best_se = float(err.std(ddof=1) / np.sqrt(err.size))
-    return best_mean, best_se
-
-
 def risk_curve_pinsker(
     spec: EllipsoidSpec,
     epsilons,
@@ -143,14 +132,14 @@ def risk_curve_pinsker(
         dim = 2 * pairs + 9
         weights = pinsker_weights(spec, mu, dim)
         rng = stream_rng(seed, key=(i,))
-        thetas = _boundary_thetas(spec, dim, n_thetas, rng)
-        errors = []
-        for theta in thetas:
-            y = theta + eps * rng.standard_normal((trials, dim))
-            est = weights * y
-            errors.append(((est - theta) ** 2).sum(axis=1))
-        risk, se = _sup_risk(errors)
-        points.append(RiskPoint(epsilon=eps, risk=risk, std_error=se, trials=trials))
+        thetas = _boundary_thetas(spec, dim, n_thetas, rng)[:, None, :]
+        # every parameter's noise in one block, in per-parameter order
+        y = thetas + eps * rng.standard_normal((len(thetas), trials, dim))
+        errors = ((weights * y - thetas) ** 2).sum(axis=2)
+        means = errors.mean(axis=1)
+        worst = int(np.argmax(means))  # the first largest mean
+        se = float(errors[worst].std(ddof=1) / np.sqrt(trials))
+        points.append(RiskPoint(eps, float(means[worst]), se, trials))
     return points
 
 
@@ -248,13 +237,11 @@ def bjs_sup_risk(spec: EllipsoidSpec, epsilon: float) -> SupRisk:
     budget = spec.radius**2
     a = ellipsoid_weights(spec, partition.width + 1)
     fractions = np.concatenate(([0.0], np.geomspace(1e-6, 1.0, 1999)))
-    fixed = 0.0
+    # the coefficients before the first shrunk block pass through: risk eps^2 each
+    fixed = (partition.shrunk[0][0] - 1) * epsilon**2
     firsts, norms, risks = [], [], []
-    for j, (first, last) in enumerate(partition.blocks):
+    for first, last in partition.shrunk:
         size = last - first + 1
-        if j <= partition.pass_limit or size <= 2:
-            fixed += size * epsilon**2  # passed through: risk eps^2 each
-            continue
         block_norms = fractions * budget / a[first - 1] ** 2
         table = bjs_block_risk(size, block_norms, epsilon)
         if np.any(np.diff(table) < -1e-9 * epsilon**2):
@@ -405,7 +392,7 @@ def consistency_experiment(
     if trials_per_class < 2:
         raise ValueError("trials_per_class must be at least 2")
     model_count = 2 * model.truncation + 1
-    if 2 ** (ns[0].bit_length() - 1) - 1 < model_count:
+    if BlockPartition.for_samples(ns[0], 2).width < model_count:
         raise ValueError(f"n_grid: each N needs a BJS width 2^floor(log2 N) - 1 "
                          f"of at least 2T+1 = {model_count}; N = {ns[0]} has less")
     # the seed as two 32-bit words, so the noise seed always starts at word 2
@@ -418,11 +405,8 @@ def consistency_experiment(
         class_mse_ses = np.empty(model.n_classes)
         for label in range(1, model.n_classes + 1):
             rng = stream_rng(low, high, noise.seed, key=(ni, label))
-            thetas = np.vstack(
-                [
-                    perturb_within_class(model, label, rng)
-                    for _ in range(trials_per_class)
-                ]
+            thetas = perturb_within_class(
+                model, np.full(trials_per_class, label), rng
             )
             signals = thetas @ phi + noise.sigma * rng.standard_normal(
                 (trials_per_class, n)

@@ -123,8 +123,9 @@ class BlockPartition:
     """Dyadic partition of coefficient indices for blockwise James-Stein.
 
     Block j covers 1-based indices 2^j .. 2^(j+1)-1 and has size 2^j.
-    Blocks 0..pass_limit are copied unshrunk, blocks above are James-Stein
-    shrunk, and indices >= 2^zero_limit are set to zero.
+    Blocks 0..max(pass_limit, 1) are copied unshrunk, blocks above
+    (:attr:`shrunk`) are James-Stein shrunk, and indices >= 2^zero_limit
+    are set to zero.
     """
 
     pass_limit: int
@@ -159,6 +160,14 @@ class BlockPartition:
         return tuple((2**j, 2 ** (j + 1) - 1) for j in range(self.zero_limit))
 
     @property
+    def shrunk(self) -> tuple[tuple[int, int], ...]:
+        """The blocks James-Stein shrinks: those above max(pass_limit, 1).
+        Blocks 0 and 1, of sizes 1 and 2 where James-Stein is undefined,
+        always pass through.  The blockwise shrink and its sup-risk
+        certificate both loop over these."""
+        return self.blocks[max(self.pass_limit, 1) + 1 :]
+
+    @property
     def width(self) -> int:
         """Number of coefficients covered, 2^zero_limit - 1."""
         return 2**self.zero_limit - 1
@@ -185,20 +194,17 @@ def _bjs_rows(
     matrix; returns ``rows``.
 
     ``rows`` must be at least ``partition.width`` columns wide; columns
-    beyond the partition are zeroed.  Shrunk blocks use
-    :func:`stein_threshold` at noise level ``epsilon``; blocks at or
-    below the pass limit, and blocks of size <= 2 where James-Stein is
-    undefined, pass through unshrunk.
+    beyond the partition are zeroed.  The blocks of
+    :attr:`BlockPartition.shrunk` are shrunk with :func:`stein_threshold`
+    at noise level ``epsilon``; the others pass through unshrunk.
     """
     if rows.ndim != 2:
         raise ValueError("rows must be 2-D")
     if rows.shape[1] < partition.width:
         raise ValueError("rows are narrower than the block partition")
     rows[:, partition.width :] = 0.0
-    for j, (first, last) in enumerate(partition.blocks):
+    for first, last in partition.shrunk:
         size = last - first + 1
-        if j <= partition.pass_limit or size <= 2:
-            continue
         block = rows[:, first - 1 : last]
         norms_sq = np.einsum("ij,ij->i", block, block)
         factors = np.zeros(rows.shape[0])

@@ -69,40 +69,28 @@ class NoiseModel:
 
 
 def stream_rng(*entropy: int, key: tuple[int, ...] = ()) -> np.random.Generator:
-    """Deterministic generator from an entropy tuple and a spawn key.
+    """Deterministic generator from an entropy tuple and a spawn key:
+    ``default_rng(SeedSequence([e % 2**64 for e in entropy], spawn_key=key))``.
 
-    Its draws equal those of ``default_rng(SeedSequence([e % 2**64 for e
-    in entropy], spawn_key=key))``; the state comes from the same batched
-    derivation that seeds every channel of :func:`generate_dataset`.
     Distinct (entropy, key) pairs give statistically independent streams,
-    so per-trial and per-channel draws never overlap.  Only the draws are
-    the stream's: the generator holds no SeedSequence of it to spawn from.
+    so per-trial and per-channel draws never overlap.
     """
-    (state,), (inc,) = _pcg64_states(np.array([_entropy_words(entropy, key)]))
-    bitgen = np.random.PCG64(0)
-    _set_pcg64(bitgen, state, inc)
-    return np.random.Generator(bitgen)
+    seq = np.random.SeedSequence([int(e) % _U64 for e in entropy], spawn_key=key)
+    return np.random.default_rng(seq)
 
 
-def _int_words(value: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence splits an int into."""
-    if value < 0:
-        raise ValueError("seed words must be nonnegative")
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
+def _entropy_words(entropy) -> list[int]:
+    """SeedSequence's assembled entropy: the little-endian uint32 words of
+    each entropy int mod 2**64 (one word below 2**32, else two),
+    zero-padded to the pool size.
 
-
-def _entropy_words(entropy, key=()) -> list[int]:
-    """SeedSequence's assembled entropy: the words of each entropy int mod
-    2**64, zero-padded to the pool size, then the words of the spawn key.
-
-    Padding a keyless entropy changes nothing, since SeedSequence hashes a
-    missing pool word as a zero word."""
-    words = [w for e in entropy for w in _int_words(int(e) % _U64)]
-    words += [0] * (_POOL - len(words))
-    return words + [w for k in key for w in _int_words(int(k))]
+    The padding changes nothing, since SeedSequence hashes a missing pool
+    word as a zero word."""
+    words = []
+    for e in entropy:
+        value = int(e) % _U64
+        words += [value & _M32, value >> 32] if value >> 32 else [value]
+    return words + [0] * (_POOL - len(words))
 
 
 def _hasher(const: int, mult: int):
@@ -126,8 +114,9 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
     """The (state, inc) of ``PCG64(SeedSequence(...))`` for every row of
-    assembled entropy words (:func:`_entropy_words`, one row per stream),
-    derived for all rows in one pass of uint32 array arithmetic."""
+    assembled entropy words (:func:`_entropy_words`, then the spawn key's
+    words; one row per stream), derived for all rows in one pass of uint32
+    array arithmetic."""
     words = words.astype(np.uint32)
     hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(words[:, i]) for i in range(_POOL)]
@@ -147,15 +136,6 @@ def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
     inc = ((seed[:, 2] << 64 | seed[:, 3]) << 1 | 1) & mask
     state = ((inc + (seed[:, 0] << 64 | seed[:, 1])) * _PCG_MULT + inc) & mask
     return state.tolist(), inc.tolist()
-
-
-def _set_pcg64(bitgen: np.random.PCG64, state: int, inc: int) -> None:
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 def sample_sobolev(
@@ -465,20 +445,27 @@ class LabeledDataset:
 
 
 def perturb_within_class(
-    model: ClassModel, label: int, rng: np.random.Generator
+    model: ClassModel, labels, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one class member: prototype plus a uniform-in-ball perturbation.
+    """Draw one class member per label: its prototype plus a uniform-in-ball
+    perturbation.  Returns a (len(labels), 2T+1) matrix.
 
-    The perturbation radius never exceeds ``within_spread`` and the result
-    is kept inside the ellipsoid by halving the perturbation as needed
-    (the prototype itself is strictly inside, so this terminates).
+    The perturbation radius never exceeds ``within_spread`` and each member
+    is kept inside the ellipsoid by halving its perturbation as needed (the
+    prototype itself is strictly inside, so this terminates).  The members
+    draw from ``rng`` in label order (:func:`_draw_member`), as one-label
+    calls in turn would, and are then perturbed in one batch.
     """
-    if not 1 <= label <= model.n_classes:
+    labels = np.asarray(labels, dtype=int)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-D sequence")
+    if np.any((labels < 1) | (labels > model.n_classes)):
         raise ValueError("label out of range")
-    base = model.prototypes[label - 1]
-    directions, uniforms = np.zeros((1, base.size)), np.zeros(1)
-    _draw_member(model, rng, directions, uniforms, 0)
-    return _perturb_rows(model, base[None], directions, uniforms)[0]
+    bases = model.prototypes[labels - 1]
+    directions, uniforms = np.zeros(bases.shape), np.zeros(len(bases))
+    for i in range(len(bases)):
+        _draw_member(model, rng, directions, uniforms, i)
+    return _perturb_rows(model, bases, directions, uniforms)
 
 
 def _draw_member(model: ClassModel, rng, directions, uniforms, i: int) -> None:
@@ -586,7 +573,8 @@ def generate_dataset(
     uniforms = np.zeros(len(rows))
     # only the draws run per channel; the noise goes straight into its row
     for i, (state, inc, row) in enumerate(zip(states, incs, rows)):
-        _set_pcg64(bitgen, state, inc)
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": {"state": state, "inc": inc}}
         _draw_member(model, rng, directions, uniforms, i)
         rng.standard_normal(out=row)
     bases = model.prototypes[np.repeat(labels, n_channels) - 1]

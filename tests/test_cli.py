@@ -573,6 +573,49 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
         read_bytes(os.path.join(b, "rates.csv"))
 
 
+@pytest.mark.parametrize(
+    "name, argv, pinned",
+    [
+        ("rates", ["--epsilons", "0.5,0.2", "--trials", "100", "--thetas", "5",
+                   "--seed", "3"],
+         ("46030f97357f776f4d2b51bf6ad9f60a108ae922f84550bd1aff38139b31269c",
+          "8e14efba0ecc71ef073359cb087ae171119b029fc72d0e1491e351388ab8953b")),
+        ("adaptivity", ["--alphas", "1,2", "--radii", "5", "--epsilon", "0.05"],
+         ("52730855d1ae204f6d410ff09b36462662f2e304bbe39de48e1e17c874fdbca5",
+          "d708ae5c90d31960c26c616981462a826447d0bd0c54e886a16feca06883e284")),
+        ("consistency", ["--classes", "3", "--truncation", "3",
+                         "--sample-grid", "64,128", "--trials", "30",
+                         "--seed", "5", "--noise-seed", "7", "--sigma", "6"],
+         ("dccbd0f4037577c2f2fc865f374198e857831906fccfc94b872cb97b97dad604",
+          "50731de15a037178701368c26d3b46c5e906a3893047814e9be9cc4aef111d34")),
+        ("consistency", ["--classes", "3", "--truncation", "3",
+                         "--sample-grid", "64", "--trials", "20", "--spread", "0",
+                         "--sigma", "5", "--seed", "9"],
+         ("459369f2e7f115eb26faf45dbca4b101e8f20b01dd140c544aa3bb85e1434e6d",
+          "27d446bbc25b521ea0564cb778fb2d6d5d960d4e54dc5e204f808cb2adfd1348")),
+        ("phase", ["--classes", "3", "--trials-per-class", "4", "--channels", "2",
+                   "--samples", "64", "--sessions", "2", "--truncation", "3",
+                   "--pipeline-truncation", "3", "--seed", "2"],
+         ("6aaeff381dbc3cc2c26a8984550c6caecfd4065f8b54ba0d110cbe25fb8b24bf",
+          "79351b2ae096337e67701e4e1d678b5320cb49d204f2b51ce7beecedb44d851e")),
+    ],
+    ids=["rates", "adaptivity", "consistency", "consistency-spread-0", "phase"],
+)
+def test_experiment_bytes_are_pinned(tmp_path, name, argv, pinned):
+    # the SHA-256 values are those of the outputs when the risk curve drew
+    # its noise one parameter at a time, the consistency study one class
+    # member at a time and the BJS certificate kept its own block rule; the
+    # noisy consistency runs decode with nonzero error, so a changed draw
+    # or estimate shows in the error column as well as in the bound
+    out = str(tmp_path / "exp")
+    assert run("experiment", "--name", name, "--out", out, *argv) == 0
+    digests = tuple(
+        hashlib.sha256(read_bytes(os.path.join(out, name + suffix))).hexdigest()
+        for suffix in (".csv", "_summary.txt")
+    )
+    assert digests == pinned
+
+
 def test_experiment_consistency_matches_library(tmp_path):
     from lfpdecode.experiments import consistency_experiment
     from lfpdecode.synth import NoiseModel, make_class_model
@@ -621,8 +664,24 @@ def test_experiment_phase_matches_library(tmp_path):
         (["benchmark", "--dataset", "ds.csv", "--truncations", "3,x"],
          "--truncations"),
         (["benchmark", "--dataset", "ds.csv", "--ridge", "xyz"], "--ridge"),
+        # a truncation below 1 and a negative or non-finite ridge are
+        # rejected as the flag is parsed, before any file is read
+        (["synth", "--truncation", "0"], "--truncation"),
+        (["estimate", "--input", "sig.csv", "--truncation", "0"], "--truncation"),
+        (["benchmark", "--dataset", "ds.csv", "--truncation", "0"],
+         "--truncation"),
+        (["benchmark", "--dataset", "ds.csv", "--grid", "--truncations", "3,0"],
+         "--truncations"),
+        (["experiment", "--name", "phase", "--pipeline-truncation", "0"],
+         "--pipeline-truncation"),
+        (["benchmark", "--dataset", "ds.csv", "--ridge", "-1"], "--ridge"),
+        (["benchmark", "--dataset", "ds.csv", "--ridge", "nan"], "--ridge"),
+        (["experiment", "--name", "phase", "--ridge", "inf"], "--ridge"),
     ],
-    ids=["int", "float", "float-list", "int-list", "float-or-auto"],
+    ids=["int", "float", "float-list", "int-list", "float-or-auto",
+         "synth-truncation-0", "estimate-truncation-0", "benchmark-truncation-0",
+         "grid-truncations-0", "phase-truncation-0", "ridge-negative",
+         "ridge-nan", "phase-ridge-inf"],
 )
 def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     out = str(tmp_path / "x")
@@ -641,8 +700,19 @@ def test_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
         ("benchmark", "grid.truncations", "3,x"),
         ("benchmark", "pipeline.ridge", "xyz"),
         ("benchmark", "grid.low_pass_only", "maybe"),
+        ("synth", "synth.truncation", "0"),
+        ("estimate", "estimate.truncation", "0"),
+        ("benchmark", "pipeline.truncation", "-2"),
+        ("benchmark", "grid.truncations", "3,0"),
+        ("phase", "pipeline.truncation", "0"),
+        ("benchmark", "pipeline.ridge", "-1"),
+        ("benchmark", "pipeline.ridge", "nan"),
+        ("phase", "pipeline.ridge", "-inf"),
     ],
-    ids=["int", "float", "float-list", "int-list", "float-or-auto", "bool"],
+    ids=["int", "float", "float-list", "int-list", "float-or-auto", "bool",
+         "synth-truncation-0", "estimate-truncation-0", "benchmark-truncation",
+         "grid-truncations-0", "phase-truncation-0", "ridge-negative",
+         "ridge-nan", "phase-ridge-inf"],
 )
 def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, key,
                                                  raw):
@@ -651,7 +721,9 @@ def test_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, command, key,
     out = str(tmp_path / "x")
     argv = {
         "synth": ["synth"],
+        "estimate": ["estimate", "--input", str(tmp_path / "sig.csv")],
         "rates": ["experiment", "--name", "rates"],
+        "phase": ["experiment", "--name", "phase"],
         "benchmark": ["benchmark", "--dataset", str(tmp_path / "ds.csv")],
     }[command]
     assert run(*argv, "--config", str(cfg), "--out", out) == 2
@@ -757,7 +829,7 @@ LIST_OPTIONS = [
     pytest.param(argv, opt, id=f"{name}-{opt.key}")
     for name, argv, opts in _COMMANDS
     for opt in opts
-    if opt.kind in (cli.int_list, cli.float_list)
+    if opt.kind in (cli.int_list, cli.positive_int_list, cli.float_list)
 ]
 
 
@@ -785,18 +857,20 @@ def test_empty_list_value_exits_2_naming_the_option(tmp_path, capsys, argv,
 @pytest.mark.parametrize(
     "argv, opt, raw, rule",
     [
-        (["benchmark", "--dataset", "ds.csv"], "grid.truncations", "3,x",
+        (["benchmark", "--dataset", "ds.csv"], "grid.components", "3,x",
          "every comma-separated item must be an integer"),
+        (["benchmark", "--dataset", "ds.csv"], "grid.truncations", "3,0",
+         "every comma-separated item must be a positive integer"),
         (["experiment", "--name", "rates"], "experiment.epsilons", "0.5,",
          "every comma-separated item must be a number"),
     ],
-    ids=["int_list", "float_list"],
+    ids=["int_list", "positive_int_list", "float_list"],
 )
 @pytest.mark.parametrize("route", ["flag", "config"])
 def test_list_value_error_names_the_rule(tmp_path, capsys, argv, opt, raw, rule,
                                          route):
     argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
-    flag = "--" + opt.rsplit(".", 1)[1]
+    flag = {o.key: o.flag_name for o in cli.BENCHMARK_OPTS + cli.RATES_OPTS}[opt]
     if route == "flag":
         source, named = [f"{flag}={raw}"], f"argument {flag}: {rule}"
     else:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lfpdecode import classify, shrinkage
+from lfpdecode import classify, experiments, shrinkage
 from lfpdecode.basis import CoefficientVector, basis_matrix
 from lfpdecode.classify import (
     PipelineConfig,
@@ -227,6 +227,21 @@ def test_consistency_seed_pairs_do_not_alias():
         for seed, noise_seed in ((5, 7), (5 + 7 * 2**32, 0))
     ]
     assert rows[0] != rows[1]
+
+
+def test_consistency_draws_each_class_in_one_batch(monkeypatch):
+    # one perturb_within_class call per (N, class), of trials_per_class labels
+    model = make_class_model(3, SPEC, 3, 0.5, 0.1, seed=5)
+    calls = []
+    original = experiments.perturb_within_class
+
+    def counted(model, labels, rng):
+        calls.append(list(labels))
+        return original(model, labels, rng)
+
+    monkeypatch.setattr(experiments, "perturb_within_class", counted)
+    consistency_experiment(model, [64, 128], 12, NoiseModel(), seed=5)
+    assert calls == [[label] * 12 for _ in range(2) for label in (1, 2, 3)]
 
 
 def test_consistency_near_noiseless_decodes_perfectly():

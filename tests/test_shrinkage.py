@@ -101,6 +101,25 @@ def test_dyadic_block_layout():
         BlockPartition(-1, 3)
 
 
+@pytest.mark.parametrize("cutoff", range(3, 11))
+def test_shrunk_blocks_are_those_above_the_pass_limit_of_size_above_2(cutoff):
+    # the shrunk blocks are a suffix of the blocks, the passed ones the rest:
+    # block j is passed iff j <= pass_limit or its size 2^j is at most 2
+    rng = np.random.default_rng(cutoff)
+    for pass_limit in range(cutoff):
+        part = BlockPartition(pass_limit, cutoff)
+        passed = part.blocks[: len(part.blocks) - len(part.shrunk)]
+        assert passed + part.shrunk == part.blocks
+        assert [j <= pass_limit or 2**j <= 2 for j in range(cutoff)] == (
+            [True] * len(passed) + [False] * len(part.shrunk))
+        # a nonzero observation with live (not zeroed) shrinkage everywhere
+        y = rng.normal(size=(4, part.width)) + 3.0
+        out = _bjs_rows(y.copy(), part, 0.05)
+        kept = np.all(out == y, axis=0)
+        width = passed[-1][1]
+        assert kept.tolist() == [True] * width + [False] * (part.width - width)
+
+
 def _padded_transform(samples, width):
     """The widest-band transform of each row, zero-padded to ``width``."""
     count = bjs_coefficient_count(samples.shape[1])

@@ -124,9 +124,10 @@ def test_trial_noise_moments():
 def test_perturbation_stays_in_ball_and_ellipsoid():
     model = make_class_model(4, SPEC, 4, 0.5, 0.1, seed=1)
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        label = int(rng.integers(1, 5))
-        theta = perturb_within_class(model, label, rng)
+    labels = rng.integers(1, 5, 200)
+    thetas = perturb_within_class(model, labels, rng)
+    assert thetas.shape == (200, 9)
+    for label, theta in zip(labels, thetas):
         d = np.linalg.norm(theta - model.prototypes[label - 1])
         assert d <= 0.1 + 1e-12
         assert weighted_norm_sq(SPEC, theta) <= SPEC.radius**2 + 1e-9
@@ -135,8 +136,29 @@ def test_perturbation_stays_in_ball_and_ellipsoid():
 def test_perturbation_zero_spread_returns_prototype():
     model = make_class_model(3, SPEC, 4, 0.5, 0.0, seed=2)
     rng = np.random.default_rng(1)
-    theta = perturb_within_class(model, 2, rng)
-    assert_allclose(theta, model.prototypes[1])
+    thetas = perturb_within_class(model, [2, 3, 2], rng)
+    assert_array_equal(thetas, model.prototypes[[1, 2, 1]])
+
+
+@pytest.mark.parametrize("spread", [0.1, 0.0])
+def test_batched_perturbation_matches_one_label_calls(spread):
+    # the batch draws each member's direction and radius in label order, as
+    # one-label calls in turn do, and leaves the stream where they leave it
+    model = make_class_model(3, SPEC, 4, 0.5, spread, seed=2)
+    labels = [3, 1, 1, 2, 3, 2, 1]
+    batched, single = np.random.default_rng(7), np.random.default_rng(7)
+    thetas = perturb_within_class(model, labels, batched)
+    expected = [perturb_within_class(model, [k], single)[0] for k in labels]
+    assert_array_equal(thetas, expected)
+    assert batched.standard_normal() == single.standard_normal()
+
+
+@pytest.mark.parametrize("labels", [[1, 0], [4], [2, 5, 1], [[1, 2]]],
+                         ids=["label-0", "above-n-classes", "mixed", "2-d"])
+def test_perturbation_rejects_labels_outside_the_classes(labels):
+    model = make_class_model(3, SPEC, 4, 0.5, 0.1, seed=2)
+    with pytest.raises(ValueError, match="label"):
+        perturb_within_class(model, labels, np.random.default_rng(0))
 
 
 def test_generate_trial_shape_and_determinism():
@@ -368,7 +390,9 @@ STREAM_KEYS = [(), (3,), (2, 5)]
 @pytest.mark.parametrize("entropy", STREAM_ENTROPY)
 def test_stream_state_matches_seed_sequence(entropy, key):
     seq = np.random.SeedSequence([e % 2**64 for e in entropy], spawn_key=key)
-    (state,), (inc,) = _pcg64_states(np.array([_entropy_words(entropy, key)]))
+    # every key word is below 2**32, so each is one uint32 word
+    words = _entropy_words(entropy) + list(key)
+    (state,), (inc,) = _pcg64_states(np.array([words]))
     expected = np.random.PCG64(seq).state["state"]
     assert (state, inc) == (expected["state"], expected["inc"])
     draws = stream_rng(*entropy, key=key)
@@ -385,7 +409,7 @@ def test_batched_stream_states_match_one_seed_sequence_per_row():
     trial_seeds[:3] = [0, 5, 2**32 - 1]
     for noise_seed in (0, 2**40):
         rows = [(int(t), noise_seed, c) for t in trial_seeds for c in range(4)]
-        words = np.array([_entropy_words(r[:2], key=r[2:]) for r in rows])
+        words = np.array([_entropy_words(r[:2]) + [r[2]] for r in rows])
         states, incs = _pcg64_states(words)
         for (t, n, c), state, inc in zip(rows, states, incs):
             seq = np.random.SeedSequence([t, n], spawn_key=(c,))
